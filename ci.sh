@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gates.
 #
-#   ./ci.sh            per-push gate: build, full test suite, quick-scale
-#                      end-to-end repro (~1 min on one core), a traced
+#   ./ci.sh            per-push gate: build, full test suite, the
+#                      perfbench self-tests, quick-scale end-to-end
+#                      repro (~1 min on one core), a traced
 #                      + telemetry-sampled fig1 with the schema,
 #                      check-metrics and fault-provenance (`repro
 #                      explain`) reconciliation gates, the small-grid
@@ -34,6 +35,12 @@ case "$target" in
 push)
     echo "== cargo test =="
     cargo test -q --workspace
+
+    echo "== perfbench self-tests (pinned digests, mirror parity) =="
+    # The benchmark is its own cargo package; its self-tests pin the
+    # point-set digests and check the traced mirror against run_prepared,
+    # so a simulator or writer change that moves either fails here.
+    cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
     echo "== repro all --scale 128 (quick-scale end-to-end) =="
     ./target/release/repro all --scale 128 --json --out ci-out

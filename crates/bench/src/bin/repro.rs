@@ -1525,10 +1525,15 @@ fn main() {
         ));
         out(&chrome::flame_text(&agg));
         let body = chrome::render(&points);
-        if let Some(dir) = trace_path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).expect("create trace output dir");
+        let written = match trace_path.parent().filter(|d| !d.as_os_str().is_empty()) {
+            Some(dir) => std::fs::create_dir_all(dir),
+            None => Ok(()),
         }
-        std::fs::write(trace_path, &body).expect("write trace");
+        .and_then(|()| std::fs::write(trace_path, &body));
+        if let Err(e) = written {
+            eprintln!("error: write trace {}: {e}", trace_path.display());
+            std::process::exit(1);
+        }
         out(&format!(
             "  wrote {} ({} KiB) — open in https://ui.perfetto.dev or chrome://tracing",
             trace_path.display(),

@@ -27,6 +27,7 @@ use metrics::{
 };
 use serde::Value;
 use sim_engine::units::PAGE_SIZE;
+use std::fmt::Write;
 
 /// One finished sweep point with everything the metrics artefacts need.
 #[derive(Debug, Clone)]
@@ -328,19 +329,22 @@ const OFFENDERS_HEADER: &str = "point\tblock\trefault_faults\tprefetch_evicted_p
 /// descending badness. Tab-separated so the metrics-dir CSV walkers
 /// (`repro report` / `check-metrics`) never mistake it for a sample CSV.
 pub fn render_offenders_tsv(points: &[MetricsPoint]) -> String {
-    let mut out = String::from(OFFENDERS_HEADER);
+    let rows: usize = points.iter().map(|p| p.top_offenders.len()).sum();
+    let mut out = String::with_capacity(OFFENDERS_HEADER.len() + 1 + 96 * rows);
+    out.push_str(OFFENDERS_HEADER);
     out.push('\n');
     for (i, p) in points.iter().enumerate() {
         let stem = p.file_stem(i);
         for o in &p.top_offenders {
-            out.push_str(&format!(
-                "{stem}\t{}\t{}\t{}\t{}\t{}\n",
+            let _ = writeln!(
+                out,
+                "{stem}\t{}\t{}\t{}\t{}\t{}",
                 o.block,
                 o.stats.refault_faults,
                 o.stats.prefetch_evicted_pages,
                 o.stats.evictions,
                 o.stats.badness()
-            ));
+            );
         }
     }
     out

@@ -27,6 +27,7 @@ use crate::timers::{Category, Timers};
 use crate::trace::{EventKind, TraceEvent};
 use serde::Value;
 use sim_engine::SimDuration;
+use std::fmt::Write;
 
 /// One run's contribution to a combined Chrome trace.
 #[derive(Debug, Clone)]
@@ -49,21 +50,21 @@ pub const TID_DRIVER: u64 = 1;
 /// Thread id of the per-page fault/prefetch/eviction instants.
 pub const TID_PAGES: u64 = 2;
 
-fn map(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+/// Drop the `,` after an array's last element (if any) and close it.
+fn close(out: &mut String, tail: &str) {
+    if out.ends_with(',') {
+        out.pop();
+    }
+    out.push_str(tail);
 }
 
-fn push_meta(events: &mut Vec<Value>, pid: u64, tid: u64, name: &str, value: &str) {
-    events.push(map(vec![
-        ("name", Value::Str(name.into())),
-        ("ph", Value::Str("M".into())),
-        ("pid", Value::U64(pid)),
-        ("tid", Value::U64(tid)),
-        (
-            "args",
-            map(vec![("name", Value::Str(value.into()))]),
-        ),
-    ]));
+/// Append `"key":{"<category>":ns,…},` over every timer category.
+fn push_timers(out: &mut String, key: &str, t: &Timers) {
+    let _ = write!(out, r#""{key}":{{"#);
+    for c in Category::ALL {
+        let _ = write!(out, r#""{}":{},"#, c.label(), t.get(c).as_nanos());
+    }
+    close(out, "},");
 }
 
 /// Render `points` as a Chrome-trace JSON document (compact, one event
@@ -71,15 +72,28 @@ fn push_meta(events: &mut Vec<Value>, pid: u64, tid: u64, name: &str, value: &st
 /// byte-identical output (wall-clock stamps are carried under
 /// `args.wall_ns` and vary run to run, but the sim-time timeline and
 /// structure do not).
+///
+/// The text goes event by event into one pre-sized `String`, byte for
+/// byte what `serde_json::to_string` prints for the same `Value` tree:
+/// same key order, `{:?}` floats, and the run label escaped by
+/// `serde_json` (every other string is a plain identifier).
 pub fn render(points: &[ChromePoint]) -> String {
-    let mut events: Vec<Value> = Vec::new();
-    let mut meta_points: Vec<Value> = Vec::new();
+    let events: usize = points.iter().map(|p| p.spans.events.len() + p.faults.len()).sum();
+    // Events average ~150 bytes; over-reserving only maps untouched pages.
+    let mut out = String::with_capacity(1024 * points.len() + 176 * events);
+    out.push_str(r#"{"traceEvents":["#);
     for (i, p) in points.iter().enumerate() {
-        let pid = i as u64 + 1;
-        push_meta(&mut events, pid, TID_DRIVER, "process_name", &p.label);
-        push_meta(&mut events, pid, TID_DRIVER, "thread_name", "uvm-driver");
-        if !p.faults.is_empty() {
-            push_meta(&mut events, pid, TID_PAGES, "thread_name", "page-events");
+        let pid = i + 1;
+        let label = serde_json::to_string(&p.label).expect("serialize chrome trace label");
+        let meta = [
+            (TID_DRIVER, "process_name", label.as_str()),
+            (TID_DRIVER, "thread_name", r#""uvm-driver""#),
+            (TID_PAGES, "thread_name", r#""page-events""#),
+        ];
+        let threads = if p.faults.is_empty() { 2 } else { 3 };
+        for (tid, name, value) in &meta[..threads] {
+            let _ = write!(out, r#"{{"name":"{name}","ph":"M","pid":{pid},"tid":{tid},"#);
+            let _ = write!(out, r#""args":{{"name":{value}}}}},"#);
         }
 
         // Span events are recorded in emission order; leaves are recorded
@@ -97,29 +111,22 @@ pub fn render(points: &[ChromePoint]) -> String {
                 SpanPhase::Leaf => "X",
                 SpanPhase::Instant => "i",
             };
-            let mut args = vec![
-                ("ns", Value::U64(e.ts.as_nanos())),
-                ("wall_ns", Value::U64(e.wall_ns)),
-                ("a", Value::U64(e.a)),
-                ("b", Value::U64(e.b)),
-            ];
-            let mut ev = vec![
-                ("name", Value::Str(e.kind.label().into())),
-                ("cat", Value::Str(e.cat.label().into())),
-                ("ph", Value::Str(ph.into())),
-                ("ts", Value::F64(e.ts.as_micros_f64())),
-                ("pid", Value::U64(pid)),
-                ("tid", Value::U64(TID_DRIVER)),
-            ];
+            let (name, cat, ts) = (e.kind.label(), e.cat.label(), e.ts.as_micros_f64());
+            let _ = write!(out, r#"{{"name":"{name}","cat":"{cat}","ph":"{ph}","ts":{ts:?},"#);
+            let _ = write!(out, r#""pid":{pid},"tid":{TID_DRIVER},"#);
+            match e.phase {
+                SpanPhase::Leaf => {
+                    let _ = write!(out, r#""dur":{:?},"#, e.dur.as_micros_f64());
+                }
+                SpanPhase::Instant => out.push_str(r#""s":"t","#),
+                _ => {}
+            }
+            let (ns, wall_ns, a, b) = (e.ts.as_nanos(), e.wall_ns, e.a, e.b);
+            let _ = write!(out, r#""args":{{"ns":{ns},"wall_ns":{wall_ns},"a":{a},"b":{b}"#);
             if e.phase == SpanPhase::Leaf {
-                ev.push(("dur", Value::F64(e.dur.as_micros_f64())));
-                args.push(("dns", Value::U64(e.dur.as_nanos())));
+                let _ = write!(out, r#","dns":{}"#, e.dur.as_nanos());
             }
-            if e.phase == SpanPhase::Instant {
-                ev.push(("s", Value::Str("t".into())));
-            }
-            ev.push(("args", map(args)));
-            events.push(map(ev));
+            out.push_str("}},");
         }
 
         for f in &p.faults {
@@ -128,50 +135,26 @@ pub fn render(points: &[ChromePoint]) -> String {
                 EventKind::Prefetch => "prefetch",
                 EventKind::Eviction => "eviction",
             };
-            events.push(map(vec![
-                ("name", Value::Str(name.into())),
-                ("cat", Value::Str("page".into())),
-                ("ph", Value::Str("i".into())),
-                ("ts", Value::F64(f.time.as_micros_f64())),
-                ("pid", Value::U64(pid)),
-                ("tid", Value::U64(TID_PAGES)),
-                ("s", Value::Str("t".into())),
-                (
-                    "args",
-                    map(vec![
-                        ("ns", Value::U64(f.time.as_nanos())),
-                        ("page", Value::U64(f.page)),
-                        ("order", Value::U64(f.order)),
-                    ]),
-                ),
-            ]));
+            let ts = f.time.as_micros_f64();
+            let _ = write!(out, r#"{{"name":"{name}","cat":"page","ph":"i","ts":{ts:?},"#);
+            let _ = write!(out, r#""pid":{pid},"tid":{TID_PAGES},"s":"t","#);
+            let (ns, page, order) = (f.time.as_nanos(), f.page, f.order);
+            let _ = write!(out, r#""args":{{"ns":{ns},"page":{page},"order":{order}}}}},"#);
         }
-
-        let timer_ns = |t: &Timers| {
-            Value::Map(
-                Category::ALL
-                    .iter()
-                    .map(|&c| (c.label().to_string(), Value::U64(t.get(c).as_nanos())))
-                    .collect(),
-            )
-        };
-        meta_points.push(map(vec![
-            ("pid", Value::U64(pid)),
-            ("label", Value::Str(p.label.clone())),
-            ("timers_ns", timer_ns(&p.timers)),
-            ("spans_captured", Value::U64(p.spans.events.len() as u64)),
-            ("spans_dropped", Value::U64(p.spans.dropped)),
-            ("dropped_ns", timer_ns(&p.spans.dropped_time)),
-            ("fault_events", Value::U64(p.faults.len() as u64)),
-            ("fault_events_dropped", Value::U64(p.fault_drops)),
-        ]));
     }
-    let doc = map(vec![
-        ("traceEvents", Value::Seq(events)),
-        ("displayTimeUnit", Value::Str("ms".into())),
-        ("uvmSim", map(vec![("points", Value::Seq(meta_points))])),
-    ]);
-    serde_json::to_string(&doc).expect("serialize chrome trace")
+    close(&mut out, r#"],"displayTimeUnit":"ms","uvmSim":{"points":["#);
+    for (i, p) in points.iter().enumerate() {
+        let label = serde_json::to_string(&p.label).expect("serialize chrome trace label");
+        let _ = write!(out, r#"{{"pid":{},"label":{label},"#, i + 1);
+        push_timers(&mut out, "timers_ns", &p.timers);
+        let (captured, dropped) = (p.spans.events.len(), p.spans.dropped);
+        let _ = write!(out, r#""spans_captured":{captured},"spans_dropped":{dropped},"#);
+        push_timers(&mut out, "dropped_ns", &p.spans.dropped_time);
+        let (faults, fault_drops) = (p.faults.len(), p.fault_drops);
+        let _ = write!(out, r#""fault_events":{faults},"fault_events_dropped":{fault_drops}}},"#);
+    }
+    close(&mut out, "]}}");
+    out
 }
 
 /// Summary statistics [`validate`] returns for a well-formed trace.

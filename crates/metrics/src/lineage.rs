@@ -34,6 +34,7 @@ use crate::counters::Counters;
 use crate::histogram::Histogram;
 use crate::timeseries::Sample;
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Number of lineage event kinds (array size for per-kind totals).
 pub const LINEAGE_KINDS: usize = 9;
@@ -381,29 +382,26 @@ impl LineageLog {
     /// stored events. Flight dumps are *not* part of this artefact —
     /// they go to the JSON sidecar.
     pub fn to_artefact(&self) -> String {
-        let mut out = format!("{ARTEFACT_HEAD}{}\n", self.dropped);
+        let rows = 1 + LINEAGE_KINDS + 1 + self.events.len();
+        let mut out = String::with_capacity(48 * rows);
+        let _ = writeln!(out, "{ARTEFACT_HEAD}{}", self.dropped);
         for kind in LineageEventKind::ALL {
             let t = self.total(kind);
-            out.push_str(&format!(
-                "total,{},{},{},{}\n",
-                kind.name(),
-                t.events,
-                t.pages,
-                t.aux
-            ));
+            let _ = writeln!(out, "total,{},{},{},{}", kind.name(), t.events, t.pages, t.aux);
         }
         out.push_str(ARTEFACT_COLUMNS);
         out.push('\n');
         for e in &self.events {
-            out.push_str(&format!(
-                "event,{},{},{},{},{},{}\n",
+            let _ = writeln!(
+                out,
+                "event,{},{},{},{},{},{}",
                 e.t_ns,
                 e.pass,
                 e.block,
                 e.kind.name(),
                 e.pages,
                 e.aux
-            ));
+            );
         }
         out
     }

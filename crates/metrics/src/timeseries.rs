@@ -26,6 +26,7 @@
 use crate::Histogram;
 use serde::{Deserialize, Serialize};
 use sim_engine::{SimDuration, SimTime};
+use std::fmt::Write;
 
 /// Default sampling interval: 500 µs of simulated time.
 pub const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 500_000;
@@ -246,15 +247,14 @@ impl Timeseries {
     /// Render the stream as CSV (header + one row per sample).
     pub fn to_csv(&self) -> String {
         let mut out = Self::csv_header();
+        out.reserve(1 + 8 * SAMPLE_COLUMNS.len() * self.samples.len());
         out.push('\n');
         for s in &self.samples {
-            let mut first = true;
-            for col in SAMPLE_COLUMNS {
-                if !first {
+            for (i, col) in SAMPLE_COLUMNS.iter().enumerate() {
+                if i > 0 {
                     out.push(',');
                 }
-                first = false;
-                out.push_str(&(col.get)(s).to_string());
+                let _ = write!(out, "{}", (col.get)(s));
             }
             out.push('\n');
         }

@@ -6,7 +6,12 @@
 //! is bounded below the run's event count.
 
 use bench::experiments::Scale;
-use metrics::{chrome, ChromePoint, SpanTrace};
+use metrics::{
+    chrome, Category, ChromePoint, EventKind, SpanCat, SpanKind, SpanRecorder, SpanTrace, Timers,
+    TraceEvent,
+};
+use sim_engine::{SimDuration, SimTime};
+use std::process::Command;
 use uvm_sim::{SimReport, WorkloadKind};
 
 /// One oversubscribed QUICK-scale run (faults, migrations, evictions and
@@ -102,4 +107,99 @@ fn multi_point_export_keeps_processes_separate() {
     let json = chrome::render(&[point(&a), point(&b)]);
     let stats = chrome::validate(&json).expect("two-point export validates");
     assert_eq!(stats.processes, 2);
+}
+
+fn t(ns: u64) -> SimTime {
+    SimTime::ZERO + SimDuration::from_nanos(ns)
+}
+
+/// A hand-built point: one pass of nanosecond-scale leaves (1 ns renders
+/// as `0.001` µs), a replay instant, and optionally the three page
+/// instant kinds.
+fn synthetic_point(label: &str, base_ns: u64, with_faults: bool) -> ChromePoint {
+    let mut r = SpanRecorder::bounded(64);
+    let mut timers = Timers::default();
+    let mut charge = |r: &mut SpanRecorder, kind, cat, ts: u64, ns: u64| {
+        let d = SimDuration::from_nanos(ns);
+        timers.charge(cat, d);
+        r.leaf(kind, cat, t(base_ns + ts), d);
+    };
+    r.begin(SpanKind::Pass, SpanCat::Batch, t(base_ns), 7, 3);
+    charge(&mut r, SpanKind::FetchSort, Category::Preprocess, 0, 1);
+    r.begin(SpanKind::VablockService, SpanCat::Vablock, t(base_ns + 1), 2, 0);
+    charge(&mut r, SpanKind::MigrateH2d, Category::ServiceMigrate, 1, 1);
+    charge(&mut r, SpanKind::MapPages, Category::ServiceMap, 2, 1_234_000);
+    r.end(SpanKind::VablockService, SpanCat::Vablock, t(base_ns + 1_234_002), 2, 0);
+    r.instant(SpanKind::Replay, t(base_ns + 1_234_002), 1, 0);
+    r.end(SpanKind::Pass, SpanCat::Batch, t(base_ns + 1_234_002), 7, 3);
+    let faults = if with_faults {
+        [EventKind::Fault, EventKind::Prefetch, EventKind::Eviction]
+            .into_iter()
+            .enumerate()
+            .map(|(i, kind)| TraceEvent {
+                order: i as u64,
+                page: 40 + i as u64,
+                time: t(base_ns + i as u64),
+                kind,
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    ChromePoint {
+        label: label.into(),
+        spans: r.to_trace(),
+        faults,
+        fault_drops: 0,
+        timers,
+    }
+}
+
+/// The direct writer must emit exactly the bytes the vendored serializer
+/// prints for the same document: re-serializing the parsed tree gives
+/// the input back, escapes and float forms included.
+#[test]
+fn render_is_the_serializers_canonical_form() {
+    let points = [
+        synthetic_point("quote \" backslash \\ bell \u{7} tab \t", 0, true),
+        synthetic_point("no faults", 5_000, false),
+    ];
+    let json = chrome::render(&points);
+    assert!(json.contains(r#""ts":0.001,"#), "1 ns renders as 0.001 µs");
+    assert!(json.contains(r#""dur":0.001,"#), "1 ns renders as 0.001 µs");
+    // Whole microseconds keep the float form; the round trip below
+    // cannot see this, since the parser reads `5` back as an integer.
+    assert!(json.contains(r#""ts":5.0,"#), "5000 ns renders as 5.0 µs");
+    assert!(json.contains(r#""dur":1234.0,"#), "1234000 ns renders as 1234.0 µs");
+    assert!(json.contains(r#"quote \" backslash \\ bell \u0007 tab \t"#));
+    let tree: serde::Value = serde_json::from_str(&json).expect("export parses as JSON");
+    assert_eq!(serde_json::to_string(&tree).expect("re-serialize"), json);
+
+    let stats = chrome::validate(&json).expect("synthetic export validates");
+    assert_eq!(stats.processes, 2);
+    assert_eq!(stats.leaf_spans, 6);
+    assert_eq!(stats.container_spans, 4);
+    assert_eq!(stats.instants, 2 + 3, "replay markers plus page instants");
+}
+
+/// An unwritable `--trace-out` path is an I/O error, not a panic.
+#[test]
+fn trace_out_under_a_regular_file_exits_cleanly() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_out_unwritable");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let blocker = dir.join("not-a-dir");
+    std::fs::write(&blocker, "").expect("create regular file");
+    let trace = blocker.join("sub").join("trace.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--scale", "128", "--no-progress", "--out"])
+        .arg(dir.join("out"))
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("error: write trace"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
