@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! repro <experiment> [--scale <denominator>] [--out <dir>] [--json] [--threads <n>]
-//!                    [--service-workers <n>] [--trace-out <file>] [--trace-cap <events>]
+//!                    [--trace-out <file>] [--trace-cap <events>]
 //!                    [--metrics-out <dir>] [--metrics-interval <sim-ns>]
 //!                    [--retry-crosscheck] [--progress|--no-progress]
 //! repro all
 //! repro list
 //! repro oversub [--grid small|full] [--scale <den>] [--out <dir>] [--json]
-//!               [--threads <n>] [--service-workers <n>] [--metrics-out <dir>]
+//!               [--threads <n>] [--metrics-out <dir>]
 //!               [--metrics-interval <sim-ns>] [--progress|--no-progress]
 //! repro oversub --check <dir>
 //! repro check-trace <file>
@@ -21,7 +21,7 @@
 //! repro check-metrics <metrics-dir>
 //! repro trend-import <trend-file> <bench-json> <experiment> [as-name]
 //! repro serve --socket <path> [--http <addr>] [--out <dir>] [--scale <den>]
-//!             [--threads <n>] [--service-workers <n>] [--cache <entries>]
+//!             [--threads <n>] [--cache <entries>]
 //! repro serve --check <socket>
 //! repro submit <socket> <experiment> [--scale <den>] [--ndjson]
 //! repro submit <socket> --shutdown
@@ -52,7 +52,7 @@
 //! per sweep point plus `metrics.prom`, a Prometheus text exposition of
 //! the end-of-run totals labelled by workload/ratio/policy. Sampling is
 //! driven by the virtual clock, so the streams are bit-identical for any
-//! `--threads`/`--service-workers` value. `repro report <dir>` re-renders
+//! `--threads` value. `repro report <dir>` re-renders
 //! the CSVs as per-run cost decompositions (Figs. 8–10 shapes);
 //! `repro check-metrics <dir>` re-validates every artefact. `repro
 //! regress <trend-file>` compares the newest `ci_trend` entry of each
@@ -94,7 +94,7 @@
 //! byte-identical, recomputed cliffs must match the recorded rows, and
 //! the re-derived exposition must match `oversub.prom` — exiting 1 on
 //! any drift. Like every sweep, the artefacts are bit-identical for
-//! any `--threads`/`--service-workers` value.
+//! any `--threads` value.
 //!
 //! `repro lineage <metrics-dir>` re-renders the fault-lineage event
 //! streams (`*.lineage`, written whenever `--metrics-out` is armed) as
@@ -132,12 +132,8 @@
 //! (the scatter data behind Figures 7 and 8) are written to `--out`
 //! (default `./repro-out`). `--threads N` sizes the rayon pool running
 //! the sweeps; results are deterministic and identical for every N.
-//! `--service-workers N` pins the intra-batch planning width inside each
-//! simulation point (default: auto, resolved to the rayon pool size
-//! before any sweep runs so the recorded telemetry is explicit);
-//! simulated output — stdout, tables, traces — is bit-identical for
-//! every value, and the per-phase wall-time split plus the sweep
-//! scheduler's queue/steal stats land in `BENCH_hotpaths.json`.
+//! The driver's batch-service wall plus the sweep scheduler's
+//! queue/steal stats land in `BENCH_hotpaths.json`.
 //! `--retry-crosscheck` runs every point with the engine's event-driven
 //! replay bookkeeping *and* the reference rescan side by side, asserting
 //! at each skip opportunity that the closed form reproduces the scan's
@@ -170,11 +166,11 @@ fn status(msg: &str) {
 fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment|all|list> [--scale <denominator>] [--out <dir>] \
-         [--json] [--threads <n>] [--service-workers <n>] [--trace-out <file>] \
+         [--json] [--threads <n>] [--trace-out <file>] \
          [--trace-cap <events>] [--metrics-out <dir>] [--metrics-interval <sim-ns>] \
          [--retry-crosscheck] [--progress|--no-progress]\n\
          \x20      repro oversub [--grid small|full] [--scale <den>] [--out <dir>] [--json] \
-         [--threads <n>] [--service-workers <n>] [--metrics-out <dir>]\n\
+         [--threads <n>] [--metrics-out <dir>]\n\
          \x20      repro oversub --check <dir>\n\
          \x20      repro check-trace <file>\n\
          \x20      repro bench-append <file> <name> <wall_seconds>\n\
@@ -186,7 +182,7 @@ fn usage() -> ! {
          \x20      repro check-metrics <metrics-dir>\n\
          \x20      repro trend-import <trend-file> <bench-json> <experiment> [as-name]\n\
          \x20      repro serve --socket <path> [--http <addr>] [--out <dir>] [--scale <den>] \
-         [--threads <n>] [--service-workers <n>] [--cache <entries>]\n\
+         [--threads <n>] [--cache <entries>]\n\
          \x20      repro serve --check <socket>\n\
          \x20      repro submit <socket> <experiment> [--scale <den>] [--ndjson]\n\
          \x20      repro submit <socket> --shutdown"
@@ -760,7 +756,6 @@ fn cmd_serve(args: &[String]) -> ! {
     let mut opts = ServeOptions::default();
     let mut socket: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
-    let mut service_workers = 0usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -802,14 +797,6 @@ fn cmd_serve(args: &[String]) -> ! {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--service-workers" => {
-                i += 1;
-                service_workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n: &usize| *n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             _ => usage(),
         }
         i += 1;
@@ -825,12 +812,6 @@ fn cmd_serve(args: &[String]) -> ! {
             .build_global()
             .expect("configure global thread pool");
     }
-    let resolved = if service_workers > 0 {
-        service_workers
-    } else {
-        rayon::current_num_threads().max(1)
-    };
-    obs::set_service_workers(resolved);
     std::process::exit(bench::serve::run_serve(opts));
 }
 
@@ -878,7 +859,6 @@ fn cmd_oversub(args: &[String]) -> ! {
     let mut grid = bench::experiments::oversub::Grid::full();
     let mut json = false;
     let mut threads: Option<usize> = None;
-    let mut service_workers = 0usize;
     let mut metrics_out: Option<PathBuf> = None;
     let mut metrics_interval = metrics::DEFAULT_SAMPLE_INTERVAL_NS;
     let mut progress: Option<bool> = None;
@@ -911,14 +891,6 @@ fn cmd_oversub(args: &[String]) -> ! {
                         .unwrap_or_else(|| usage()),
                 );
             }
-            "--service-workers" => {
-                i += 1;
-                service_workers = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|n: &usize| *n >= 1)
-                    .unwrap_or_else(|| usage());
-            }
             "--metrics-out" => {
                 i += 1;
                 metrics_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
@@ -947,12 +919,6 @@ fn cmd_oversub(args: &[String]) -> ! {
             .build_global()
             .expect("configure global thread pool");
     }
-    let resolved_workers = if service_workers > 0 {
-        service_workers
-    } else {
-        rayon::current_num_threads().max(1)
-    };
-    obs::set_service_workers(resolved_workers);
     if metrics_out.is_some() {
         obs::enable_metrics(metrics_interval, metrics::DEFAULT_SAMPLE_CAPACITY);
     }
@@ -984,11 +950,11 @@ fn cmd_oversub(args: &[String]) -> ! {
 
     let tsv = metrics::oversub::render_table(&outcome.cells, &outcome.cliffs);
     let prom = bench::metricsio::render_oversub_exposition(&outcome.cells, &outcome.cliffs);
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
+    create_dir_or_exit(&out_dir);
     let tsv_path = out_dir.join("oversub.tsv");
-    std::fs::write(&tsv_path, &tsv).expect("write oversub.tsv");
+    write_or_exit("oversub.tsv", &tsv_path, &tsv);
     let prom_path = out_dir.join("oversub.prom");
-    std::fs::write(&prom_path, &prom).expect("write oversub.prom");
+    write_or_exit("oversub.prom", &prom_path, &prom);
 
     out(&bench::metricsio::render_cliff_map(&outcome.cells, &outcome.cliffs));
     out(&format!("  wrote {}", tsv_path.display()));
@@ -1011,8 +977,8 @@ fn cmd_oversub(args: &[String]) -> ! {
         // report <metrics-dir>` renders the cliff map plus the bracket
         // diffs from one tree.
         let exp_dir = dir.join("oversub");
-        std::fs::write(exp_dir.join("oversub.tsv"), &tsv).expect("write oversub.tsv");
-        std::fs::write(exp_dir.join("oversub.prom"), &prom).expect("write oversub.prom");
+        write_or_exit("oversub.tsv", &exp_dir.join("oversub.tsv"), &tsv);
+        write_or_exit("oversub.prom", &exp_dir.join("oversub.prom"), &prom);
     }
 
     if json {
@@ -1032,33 +998,11 @@ fn cmd_oversub(args: &[String]) -> ! {
         } else {
             found.iter().map(|&r| r as f64).sum::<f64>() / found.len() as f64 / 100.0
         };
-        let perf = ExperimentPerf {
-            name: "oversub".to_string(),
-            wall_seconds: wall,
-            sim_faults: totals.faults,
-            sim_warp_steps: totals.warp_steps,
-            faults_per_sec: totals.faults as f64 / wall,
-            warp_steps_per_sec: totals.warp_steps as f64 / wall,
-            evictions_per_fault: totals.evictions_per_fault(),
-            coverage_pct: totals.coverage_pct(),
-            serial_front_ms: phase.serial_front_ns as f64 / 1e6,
-            parallel_service_ms: phase.parallel_service_ns as f64 / 1e6,
-            service_busy_ms: phase.service_busy_ns as f64 / 1e6,
-            worker_utilisation: phase.utilisation(),
-            plan_replans: phase.plan_replans,
-            service_workers: phase.workers,
-            sweep_points: sched.points,
-            points_stolen: sched.stolen,
-            max_straggler_ms: sched.max_point_wall_ns as f64 / 1e6,
-            retries_skipped: totals.retries_skipped,
-            retry_pages_skipped: totals.retry_pages_skipped,
-            wakeups: totals.wakeups,
-        };
+        let perf = ExperimentPerf::new("oversub", wall, &totals, &phase, &sched);
         let report = PerfReport {
             build: bench::metricsio::build_info(),
             scale_denominator: scale_den,
             threads: rayon::current_num_threads(),
-            service_workers: resolved_workers,
             experiments: vec![perf],
             total_wall_seconds: wall,
         };
@@ -1078,7 +1022,7 @@ fn cmd_oversub(args: &[String]) -> ! {
         }
         let path = out_dir.join("BENCH_hotpaths.json");
         let body = serde_json::to_string_pretty(&root).expect("serialize perf report");
-        std::fs::write(&path, body).expect("write perf report");
+        write_or_exit("perf report", &path, body);
         out(&format!("  wrote {}", path.display()));
     }
     out(&format!(
@@ -1176,22 +1120,10 @@ struct ExperimentPerf {
     evictions_per_fault: f64,
     /// Prefetched share of all H2D page migrations, percent — also gated.
     coverage_pct: f64,
-    /// Host wall time the drivers spent in the serial front half of batch
-    /// service (fetch/sort, replay policy, ordered commit).
+    /// Host wall time the drivers spent in batch service
+    /// (`process_pass`: fetch/sort, the ordered plan-and-commit walk,
+    /// replay policy).
     serial_front_ms: f64,
-    /// Host wall time on the planning phase's critical path.
-    parallel_service_ms: f64,
-    /// Planning work summed over all participants (≥ `parallel_service_ms`
-    /// when the pool scales).
-    service_busy_ms: f64,
-    /// `busy / (wall × workers)` — effective planner utilisation.
-    worker_utilisation: f64,
-    /// Pooled plans recomputed serially at commit after an intra-batch
-    /// eviction invalidated the batch-start snapshot (0 on the fused
-    /// serial path, which always plans against current state).
-    plan_replans: u64,
-    /// Service-planning workers the experiment's drivers ran with.
-    service_workers: u64,
     /// Sweep points executed across the experiment's sweeps.
     sweep_points: u64,
     /// Points executed by a worker they were not dealt to — the
@@ -1209,6 +1141,35 @@ struct ExperimentPerf {
     wakeups: u64,
 }
 
+impl ExperimentPerf {
+    /// One experiment's row from its drained accumulators.
+    fn new(
+        name: &str,
+        wall: f64,
+        totals: &bench::experiments::SweepTotals,
+        phase: &metrics::ServicePhaseWall,
+        sched: &metrics::SweepSchedStats,
+    ) -> Self {
+        ExperimentPerf {
+            name: name.to_string(),
+            wall_seconds: wall,
+            sim_faults: totals.faults,
+            sim_warp_steps: totals.warp_steps,
+            faults_per_sec: totals.faults as f64 / wall,
+            warp_steps_per_sec: totals.warp_steps as f64 / wall,
+            evictions_per_fault: totals.evictions_per_fault(),
+            coverage_pct: totals.coverage_pct(),
+            serial_front_ms: phase.serial_front_ns as f64 / 1e6,
+            sweep_points: sched.points,
+            points_stolen: sched.stolen,
+            max_straggler_ms: sched.max_point_wall_ns as f64 / 1e6,
+            retries_skipped: totals.retries_skipped,
+            retry_pages_skipped: totals.retry_pages_skipped,
+            wakeups: totals.wakeups,
+        }
+    }
+}
+
 /// The `BENCH_hotpaths.json` report `--json` writes alongside the tables.
 #[derive(Serialize)]
 struct PerfReport {
@@ -1218,9 +1179,6 @@ struct PerfReport {
     build: String,
     scale_denominator: f64,
     threads: usize,
-    /// Resolved `--service-workers` (auto resolves to the sweep thread
-    /// count before any sweep runs; never 0).
-    service_workers: usize,
     experiments: Vec<ExperimentPerf>,
     total_wall_seconds: f64,
 }
@@ -1292,7 +1250,6 @@ fn main() {
     let mut out_dir = PathBuf::from("repro-out");
     let mut json = false;
     let mut threads: Option<usize> = None;
-    let mut service_workers = 0usize;
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_cap = metrics::DEFAULT_SPAN_CAPACITY;
     let mut metrics_out: Option<PathBuf> = None;
@@ -1351,18 +1308,6 @@ fn main() {
                 }
                 threads = Some(n);
             }
-            "--service-workers" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if n == 0 {
-                    eprintln!("error: --service-workers must be >= 1");
-                    std::process::exit(2);
-                }
-                service_workers = n;
-            }
             "--out" => {
                 i += 1;
                 out_dir = PathBuf::from(args.get(i).unwrap_or_else(|| usage()));
@@ -1378,16 +1323,6 @@ fn main() {
             .build_global()
             .expect("configure global thread pool");
     }
-    // Resolve `--service-workers` auto (0) to the sweep thread count
-    // *here*, explicitly: every sweep point's driver config carries the
-    // resolved number, so the phase telemetry's worker split never
-    // silently inherits the ambient rayon pool size downstream.
-    let resolved_workers = if service_workers > 0 {
-        service_workers
-    } else {
-        rayon::current_num_threads().max(1)
-    };
-    obs::set_service_workers(resolved_workers);
     if trace_out.is_some() {
         obs::enable_tracing(trace_cap);
     }
@@ -1438,46 +1373,25 @@ fn main() {
         let totals = bench::experiments::take_sim_totals();
         let phase = metrics::phase::take();
         let sched = metrics::sched::take();
-        perf.push(ExperimentPerf {
-            name: name.to_string(),
-            wall_seconds: wall,
-            sim_faults: totals.faults,
-            sim_warp_steps: totals.warp_steps,
-            faults_per_sec: totals.faults as f64 / wall,
-            warp_steps_per_sec: totals.warp_steps as f64 / wall,
-            evictions_per_fault: totals.evictions_per_fault(),
-            coverage_pct: totals.coverage_pct(),
-            serial_front_ms: phase.serial_front_ns as f64 / 1e6,
-            parallel_service_ms: phase.parallel_service_ns as f64 / 1e6,
-            service_busy_ms: phase.service_busy_ns as f64 / 1e6,
-            worker_utilisation: phase.utilisation(),
-            plan_replans: phase.plan_replans,
-            service_workers: phase.workers,
-            sweep_points: sched.points,
-            points_stolen: sched.stolen,
-            max_straggler_ms: sched.max_point_wall_ns as f64 / 1e6,
-            retries_skipped: totals.retries_skipped,
-            retry_pages_skipped: totals.retry_pages_skipped,
-            wakeups: totals.wakeups,
-        });
+        perf.push(ExperimentPerf::new(name, wall, &totals, &phase, &sched));
         out(&artifact.table.render());
         for (file, contents) in &artifact.csvs {
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
+            create_dir_or_exit(&out_dir);
             let path = out_dir.join(file);
-            std::fs::write(&path, contents).expect("write artifact");
+            write_or_exit("artifact", &path, contents);
             out(&format!("  wrote {}", path.display()));
         }
         if json {
-            std::fs::create_dir_all(&out_dir).expect("create output dir");
+            create_dir_or_exit(&out_dir);
             let path = out_dir.join(format!("{name}.json"));
             let body = serde_json::to_string_pretty(&artifact.table).expect("serialize table");
-            std::fs::write(&path, body).expect("write json");
+            write_or_exit("json", &path, body);
             out(&format!("  wrote {}", path.display()));
             // Flush the perf report incrementally: a partial `repro all`
             // (interrupted, or killed by the nightly timeout) still
             // leaves every completed experiment's host-phase telemetry
             // on disk instead of reporting it only at process exit.
-            let path = write_perf_report(&out_dir, scale_den, resolved_workers, &perf, total0);
+            let path = write_perf_report(&out_dir, scale_den, &perf, total0);
             out(&format!("  wrote {}", path.display()));
         }
         if let Some(dir) = &metrics_out {
@@ -1543,7 +1457,7 @@ fn main() {
     if json {
         // Final rewrite with the end-to-end wall time (the incremental
         // flushes above carried a still-growing total).
-        let path = write_perf_report(&out_dir, scale_den, resolved_workers, &perf, total0);
+        let path = write_perf_report(&out_dir, scale_den, &perf, total0);
         out(&format!("  wrote {}", path.display()));
     }
 }
@@ -1555,7 +1469,6 @@ fn main() {
 fn write_perf_report(
     out_dir: &std::path::Path,
     scale_den: f64,
-    service_workers: usize,
     perf: &[ExperimentPerf],
     total0: Instant,
 ) -> PathBuf {
@@ -1563,13 +1476,29 @@ fn write_perf_report(
         build: bench::metricsio::build_info(),
         scale_denominator: scale_den,
         threads: rayon::current_num_threads(),
-        service_workers,
         experiments: perf.to_vec(),
         total_wall_seconds: total0.elapsed().as_secs_f64(),
     };
-    std::fs::create_dir_all(out_dir).expect("create output dir");
+    create_dir_or_exit(out_dir);
     let path = out_dir.join("BENCH_hotpaths.json");
     let body = serde_json::to_string_pretty(&report).expect("serialize perf report");
-    std::fs::write(&path, body).expect("write perf report");
+    write_or_exit("perf report", &path, body);
     path
+}
+
+/// Create `dir` and its parents, or report the I/O error and exit 1.
+fn create_dir_or_exit(dir: &std::path::Path) {
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("error: create output dir {}: {e}", dir.display());
+        std::process::exit(1);
+    }
+}
+
+/// Write `contents` to `path`, or report the I/O error (naming `what`
+/// was being written) and exit 1.
+fn write_or_exit(what: &str, path: &std::path::Path, contents: impl AsRef<[u8]>) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("error: write {what} {}: {e}", path.display());
+        std::process::exit(1);
+    }
 }

@@ -25,11 +25,6 @@ use uvm_sim::{SimConfig, SimReport, SweepCache, Workload};
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
 static SPAN_CAPACITY: AtomicUsize = AtomicUsize::new(metrics::DEFAULT_SPAN_CAPACITY);
 static PROGRESS: AtomicBool = AtomicBool::new(false);
-/// `--service-workers` value applied to every sweep point. The harness
-/// resolves auto to the rayon pool size *before* arming this, so sweep
-/// configs never reach the simulator unresolved (an unresolved 0 would
-/// run serial there); 0 here only means the harness never armed it.
-static SERVICE_WORKERS: AtomicUsize = AtomicUsize::new(0);
 static RETRY_CROSSCHECK: AtomicBool = AtomicBool::new(false);
 
 /// `--metrics-out` arming: when non-zero, every sweep point's driver gets
@@ -161,13 +156,6 @@ pub fn take_metrics_points() -> Vec<MetricsPoint> {
     std::mem::take(&mut *METRICS_POINTS.lock().unwrap())
 }
 
-/// Pin every subsequent sweep point's intra-batch planning width
-/// (`repro --service-workers`). Simulated output is identical for every
-/// value — this exists to measure host wall-time scaling.
-pub fn set_service_workers(n: usize) {
-    SERVICE_WORKERS.store(n, Ordering::Relaxed);
-}
-
 /// Run every subsequent sweep point in engine retry cross-check mode
 /// (`repro --retry-crosscheck`): the event-driven replay bookkeeping and
 /// the reference rescan both execute, with hard asserts that the closed
@@ -176,17 +164,10 @@ pub fn set_retry_crosscheck(on: bool) {
     RETRY_CROSSCHECK.store(on, Ordering::Relaxed);
 }
 
-/// Rewrite the sweep's driver configs: always apply the service-worker
-/// override when one is set, switch on telemetry sampling when metrics
-/// are armed, and switch on span/fault-trace recording when tracing is
-/// armed.
+/// Rewrite the sweep's driver configs: switch on retry cross-checking
+/// when it is armed, telemetry sampling when metrics are armed, and
+/// span/fault-trace recording when tracing is armed.
 pub fn instrument_points(points: &mut [(SimConfig, Workload)]) {
-    let workers = SERVICE_WORKERS.load(Ordering::Relaxed);
-    if workers > 0 {
-        for (config, _) in points.iter_mut() {
-            config.driver.service_workers = workers;
-        }
-    }
     if RETRY_CROSSCHECK.load(Ordering::Relaxed) {
         for (config, _) in points.iter_mut() {
             config.gpu.retry = uvm_sim::gpu_model::RetryMode::CrossCheck;

@@ -17,13 +17,12 @@
 //!   scheduler, per-µTLB fault deduplication, stall/replay semantics.
 //! * [`dma`] — transfer accounting for the copy engines plus the explicit
 //!   `cudaMemcpy`-style baseline used by Figure 1.
-//! * [`service`] — batch-service handoff records exchanged between the
-//!   driver's parallel planning half and its serial ordered commit half.
 //!
 //! The crate deliberately knows nothing about the UVM driver: residency is
 //! abstracted behind the [`engine::Residency`] trait which the driver's
 //! address-space bookkeeping implements.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access_counters;
@@ -32,11 +31,9 @@ pub mod dma;
 pub mod engine;
 pub mod fault;
 pub mod mask;
-pub mod service;
 
 pub use access_counters::{AccessCounterConfig, AccessCounters, AccessNotification};
 pub use addr::{AccessType, GlobalPage, VaBlockIdx};
 pub use engine::{BlockTrace, EngineCounters, EngineStatus, GpuConfig, GpuEngine, Residency, RetryMode, WorkloadTrace};
 pub use fault::{FaultBuffer, FaultBufferConfig, FaultEntry};
 pub use mask::PageMask;
-pub use service::ServicePlan;

@@ -25,7 +25,7 @@
 //! allocation-free in steady state like [`timeseries`](crate::timeseries).
 //! Classification happens only in the driver's serial paths (gather,
 //! ordered commit, eviction) using simulated state, so the streams are
-//! bit-identical at any `--threads`/`--service-workers` value.
+//! bit-identical at any `--threads` value.
 
 use crate::counters::Counters;
 use crate::exposition::{MetricDef, MetricKind};

@@ -45,6 +45,7 @@
 //! * [`report`] — plain-text table and CSV rendering for the `repro`
 //!   binary that regenerates the paper's tables and figures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod attribution;

@@ -27,7 +27,7 @@
 //! Determinism rule: events are recorded only from the driver's serial
 //! paths (gather, ordered commit, eviction, hint/host processing) with
 //! simulated timestamps, so the stream is bit-identical at any
-//! `--threads` / `--service-workers` setting.
+//! `--threads` setting.
 
 use crate::attribution::Attribution;
 use crate::counters::Counters;

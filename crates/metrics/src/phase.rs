@@ -1,100 +1,34 @@
-//! Host wall-time accounting for the driver's two-phase batch service:
-//! the serial front half (fetch/sort, replay policy, ordered commit with
-//! allocation and eviction) versus the parallel planning half (per-VABlock
-//! service windows fanned out over the worker pool).
+//! Host wall-time accounting for the driver's batch service: the wall
+//! spent in `process_pass` (fetch/sort, the ordered plan-and-commit walk
+//! with allocation and eviction, replay policy).
 //!
 //! These are *host* wall-clock measurements — deliberately kept out of
 //! [`SimReport`](../uvm_sim/struct.SimReport.html)-style serialized
-//! results so simulated output stays bit-identical across worker counts
+//! results so simulated output stays bit-identical across thread counts
 //! and hosts. Drivers accumulate a [`ServicePhaseWall`] locally and flush
 //! it into the process-global totals on drop; the `repro` harness drains
-//! the totals per experiment to report Amdahl overhead in
-//! `BENCH_hotpaths.json`.
+//! the totals per experiment.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Wall-time split of the driver's batch-service pipeline.
+/// Wall time of the driver's batch-service pipeline.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ServicePhaseWall {
-    /// Wall nanoseconds in the serial front half (everything in a pass
-    /// except the planning phase).
+    /// Wall nanoseconds the driver spent in `process_pass`.
     pub serial_front_ns: u64,
-    /// Wall nanoseconds the planning phase occupied (its critical path:
-    /// dispatch to join, or the serial loop when run inline).
+    /// Inert: always 0, since the driver plans each group inline right
+    /// before its commit. Kept only because the benchmark crate under
+    /// `perfbench/` still reads it; drop it together with that read.
     pub parallel_service_ns: u64,
-    /// Nanoseconds of planning work summed over every participant
-    /// (main thread + workers). `busy / (wall × workers)` is the
-    /// effective worker utilisation.
-    pub service_busy_ns: u64,
-    /// VABlock service windows planned.
-    pub planned_groups: u64,
-    /// Passes whose planning phase ran on the worker pool.
-    pub parallel_batches: u64,
-    /// Pooled plans recomputed serially at commit because an eviction
-    /// earlier in the same batch invalidated the batch-start snapshot.
-    /// A host-side implementation artifact: the fused serial path plans
-    /// against current state and never replans, so this must not live in
-    /// the simulated `Counters`.
-    pub plan_replans: u64,
-    /// Service workers configured (1 = serial).
-    pub workers: u64,
-}
-
-impl ServicePhaseWall {
-    /// Merge another accumulator into this one (`workers` takes the max).
-    pub fn merge(&mut self, o: &ServicePhaseWall) {
-        self.serial_front_ns += o.serial_front_ns;
-        self.parallel_service_ns += o.parallel_service_ns;
-        self.service_busy_ns += o.service_busy_ns;
-        self.planned_groups += o.planned_groups;
-        self.parallel_batches += o.parallel_batches;
-        self.plan_replans += o.plan_replans;
-        self.workers = self.workers.max(o.workers);
-    }
-
-    /// Effective worker utilisation of the planning phase: busy time over
-    /// `workers` times the phase's wall time. 1.0 = perfect scaling, low
-    /// values = workers idling on dispatch/join overhead or imbalance.
-    pub fn utilisation(&self) -> f64 {
-        let denom = self.parallel_service_ns.saturating_mul(self.workers.max(1));
-        if denom == 0 {
-            0.0
-        } else {
-            self.service_busy_ns as f64 / denom as f64
-        }
-    }
-
-    /// Fraction of measured service wall time spent in the serial front —
-    /// the Amdahl bound on intra-point scaling.
-    pub fn serial_fraction(&self) -> f64 {
-        let total = self.serial_front_ns + self.parallel_service_ns;
-        if total == 0 {
-            0.0
-        } else {
-            self.serial_front_ns as f64 / total as f64
-        }
-    }
 }
 
 static SERIAL_FRONT_NS: AtomicU64 = AtomicU64::new(0);
-static PARALLEL_SERVICE_NS: AtomicU64 = AtomicU64::new(0);
-static SERVICE_BUSY_NS: AtomicU64 = AtomicU64::new(0);
-static PLANNED_GROUPS: AtomicU64 = AtomicU64::new(0);
-static PARALLEL_BATCHES: AtomicU64 = AtomicU64::new(0);
-static PLAN_REPLANS: AtomicU64 = AtomicU64::new(0);
-static WORKERS_MAX: AtomicU64 = AtomicU64::new(0);
 
-/// Add a driver's accumulated phase walls to the process-global totals
+/// Add a driver's accumulated phase wall to the process-global totals
 /// (called when a driver is dropped; thread-safe).
 pub fn record(w: &ServicePhaseWall) {
     SERIAL_FRONT_NS.fetch_add(w.serial_front_ns, Ordering::Relaxed);
-    PARALLEL_SERVICE_NS.fetch_add(w.parallel_service_ns, Ordering::Relaxed);
-    SERVICE_BUSY_NS.fetch_add(w.service_busy_ns, Ordering::Relaxed);
-    PLANNED_GROUPS.fetch_add(w.planned_groups, Ordering::Relaxed);
-    PARALLEL_BATCHES.fetch_add(w.parallel_batches, Ordering::Relaxed);
-    PLAN_REPLANS.fetch_add(w.plan_replans, Ordering::Relaxed);
-    WORKERS_MAX.fetch_max(w.workers, Ordering::Relaxed);
 }
 
 /// Drain the process-global totals, resetting them to zero. The `repro`
@@ -102,65 +36,13 @@ pub fn record(w: &ServicePhaseWall) {
 pub fn take() -> ServicePhaseWall {
     ServicePhaseWall {
         serial_front_ns: SERIAL_FRONT_NS.swap(0, Ordering::Relaxed),
-        parallel_service_ns: PARALLEL_SERVICE_NS.swap(0, Ordering::Relaxed),
-        service_busy_ns: SERVICE_BUSY_NS.swap(0, Ordering::Relaxed),
-        planned_groups: PLANNED_GROUPS.swap(0, Ordering::Relaxed),
-        parallel_batches: PARALLEL_BATCHES.swap(0, Ordering::Relaxed),
-        plan_replans: PLAN_REPLANS.swap(0, Ordering::Relaxed),
-        workers: WORKERS_MAX.swap(0, Ordering::Relaxed),
+        parallel_service_ns: 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_sums_and_maxes() {
-        let mut a = ServicePhaseWall {
-            serial_front_ns: 10,
-            parallel_service_ns: 20,
-            service_busy_ns: 30,
-            planned_groups: 4,
-            parallel_batches: 1,
-            plan_replans: 2,
-            workers: 2,
-        };
-        let b = ServicePhaseWall {
-            serial_front_ns: 1,
-            parallel_service_ns: 2,
-            service_busy_ns: 3,
-            planned_groups: 5,
-            parallel_batches: 0,
-            plan_replans: 1,
-            workers: 4,
-        };
-        a.merge(&b);
-        assert_eq!(a.serial_front_ns, 11);
-        assert_eq!(a.parallel_service_ns, 22);
-        assert_eq!(a.service_busy_ns, 33);
-        assert_eq!(a.planned_groups, 9);
-        assert_eq!(a.parallel_batches, 1);
-        assert_eq!(a.plan_replans, 3);
-        assert_eq!(a.workers, 4);
-    }
-
-    #[test]
-    fn utilisation_and_serial_fraction() {
-        let w = ServicePhaseWall {
-            serial_front_ns: 75,
-            parallel_service_ns: 25,
-            service_busy_ns: 50,
-            planned_groups: 10,
-            parallel_batches: 2,
-            plan_replans: 0,
-            workers: 4,
-        };
-        assert!((w.utilisation() - 0.5).abs() < 1e-12);
-        assert!((w.serial_fraction() - 0.75).abs() < 1e-12);
-        assert_eq!(ServicePhaseWall::default().utilisation(), 0.0);
-        assert_eq!(ServicePhaseWall::default().serial_fraction(), 0.0);
-    }
 
     // `record`/`take` touch process-global state shared with other tests
     // in this binary, so only the invariant that recording then draining
@@ -169,18 +51,11 @@ mod tests {
     fn record_take_roundtrip() {
         let w = ServicePhaseWall {
             serial_front_ns: 7,
-            parallel_service_ns: 8,
-            service_busy_ns: 9,
-            planned_groups: 10,
-            parallel_batches: 11,
-            plan_replans: 1,
-            workers: 3,
+            parallel_service_ns: 0,
         };
         record(&w);
         let got = take();
         assert!(got.serial_front_ns >= 7);
-        assert!(got.parallel_service_ns >= 8);
-        assert!(got.workers >= 3);
-        // Drained: a fresh take sees zeros unless another test interleaved.
+        assert_eq!(got.parallel_service_ns, 0);
     }
 }

@@ -12,9 +12,8 @@
 //!
 //! * **Determinism.** Samples fire on the virtual clock (the first pass
 //!   whose end time reaches the next grid point), and every sampled value
-//!   is simulated state. Host thread counts — the rayon sweep pool and
-//!   the intra-batch `service_workers` — cannot influence a single bit of
-//!   the stream (`tests/timeseries_golden.rs` enforces this), which is
+//!   is simulated state. The host thread count of the rayon sweep pool
+//!   cannot influence a single bit of the stream (`tests/timeseries_golden.rs` enforces this), which is
 //!   what makes sampled runs diffable across machines and CI shards.
 //! * **Bounded, allocation-free steady state.** The sample buffer is
 //!   preallocated at its capacity. When it fills, it is *compacted in

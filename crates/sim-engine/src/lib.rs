@@ -22,6 +22,7 @@
 //!   reproducible.
 //! * [`units`] — byte/page size helpers shared by the whole workspace.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cost;

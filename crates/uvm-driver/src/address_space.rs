@@ -91,8 +91,8 @@ pub struct ManagedSpace {
     evicted_unused: Vec<PageMask>,
     /// Times each block has been evicted — the eviction *generation
     /// stamp*: the provenance masks above describe history as of
-    /// generation `eviction_count`, and the service path uses the same
-    /// counter as its staleness epoch.
+    /// generation `eviction_count`, and a fault on a block with a
+    /// non-zero count is a refault.
     eviction_count: Vec<u32>,
     /// Dense residency index: one bit per page of the whole space, kept in
     /// sync with the per-block `resident` masks by

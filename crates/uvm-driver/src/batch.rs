@@ -15,7 +15,7 @@
 //! performs zero heap allocations.
 
 use crate::address_space::ManagedSpace;
-use gpu_model::{AccessType, FaultBuffer, FaultEntry, PageMask, ServicePlan, VaBlockIdx};
+use gpu_model::{AccessType, FaultBuffer, FaultEntry, PageMask, VaBlockIdx};
 use sim_engine::SimTime;
 
 /// The de-duplicated faults of one VABlock within a batch.
@@ -67,10 +67,6 @@ pub struct BatchArena {
     entries: Vec<FaultEntry>,
     /// The most recently gathered batch.
     pub batch: Batch,
-    /// Per-group service plans, parallel to `batch.groups` (filled by the
-    /// planning phase, consumed by the ordered commit). Kept here so its
-    /// capacity is reused across passes.
-    pub plans: Vec<ServicePlan>,
 }
 
 /// Fetch and pre-process one batch of faults into `arena.batch`,

@@ -39,6 +39,7 @@
 //! assert_eq!(driver.counters().faults_fetched, 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod address_space;

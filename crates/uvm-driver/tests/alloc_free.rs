@@ -3,27 +3,46 @@
 //! heap again. A counting global allocator makes the claim checkable
 //! instead of aspirational — if someone reintroduces a per-batch map or
 //! a `collect()`, this test fails with the allocation count.
+//!
+//! The count is per thread: sibling tests running in parallel cannot
+//! pollute a window. That is sound because the driver, the batch
+//! pre-processing and the engine do all their work on the calling
+//! thread.
 
 use gpu_model::{AccessType, FaultBuffer, FaultBufferConfig, FaultEntry, GlobalPage};
 use sim_engine::{SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use uvm_driver::batch::{gather_into, BatchArena};
 use uvm_driver::ManagedSpace;
 
-/// Passes allocations through to the system allocator, counting them.
+/// Passes allocations through to the system allocator, counting them
+/// per thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and without a destructor: touching it never
+    // allocates, so the allocator can count through it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -73,14 +92,14 @@ fn steady_state_batch_preprocessing_does_not_allocate() {
         assert!(!arena.batch.groups.is_empty(), "warm-up produced no groups");
     }
 
-    // Steady state: zero heap allocations over many batches. The
-    // counter is process-global, so the libtest harness thread can leak
-    // one-time lazy-init allocations into the window; retry a few
-    // windows and accept the cleanest. A *per-batch* allocation in
-    // `gather_into` repeats in every window and still fails.
+    // Steady state: zero heap allocations over many batches. One-time
+    // lazy-init allocations on this thread can still land in a window;
+    // retry a few windows and accept the cleanest. A *per-batch*
+    // allocation in `gather_into` repeats in every window and still
+    // fails.
     let mut cleanest = u64::MAX;
     for attempt in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         for batch in 0..60 {
             fill_buffer(&mut buffer, 4 + attempt * 60 + batch);
             gather_into(
@@ -92,7 +111,7 @@ fn steady_state_batch_preprocessing_does_not_allocate() {
             );
             assert!(!arena.batch.groups.is_empty());
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         cleanest = cleanest.min(after - before);
         if cleanest == 0 {
             break;
@@ -104,19 +123,17 @@ fn steady_state_batch_preprocessing_does_not_allocate() {
     );
 }
 
-/// The same claim for the whole service path with the planning pool
-/// engaged: once the arena, plan vector and per-worker scratch trees are
-/// sized, a full pass — gather, parallel planning at 4 workers, ordered
-/// commit with evictions — must not touch the heap.
+/// The same claim for the whole service path: once the arena and the
+/// planning scratch tree are sized, a full pass — gather, then the
+/// ordered plan-and-commit walk with evictions — must not touch the heap.
 #[test]
-fn steady_state_parallel_service_does_not_allocate() {
+fn steady_state_service_does_not_allocate() {
     use sim_engine::units::VABLOCK_SIZE;
     use sim_engine::{CostModel, SimRng};
     use uvm_driver::{DriverConfig, UvmDriver};
 
     let cfg = DriverConfig {
         gpu_memory_bytes: 4 * VABLOCK_SIZE,
-        service_workers: 4,
         ..DriverConfig::default()
     };
     let mut space = ManagedSpace::new();
@@ -125,9 +142,8 @@ fn steady_state_parallel_service_does_not_allocate() {
     let mut buffer = FaultBuffer::new(FaultBufferConfig::default());
     let clock = SimTime::ZERO + SimDuration::from_millis(1);
 
-    // 12 faulting blocks per pass: enough groups to engage the pool, and
-    // 3× the GPU's capacity so evictions (and stale-plan replans) churn
-    // every pass — the thrash steady state.
+    // 12 faulting blocks per pass, 3× the GPU's capacity, so evictions
+    // churn every pass — the thrash steady state.
     let fill = |buffer: &mut FaultBuffer, round: u64| {
         for b in 0..12u64 {
             buffer.push(FaultEntry {
@@ -150,13 +166,13 @@ fn steady_state_parallel_service_does_not_allocate() {
 
     let mut cleanest = u64::MAX;
     for attempt in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         for round in 0..40u64 {
             fill(&mut buffer, 16 + attempt * 40 + round);
             let r = driver.process_pass(&mut buffer, clock);
             assert!(r.fetched > 0);
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         cleanest = cleanest.min(after - before);
         if cleanest == 0 {
             break;
@@ -164,7 +180,7 @@ fn steady_state_parallel_service_does_not_allocate() {
     }
     assert_eq!(
         cleanest, 0,
-        "steady-state parallel service allocated {cleanest} times in every window"
+        "steady-state service allocated {cleanest} times in every window"
     );
     assert!(driver.counters().evictions > 0, "the scenario must thrash");
     // The provenance ledger rode along through every one of those passes
@@ -238,14 +254,14 @@ fn steady_state_sampling_does_not_allocate() {
 
     let mut cleanest = u64::MAX;
     for attempt in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         for round in 0..40u64 {
             fill(&mut buffer, 40 + attempt * 40 + round);
             let r = driver.process_pass(&mut buffer, clock);
             clock += r.time;
             assert!(r.fetched > 0);
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         cleanest = cleanest.min(after - before);
         if cleanest == 0 {
             break;
@@ -315,14 +331,14 @@ fn steady_state_lineage_recording_does_not_allocate() {
 
     let mut cleanest = u64::MAX;
     for attempt in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         for round in 0..40u64 {
             fill(&mut buffer, 16 + attempt * 40 + round);
             let r = driver.process_pass(&mut buffer, clock);
             clock += r.time;
             assert!(r.fetched > 0);
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         cleanest = cleanest.min(after - before);
         if cleanest == 0 {
             break;
@@ -390,13 +406,13 @@ fn steady_state_event_replay_does_not_allocate() {
 
     let mut cleanest = u64::MAX;
     for _ in 0..10u64 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         for _ in 0..40 {
             buffer.flush();
             eng.replay();
             eng.run(&space, &mut buffer, SimTime::ZERO);
         }
-        let after = ALLOCS.load(Ordering::Relaxed);
+        let after = allocs();
         cleanest = cleanest.min(after - before);
         if cleanest == 0 {
             break;

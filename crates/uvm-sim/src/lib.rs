@@ -31,6 +31,7 @@
 //! assert!(report.total_faults() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;

@@ -74,7 +74,7 @@ pub struct SimReport {
     pub vablocks_per_batch: Histogram,
     /// Simulated-time telemetry samples (empty unless
     /// `driver.timeseries.enabled`). Sampled on the virtual clock, so the
-    /// stream is bit-identical at any thread/worker count; the final
+    /// stream is bit-identical at any thread count; the final
     /// sample is forced at the end of the driver's critical path (its
     /// `t_ns` equals `driver_time`) and carries the exact end-of-run
     /// totals (it reconciles with `counters`/`transfers`).
@@ -145,22 +145,6 @@ pub fn run(config: &SimConfig, workload: &Workload) -> SimReport {
     run_prepared(config, &prepare(config, workload))
 }
 
-/// Treat `driver.service_workers == 0` (auto) as 1 (fully serial).
-///
-/// Auto used to silently inherit the ambient rayon pool size here, which
-/// made the phase telemetry's `workers` field — and the measured
-/// serial-front / parallel-service split — vary with host core count
-/// even at a fixed `--service-workers`. The `repro` harness now resolves
-/// auto to an explicit count *before* the config reaches this crate;
-/// anything still unresolved runs serial. Simulated output never depends
-/// on the value — only host wall time does.
-fn resolve_service_workers(mut driver: uvm_driver::DriverConfig) -> uvm_driver::DriverConfig {
-    if driver.service_workers == 0 {
-        driver.service_workers = 1;
-    }
-    driver
-}
-
 /// Run a [`prepare`]d workload under `config` and report. Equivalent to
 /// [`run`] — bit-identical results — minus the trace generation.
 pub fn run_prepared(config: &SimConfig, prepared: &PreparedWorkload) -> SimReport {
@@ -175,12 +159,7 @@ pub fn run_prepared(config: &SimConfig, prepared: &PreparedWorkload) -> SimRepor
     let footprint_bytes = space.ranges().iter().map(|r| r.num_pages).sum::<u64>() * PAGE_SIZE;
     let subscription_ratio = footprint_bytes as f64 / config.driver.gpu_memory_bytes as f64;
 
-    let mut driver = UvmDriver::new(
-        resolve_service_workers(config.driver.clone()),
-        cost.clone(),
-        space,
-        root.derive(2),
-    );
+    let mut driver = UvmDriver::new(config.driver.clone(), cost.clone(), space, root.derive(2));
     let mut engine = GpuEngine::launch(config.gpu.clone(), Arc::clone(&prepared.trace), root.derive(3));
     let mut buffer = FaultBuffer::new(config.fault_buffer.clone());
 
@@ -588,12 +567,7 @@ pub fn run_repeated(config: &SimConfig, workload: &Workload, launches: u32) -> V
 
     let mut space = ManagedSpace::new();
     let trace = Arc::new(workload.generate(&mut space, &mut root.derive(1)));
-    let mut driver = UvmDriver::new(
-        resolve_service_workers(config.driver.clone()),
-        cost.clone(),
-        space,
-        root.derive(2),
-    );
+    let mut driver = UvmDriver::new(config.driver.clone(), cost.clone(), space, root.derive(2));
     let mut buffer = FaultBuffer::new(config.fault_buffer.clone());
 
     let mut out = Vec::with_capacity(launches as usize);

@@ -105,17 +105,15 @@ proptest! {
         kind_idx in 0usize..8,
         ratio_pct in 60u64..160,
         prefetch_on in any::<bool>(),
-        workers in prop_oneof![Just(0usize), Just(4usize)],
         seed in any::<u64>(),
     ) {
         // The provenance ledger is a *partition*: per-cause fault counts
         // must sum to the driver's fault total, and per-cause byte counts
         // to the transfer log — under every workload shape, subscription
-        // ratio, prefetch setting, and service-worker count.
+        // ratio, and prefetch setting.
         let kind = WorkloadKind::ALL[kind_idx];
         let gpu_mib = 24u64;
         let mut cfg = small_config(gpu_mib).with_seed(seed);
-        cfg.driver.service_workers = workers;
         if !prefetch_on {
             cfg.driver.prefetch = PrefetchPolicy::Disabled;
         }
@@ -135,30 +133,10 @@ proptest! {
     }
 
     #[test]
-    fn attribution_is_identical_across_service_worker_counts(
-        kind_idx in 0usize..8,
-        seed in any::<u64>(),
-    ) {
-        // Classification happens only in serial paths on simulated state,
-        // so the ledger is bit-identical at any planning width.
-        let kind = WorkloadKind::ALL[kind_idx];
-        let w = Workload::with_footprint(kind, 36 * MIB);
-        let mut serial = small_config(24).with_seed(seed);
-        serial.driver.service_workers = 1;
-        let mut wide = small_config(24).with_seed(seed);
-        wide.driver.service_workers = 4;
-        let a = run(&serial, &w);
-        let b = run(&wide, &w);
-        prop_assert_eq!(a.attribution, b.attribution);
-        prop_assert_eq!(a.top_offenders, b.top_offenders);
-    }
-
-    #[test]
     fn every_eviction_policy_conserves_pages(
         kind_idx in 0usize..8,
         policy_idx in 0usize..4,
         ratio_pct in 110u64..180,
-        workers in prop_oneof![Just(0usize), Just(4usize)],
         seed in any::<u64>(),
     ) {
         // Eviction conservation under every policy: whatever victims the
@@ -168,8 +146,7 @@ proptest! {
         let kind = WorkloadKind::ALL[kind_idx];
         let policy = EvictionPolicy::ALL[policy_idx];
         let gpu_mib = 24u64;
-        let mut cfg = small_config(gpu_mib).with_seed(seed).with_eviction(policy);
-        cfg.driver.service_workers = workers;
+        let cfg = small_config(gpu_mib).with_seed(seed).with_eviction(policy);
         let w = Workload::with_footprint(kind, gpu_mib * MIB * ratio_pct / 100);
         let r = run(&cfg, &w);
         let capacity_pages = gpu_mib * MIB / 4096;
@@ -206,30 +183,6 @@ proptest! {
                 "{} violates attribution `{}`: {} != {}", policy.label(), eq, lhs, rhs
             );
         }
-    }
-
-    #[test]
-    fn eviction_policies_are_deterministic_across_worker_counts(
-        policy_idx in 0usize..4,
-        kind_idx in 0usize..8,
-        seed in any::<u64>(),
-    ) {
-        // Victim selection (including the seeded Random stream) runs
-        // only on the serial commit path, so every policy's simulation
-        // is bit-identical at any planning width.
-        let policy = EvictionPolicy::ALL[policy_idx];
-        let kind = WorkloadKind::ALL[kind_idx];
-        let w = Workload::with_footprint(kind, 36 * MIB);
-        let mut serial = small_config(24).with_seed(seed).with_eviction(policy);
-        serial.driver.service_workers = 1;
-        let mut wide = small_config(24).with_seed(seed).with_eviction(policy);
-        wide.driver.service_workers = 4;
-        let a = run(&serial, &w);
-        let b = run(&wide, &w);
-        prop_assert_eq!(a.total_time, b.total_time);
-        prop_assert_eq!(a.counters, b.counters);
-        prop_assert_eq!(a.attribution, b.attribution);
-        prop_assert_eq!(a.transfers, b.transfers);
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! the paper's analysis depends only on which pages are touched, in what
 //! order, by which concurrent blocks (see DESIGN.md's substitution table).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod common;

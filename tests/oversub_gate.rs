@@ -48,7 +48,7 @@ fn run_small(out: &Path, extra: &[&str]) {
 }
 
 #[test]
-fn oversub_artefacts_are_bit_identical_across_threads_and_workers() {
+fn oversub_artefacts_are_bit_identical_across_threads() {
     let dir = scratch("oversub_determinism");
     let base = dir.join("base");
     run_small(&base, &["--threads", "1"]);
@@ -61,23 +61,18 @@ fn oversub_artefacts_are_bit_identical_across_threads_and_workers() {
     assert!(prom.contains("uvm_oversub_faults{"), "cell gauges exported");
     assert!(prom.contains("uvm_oversub_cliff_ratio{"), "cliff gauges exported");
 
-    for (name, flags) in [
-        ("threads4", &["--threads", "4"] as &[&str]),
-        ("workers4", &["--service-workers", "4"]),
-    ] {
-        let other = dir.join(name);
-        run_small(&other, flags);
-        assert_eq!(
-            tsv,
-            std::fs::read_to_string(other.join("oversub.tsv")).unwrap(),
-            "oversub.tsv differs under {name}"
-        );
-        assert_eq!(
-            prom,
-            std::fs::read_to_string(other.join("oversub.prom")).unwrap(),
-            "oversub.prom differs under {name}"
-        );
-    }
+    let other = dir.join("threads4");
+    run_small(&other, &["--threads", "4"]);
+    assert_eq!(
+        tsv,
+        std::fs::read_to_string(other.join("oversub.tsv")).unwrap(),
+        "oversub.tsv differs under --threads 4"
+    );
+    assert_eq!(
+        prom,
+        std::fs::read_to_string(other.join("oversub.prom")).unwrap(),
+        "oversub.prom differs under --threads 4"
+    );
 
     // The artefacts re-verify from disk alone.
     let check = repro(&["oversub", "--check", base.to_str().unwrap()]);

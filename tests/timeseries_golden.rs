@@ -1,9 +1,9 @@
 //! Golden determinism for the telemetry timeseries: the sample stream is
 //! a pure function of `(config, workload)`. Samples are taken on the
-//! *simulated* clock from simulated state only, so neither the rayon
-//! thread count driving a sweep nor the intra-point service-worker pool
-//! may change a single bit — the whole [`Timeseries`] (grid, compaction
-//! count, every integer field of every sample) must compare equal.
+//! *simulated* clock from simulated state only, so the rayon thread
+//! count driving a sweep may not change a single bit — the whole
+//! [`Timeseries`] (grid, compaction count, every integer field of every
+//! sample) must compare equal.
 
 use bench::experiments::Scale;
 use metrics::{LineageConfig, LineageLog, Timeseries, TimeseriesConfig};
@@ -34,7 +34,7 @@ fn sampled_points() -> Vec<(SimConfig, Workload)> {
         };
         // The lineage event stream is emitted from the same serial commit
         // paths, so it shares the golden surface: bit-identical at any
-        // thread/worker count.
+        // thread count.
         cfg.driver.lineage = LineageConfig {
             enabled: true,
             ..LineageConfig::default()
@@ -75,32 +75,6 @@ fn sample_streams_identical_across_thread_counts() {
         match &golden {
             None => golden = Some(streams),
             Some(g) => assert_eq!(*g, streams, "sample stream diverged at {threads} threads"),
-        }
-    }
-}
-
-#[test]
-fn sample_streams_identical_across_service_workers() {
-    // 0 = auto (the simulator resolves to the rayon pool size) vs a
-    // pinned pool of 4: the planning pool must be invisible in sampled
-    // output, exactly like every other simulated artefact.
-    let mut golden: Option<Vec<(Timeseries, LineageLog)>> = None;
-    for workers in [0usize, 4] {
-        let mut points = sampled_points();
-        for (cfg, _) in points.iter_mut() {
-            cfg.driver.service_workers = workers;
-        }
-        let reports = uvm_sim::run_sweep(points);
-        let streams: Vec<(Timeseries, LineageLog)> = reports
-            .into_iter()
-            .map(|r| (r.timeseries, r.lineage))
-            .collect();
-        match &golden {
-            None => golden = Some(streams),
-            Some(g) => assert_eq!(
-                *g, streams,
-                "sample stream diverged at {workers} service workers"
-            ),
         }
     }
 }

@@ -81,40 +81,6 @@ fn span_streams_identical_across_thread_counts() {
 }
 
 #[test]
-fn span_streams_identical_across_service_workers() {
-    // The intra-point planning pool must be invisible in everything
-    // simulated: span streams (minus wall_ns), timers, counters, fault
-    // traces. Only host wall time may change with the worker count.
-    // 0 (auto, treated as serial by the simulator) is covered too: the
-    // resolution path must not leak into simulated output either.
-    let mut golden: Option<Vec<(Vec<SpanEvent>, String)>> = None;
-    for workers in [0usize, 1, 4] {
-        let mut points = traced_points();
-        for (cfg, _) in points.iter_mut() {
-            cfg.driver.service_workers = workers;
-        }
-        let reports = uvm_sim::run_sweep(points);
-        let views: Vec<(Vec<SpanEvent>, String)> = reports
-            .iter()
-            .map(|r| {
-                let summary = format!(
-                    "{:?}|{:?}|{}|{}",
-                    r.timers, r.counters, r.total_time, r.trace.len()
-                );
-                (sim_time_view(&r.span_trace), summary)
-            })
-            .collect();
-        match &golden {
-            None => golden = Some(views),
-            Some(g) => assert_eq!(
-                *g, views,
-                "simulated output diverged at {workers} service workers"
-            ),
-        }
-    }
-}
-
-#[test]
 fn spans_reconcile_at_default_scale() {
     // The per-category reconciliation invariant holds at the full
     // `--scale 16` experiment size, not just the QUICK smoke scale.

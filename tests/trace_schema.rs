@@ -202,4 +202,15 @@ fn trace_out_under_a_regular_file_exits_cleanly() {
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(stderr.contains("error: write trace"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    // The same for the `--out` artefact directory itself.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "--scale", "128", "--no-progress", "--json", "--out"])
+        .arg(blocker.join("sub"))
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("error:"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
