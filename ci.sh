@@ -4,17 +4,15 @@
 #   ./ci.sh            per-push gate: build, full test suite, the
 #                      perfbench self-tests, quick-scale end-to-end
 #                      repro (~1 min on one core), a traced
-#                      + telemetry-sampled fig1 with the schema,
-#                      check-metrics and fault-provenance (`repro
-#                      explain`) reconciliation gates, the small-grid
-#                      oversubscription observatory with its artefact
-#                      verification (`repro oversub --check`), and the
-#                      `repro serve` lifecycle gate (submit through a
-#                      live daemon, self-scrape reconciliation, clean
-#                      SIGTERM)
+#                      + telemetry-sampled fig1, the small-grid
+#                      oversubscription observatory, the `repro serve`
+#                      lifecycle gate (submit through a live daemon,
+#                      self-scrape reconciliation, clean SIGTERM), then
+#                      one `repro check` over every artefact written
 #   ./ci.sh nightly    full-scale gate: `repro all --scale 1` (12 GB
 #                      simulated GPU, hours on one core), traced fig1 at
-#                      full scale with the schema gate, trend recording
+#                      full scale, the full oversub grid, one `repro
+#                      check` over their artefacts, trend recording
 #                      into nightly-out/, and the perf-regression gate
 #                      (`repro regress`) over the accumulated trend —
 #                      exits non-zero when a headline metric regressed.
@@ -57,36 +55,19 @@ push)
     ./target/release/repro fig1 --scale 16 --no-progress --trace-cap 8192 \
         --trace-out ci-out/trace.json --metrics-out ci-out/metrics
     t1=$(date +%s.%N)
-    ./target/release/repro check-trace ci-out/trace.json
-    ./target/release/repro check-metrics ci-out/metrics
 
-    echo "== repro explain (fault-provenance reconciliation gate) =="
-    # explain re-derives the root-cause decomposition from the sampled
-    # artefacts and exits non-zero if the attribution columns fail to
-    # partition the counter columns exactly.
+    echo "== repro explain / lineage (render the provenance and lineage views) =="
     ./target/release/repro explain ci-out/metrics > ci-out/explain.txt
-
-    echo "== repro lineage (fault-lineage reconciliation gate) =="
-    # lineage re-renders the event-sourced lifecycle analytics from the
-    # .lineage artefacts, and --check reconciles every stream's per-kind
-    # totals against its sibling sample CSV, exiting non-zero on drift.
     ./target/release/repro lineage ci-out/metrics > ci-out/lineage.txt
-    ./target/release/repro lineage --check ci-out/metrics
     ./target/release/repro bench-append ci-out/BENCH_hotpaths.json \
         fig1_scale16_traced "$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')"
 
-    echo "== repro oversub --grid small (oversubscription observatory gate) =="
+    echo "== repro oversub --grid small (oversubscription observatory) =="
     # The push gate sweeps the small ratio×policy grid (2 workloads ×
-    # all 4 eviction policies × 4 ratios), renders the thrash-cliff map
-    # with per-cliff root-cause diffs, then re-verifies every artefact
-    # from disk alone: tsv parse → re-render must be byte-identical, the
-    # knee detector must reproduce the recorded cliff rows, and the
-    # exposition must match the tsv.
+    # all 4 eviction policies × 4 ratios) and renders the thrash-cliff
+    # map with per-cliff root-cause diffs.
     ./target/release/repro oversub --grid small --scale 128 --no-progress \
         --out ci-out/oversub --metrics-out ci-out/oversub-metrics > ci-out/oversub.txt
-    ./target/release/repro oversub --check ci-out/oversub
-    ./target/release/repro oversub --check ci-out/oversub-metrics
-    ./target/release/repro check-metrics ci-out/oversub-metrics
     ./target/release/repro report ci-out/oversub-metrics > ci-out/oversub-report.txt
 
     echo "== repro serve lifecycle gate (submit, scrape, --check, clean SIGTERM) =="
@@ -112,6 +93,14 @@ push)
              ci-out/serve-out/req0001-fig1/table.txt; do
         [ -f "$f" ] || { echo "serve shutdown did not flush $f" >&2; exit 1; }
     done
+
+    echo "== repro check (every artefact above, re-derived from disk) =="
+    # Trace invariants, sample-CSV schema + attribution ledger, lineage
+    # vs sample CSVs, every exposition, and the oversub heatmaps vs the
+    # knee detector and their expositions. The paths are explicit
+    # because ci-out/ persists between runs.
+    ./target/release/repro check ci-out/trace.json ci-out/metrics ci-out/oversub \
+        ci-out/oversub-metrics ci-out/serve-out
     ;;
 nightly)
     echo "== repro all --scale 1 (full-scale end-to-end, telemetry-sampled) =="
@@ -119,32 +108,31 @@ nightly)
     ./target/release/repro all --scale 1 --json --no-progress --out nightly-out \
         --metrics-out nightly-out/metrics
     t1=$(date +%s.%N)
-    ./target/release/repro check-metrics nightly-out/metrics
     ./target/release/repro explain nightly-out/metrics > nightly-out/explain.txt
     ./target/release/repro lineage nightly-out/metrics > nightly-out/lineage.txt
-    ./target/release/repro lineage --check nightly-out/metrics
     ./target/release/repro bench-append nightly-out/BENCH_hotpaths.json \
         all_scale1 "$(echo "$t1 $t0" | awk '{printf "%.3f", $1 - $2}')"
 
-    echo "== repro fig1 --scale 1 --trace-out (traced full-scale + schema gate) =="
+    echo "== repro fig1 --scale 1 --trace-out (traced full-scale) =="
     # --json gives the traced run its own perf record (wall *and*
     # faults_per_sec), imported below under the fig1_scale1_traced series
     # name — so the nightly trend gates throughput, not just wall ms.
     ./target/release/repro fig1 --scale 1 --no-progress --trace-cap 8192 \
         --trace-out nightly-out/trace.json --json --out nightly-out/fig1-traced
-    ./target/release/repro check-trace nightly-out/trace.json
 
     echo "== repro oversub (full-grid oversubscription observatory) =="
     # Every workload × every eviction policy × the full 9-point ratio
-    # grid (288 points), artefact-verified from disk, then the cliff
-    # positions (cliff_min_ratio / cliff_mean_ratio) join the nightly
-    # trend below — a cliff sliding toward 1.0× fails `repro regress`.
+    # grid (288 points); the cliff positions (cliff_min_ratio /
+    # cliff_mean_ratio) join the nightly trend below — a cliff sliding
+    # toward 1.0× fails `repro regress`.
     ./target/release/repro oversub --scale 16 --no-progress --json \
         --out nightly-out/oversub --metrics-out nightly-out/oversub-metrics \
         > nightly-out/oversub.txt
-    ./target/release/repro oversub --check nightly-out/oversub
-    ./target/release/repro check-metrics nightly-out/oversub-metrics
     ./target/release/repro report nightly-out/oversub-metrics > nightly-out/oversub-report.txt
+
+    echo "== repro check (every nightly artefact, re-derived from disk) =="
+    ./target/release/repro check nightly-out/metrics nightly-out/trace.json \
+        nightly-out/oversub nightly-out/oversub-metrics
 
     echo "== perf-regression gate over the nightly trend =="
     # The trend file persists across nights (it lives outside the per-run

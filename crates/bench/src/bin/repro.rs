@@ -10,15 +10,13 @@
 //! repro oversub [--grid small|full] [--scale <den>] [--out <dir>] [--json]
 //!               [--threads <n>] [--metrics-out <dir>]
 //!               [--metrics-interval <sim-ns>] [--progress|--no-progress]
-//! repro oversub --check <dir>
-//! repro check-trace <file>
+//! repro check <path>...
 //! repro bench-append <file> <name> <wall_seconds>
 //! repro report <metrics-dir>
 //! repro explain <metrics-dir>
 //! repro explain --diff <metrics-dir-a> <metrics-dir-b> [--json]
-//! repro lineage <metrics-dir> [--block <n>] [--check]
+//! repro lineage <metrics-dir> [--block <n>]
 //! repro regress <trend-file> [--threshold <frac>] [--min-runs <n>]
-//! repro check-metrics <metrics-dir>
 //! repro trend-import <trend-file> <bench-json> <experiment> [as-name]
 //! repro serve --socket <path> [--http <addr>] [--out <dir>] [--scale <den>]
 //!             [--threads <n>] [--cache <entries>]
@@ -53,8 +51,7 @@
 //! the end-of-run totals labelled by workload/ratio/policy. Sampling is
 //! driven by the virtual clock, so the streams are bit-identical for any
 //! `--threads` value. `repro report <dir>` re-renders
-//! the CSVs as per-run cost decompositions (Figs. 8–10 shapes);
-//! `repro check-metrics <dir>` re-validates every artefact. `repro
+//! the CSVs as per-run cost decompositions (Figs. 8–10 shapes). `repro
 //! regress <trend-file>` compares the newest `ci_trend` entry of each
 //! series against the median of its history and exits nonzero on a
 //! regression beyond `--threshold` (default 20%); `repro trend-import`
@@ -67,8 +64,8 @@
 //! page split by whether it had been used, prefetch hit, replay
 //! duplicate), migrated bytes by origin, the evict-before-use rate, and
 //! the top offending VABlocks (`offenders.tsv`). The attribution columns
-//! must partition the counter columns exactly — a mismatch exits 1, which
-//! is what lets CI gate on it. `repro explain --diff A B` aggregates two
+//! must partition the counter columns exactly; a ledger that does not
+//! cannot be rendered and exits 1. `repro explain --diff A B` aggregates two
 //! dirs and prints per-cause deltas (e.g. the same sweep with prefetch on
 //! vs off, making the prefetch-eviction antagonism directly visible);
 //! `--json` emits the same per-cause delta table as machine-readable
@@ -89,22 +86,21 @@
 //! sample CSVs land beside the tsv and `repro report` renders the map
 //! plus a root-cause delta diff across each cliff's bracketing cells.
 //! `--grid small` is the push-gate subset (2 workloads × 4 ratios; the
-//! full grid is nightly). `repro oversub --check <dir>` re-derives
-//! everything from the artefacts alone — tsv parse → re-render must be
-//! byte-identical, recomputed cliffs must match the recorded rows, and
-//! the re-derived exposition must match `oversub.prom` — exiting 1 on
-//! any drift. Like every sweep, the artefacts are bit-identical for
-//! any `--threads` value.
+//! full grid is nightly). Like every sweep, the artefacts are
+//! bit-identical for any `--threads` value.
 //!
 //! `repro lineage <metrics-dir>` re-renders the fault-lineage event
 //! streams (`*.lineage`, written whenever `--metrics-out` is armed) as
 //! per-kind lifecycle totals, refault/reuse-distance percentiles, and
 //! the prefetch→eviction antagonism chains — plus any anomaly-triggered
 //! flight-recorder dumps the runs captured. `--block <n>` appends one
-//! VABlock's event timeline per point. `--check` instead reconciles
-//! every `.lineage` artefact against its sibling sample CSV (per-kind
-//! page totals must partition the counter/attribution columns exactly)
-//! and exits 1 on any mismatch, which is how CI gates the stream.
+//! VABlock's event timeline per point.
+//!
+//! `repro check <path>...` is the one artefact gate: it loads the paths
+//! once and runs every reconciliation that applies to what it found
+//! ([`bench::metricsio::check_artefacts`]). Each failure prints
+//! `FAIL <path>: <reason>`; the output ends with `N failure(s)`, and any
+//! failure, I/O error or empty find exits 1.
 //!
 //! `--trace-out trace.json` records batch-lifecycle spans and per-page
 //! fault events during every sweep and writes a combined
@@ -112,9 +108,7 @@
 //! or `chrome://tracing`. A flamegraph-style per-phase summary is printed
 //! after the runs. `--trace-cap` bounds the per-run span buffer (default
 //! 65536 events; dropped events are counted, and dropped leaf *time*
-//! stays accounted per category). `repro check-trace <file>` re-validates
-//! an exported file against the trace-event-format invariants and the
-//! span-vs-timers reconciliation; `repro bench-append` appends one
+//! stays accounted per category). `repro bench-append` appends one
 //! `{name, wall_seconds}` entry to the `ci_trend` array of a
 //! BENCH_hotpaths-style JSON file (the CI perf trend).
 //!
@@ -141,6 +135,7 @@
 //! equivalence gate; slow, for validation only).
 
 use bench::experiments::{obs, ExperimentFn, Scale, EXPERIMENTS};
+use bench::metricsio::{load_artefacts, Artefacts};
 use bench::serve::{client, ServeOptions};
 use metrics::chrome;
 use serde::{Serialize, Value};
@@ -171,15 +166,13 @@ fn usage() -> ! {
          [--retry-crosscheck] [--progress|--no-progress]\n\
          \x20      repro oversub [--grid small|full] [--scale <den>] [--out <dir>] [--json] \
          [--threads <n>] [--metrics-out <dir>]\n\
-         \x20      repro oversub --check <dir>\n\
-         \x20      repro check-trace <file>\n\
+         \x20      repro check <path>...\n\
          \x20      repro bench-append <file> <name> <wall_seconds>\n\
          \x20      repro report <metrics-dir>\n\
          \x20      repro explain <metrics-dir>\n\
          \x20      repro explain --diff <metrics-dir-a> <metrics-dir-b> [--json]\n\
-         \x20      repro lineage <metrics-dir> [--block <n>] [--check]\n\
+         \x20      repro lineage <metrics-dir> [--block <n>]\n\
          \x20      repro regress <trend-file> [--threshold <frac>] [--min-runs <n>]\n\
-         \x20      repro check-metrics <metrics-dir>\n\
          \x20      repro trend-import <trend-file> <bench-json> <experiment> [as-name]\n\
          \x20      repro serve --socket <path> [--http <addr>] [--out <dir>] [--scale <den>] \
          [--threads <n>] [--cache <entries>]\n\
@@ -194,36 +187,106 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// `repro check-trace <file>`: parse an exported Chrome-trace file and
-/// re-check every invariant the exporter promises (see
-/// [`metrics::chrome::validate`]). Exits nonzero on any violation.
-fn cmd_check_trace(path: &str) -> ! {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match chrome::validate(&body) {
-        Ok(stats) => {
-            out(&format!(
-                "{path}: OK — {} process(es), {} events ({} leaf spans, {} containers, \
-                 {} instants), {} dropped",
-                stats.processes,
-                stats.events,
-                stats.leaf_spans,
-                stats.container_spans,
-                stats.instants,
-                stats.dropped,
-            ));
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {path}: {e}");
-            std::process::exit(1);
+/// Parse a `--scale` denominator: a finite value >= 1, or `error:` and
+/// exit 2.
+fn parse_scale(arg: Option<&String>) -> f64 {
+    match arg.and_then(|s| s.parse::<f64>().ok()) {
+        Some(den) if den.is_finite() && den >= 1.0 => den,
+        _ => {
+            let got = arg.map_or("nothing", String::as_str);
+            eprintln!("error: --scale must be a finite denominator >= 1 (got {got})");
+            std::process::exit(2);
         }
     }
+}
+
+/// Parse a flag's value, or print the usage and exit 2.
+fn parse_or_usage<T: std::str::FromStr>(arg: Option<&String>) -> T {
+    arg.and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
+}
+
+/// Parse a count flag's value, which must be an integer >= 1, or
+/// `error:` and exit 2.
+fn parse_positive<T: std::str::FromStr + PartialOrd + From<u8>>(arg: Option<&String>, flag: &str) -> T {
+    match arg.and_then(|s| s.parse::<T>().ok()) {
+        Some(n) if n >= T::from(1) => n,
+        _ => {
+            eprintln!("error: {flag} must be an integer >= 1");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Size the global rayon pool the sweeps run on.
+fn build_pool(threads: usize) {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads)
+        .build_global()
+        .expect("configure global thread pool");
+}
+
+/// Flags shared by experiment runs and `repro oversub`.
+struct RunFlags {
+    scale_den: f64,
+    out_dir: PathBuf,
+    json: bool,
+    metrics_out: Option<PathBuf>,
+}
+
+/// Parse the flags shared by experiment runs and `repro oversub`,
+/// handing any other argument to `other` (with its index, so it can
+/// consume a value), which returns false for one it does not know.
+/// Then size the thread pool, arm metrics sampling and set the progress
+/// line.
+fn parse_run_flags(args: &[String], mut other: impl FnMut(&[String], &mut usize) -> bool) -> RunFlags {
+    let mut flags = RunFlags {
+        scale_den: 16.0,
+        out_dir: PathBuf::from("repro-out"),
+        json: false,
+        metrics_out: None,
+    };
+    let mut threads: Option<usize> = None;
+    let mut metrics_interval = metrics::DEFAULT_SAMPLE_INTERVAL_NS;
+    let mut progress: Option<bool> = None;
+    let mut i = 0;
+    while i < args.len() {
+        match args[i].as_str() {
+            "--json" => flags.json = true,
+            "--scale" => {
+                i += 1;
+                flags.scale_den = parse_scale(args.get(i));
+            }
+            "--out" => {
+                i += 1;
+                flags.out_dir = PathBuf::from(args.get(i).unwrap_or_else(|| usage()));
+            }
+            "--metrics-out" => {
+                i += 1;
+                flags.metrics_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
+            }
+            "--metrics-interval" => {
+                i += 1;
+                metrics_interval = parse_positive(args.get(i), "--metrics-interval");
+            }
+            "--threads" => {
+                i += 1;
+                threads = Some(parse_positive(args.get(i), "--threads"));
+            }
+            "--progress" => progress = Some(true),
+            "--no-progress" => progress = Some(false),
+            _ if other(args, &mut i) => {}
+            _ => usage(),
+        }
+        i += 1;
+    }
+    if let Some(n) = threads {
+        build_pool(n);
+    }
+    if flags.metrics_out.is_some() {
+        obs::enable_metrics(metrics_interval, metrics::DEFAULT_SAMPLE_CAPACITY);
+    }
+    obs::set_progress(progress.unwrap_or_else(obs::progress_default));
+    flags
 }
 
 /// `repro bench-append <file> <name> <wall_seconds>`: append one
@@ -231,33 +294,38 @@ fn cmd_check_trace(path: &str) -> ! {
 /// if absent), preserving every other key. CI uses this to keep a
 /// wall-time trend in `BENCH_hotpaths.json`.
 fn cmd_bench_append(path: &str, name: &str, wall_seconds: f64) -> ! {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut root: Value = match serde_json::from_str(&body) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: parse {path}: {e}");
-            std::process::exit(1);
-        }
-    };
     let entry = Value::Map(vec![
         ("name".to_string(), Value::Str(name.to_string())),
         ("wall_seconds".to_string(), Value::F64(wall_seconds)),
     ]);
+    append_trend_or_exit(path, read_json_or_exit(path, 1), entry);
+    out(&format!("{path}: ci_trend += {{{name}, {wall_seconds:.3}s}}"));
+    std::process::exit(0);
+}
+
+/// Read and parse the JSON file at `path`, or report why not and exit
+/// with `code`.
+fn read_json_or_exit(path: &str, code: i32) -> Value {
+    std::fs::read_to_string(path)
+        .map_err(|e| format!("read {path}: {e}"))
+        .and_then(|body| serde_json::from_str(&body).map_err(|e| format!("parse {path}: {e}")))
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(code)
+        })
+}
+
+/// Append `entry` to the `ci_trend` array (created if absent) of
+/// `root`, the parsed JSON object of `path`, and write it back,
+/// preserving every other key; exit 1 on error.
+fn append_trend_or_exit(path: &str, mut root: Value, entry: Value) {
     let Value::Map(keys) = &mut root else {
         eprintln!("error: {path}: top level is not a JSON object");
         std::process::exit(1);
     };
     match keys.iter_mut().find(|(k, _)| k == "ci_trend") {
         Some((_, Value::Seq(trend))) => trend.push(entry),
-        Some((_, other)) => {
-            *other = Value::Seq(vec![entry]);
-        }
+        Some((_, other)) => *other = Value::Seq(vec![entry]),
         None => keys.push(("ci_trend".to_string(), Value::Seq(vec![entry]))),
     }
     let rendered = serde_json::to_string_pretty(&root).expect("re-serialize trend file");
@@ -265,227 +333,31 @@ fn cmd_bench_append(path: &str, name: &str, wall_seconds: f64) -> ! {
         eprintln!("error: write {path}: {e}");
         std::process::exit(1);
     }
-    out(&format!("{path}: ci_trend += {{{name}, {wall_seconds:.3}s}}"));
-    std::process::exit(0);
 }
 
-/// Recursively collect files under `dir` with the given extension,
-/// sorted by path for deterministic output.
-fn walk_files(dir: &std::path::Path, ext: &str) -> Vec<PathBuf> {
-    let mut found = Vec::new();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&d) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == ext) {
-                found.push(path);
-            }
-        }
+/// Load the artefacts under `dir`, or exit 1 on any I/O error and when
+/// `found` says the set holds none of `what` there is to render.
+fn load_or_exit(dir: &str, what: &str, found: fn(&Artefacts) -> bool) -> Artefacts {
+    let set = load_artefacts(&[dir]);
+    if set.errors.is_empty() && found(&set) {
+        return set;
     }
-    found.sort();
-    found
+    for e in &set.errors {
+        eprintln!("error: read {e}");
+    }
+    if set.errors.is_empty() {
+        eprintln!("error: no {what} under {dir} — run with --metrics-out first");
+    }
+    std::process::exit(1);
 }
 
-/// `repro report <metrics-dir>`: re-read every sample CSV a
-/// `--metrics-out` run wrote and render the per-run cost decompositions.
-/// When an `oversub.tsv` heatmap lives under the dir, the thrash-cliff
-/// map is appended — with a root-cause delta diff across each cliff's
-/// bracketing cells when their sample CSVs are on hand.
-fn cmd_report(dir: &str) -> ! {
-    let root = PathBuf::from(dir);
-    let csvs = walk_files(&root, "csv");
-    let oversubs: Vec<PathBuf> = walk_files(&root, "tsv")
-        .into_iter()
-        .filter(|p| p.file_name().is_some_and(|n| n == "oversub.tsv"))
-        .collect();
-    if csvs.is_empty() && oversubs.is_empty() {
-        eprintln!("error: no sample CSVs under {dir} — run with --metrics-out first");
-        std::process::exit(1);
-    }
-    let read = |path: &PathBuf| -> String {
-        match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    };
-    let rel = |path: &PathBuf| -> String {
-        path.strip_prefix(&root)
-            .unwrap_or(path)
-            .with_extension("")
-            .display()
-            .to_string()
-    };
-    let files: Vec<(String, String)> = csvs.iter().map(|p| (rel(p), read(p))).collect();
-    let mut sections = Vec::new();
-    if !files.is_empty() {
-        match bench::metricsio::render_report(&files, 20) {
-            Ok(text) => sections.push(text),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    for tsv_path in &oversubs {
-        // Bracket diffs read the sweep's own per-point CSVs: the ones
-        // sharing the tsv's directory, matched by sweep-index prefix.
-        let cell_csvs: Vec<(String, String)> = csvs
-            .iter()
-            .zip(&files)
-            .filter(|(p, _)| p.parent() == tsv_path.parent())
-            .map(|(_, f)| f.clone())
-            .collect();
-        match bench::metricsio::render_oversub(&read(tsv_path), &cell_csvs) {
-            Ok(text) => sections.push(text),
-            Err(e) => {
-                eprintln!("error: {}: {e}", tsv_path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    out(&sections.join("\n"));
-    std::process::exit(0);
+/// [`load_or_exit`] for a directory that must hold sample CSVs.
+fn samples_or_exit(dir: &str) -> Artefacts {
+    load_or_exit(dir, "sample CSVs", |s| !s.samples.is_empty())
 }
 
-/// `repro check-metrics <metrics-dir>`: re-validate every metrics
-/// artefact a `--metrics-out` run wrote — sample CSVs against the column
-/// schema/monotonicity invariants, expositions against the Prometheus
-/// text format. Exits nonzero on any violation.
-fn cmd_check_metrics(dir: &str) -> ! {
-    let root = PathBuf::from(dir);
-    let csvs = walk_files(&root, "csv");
-    let proms = walk_files(&root, "prom");
-    if csvs.is_empty() && proms.is_empty() {
-        eprintln!("error: no metrics artefacts under {dir}");
-        std::process::exit(1);
-    }
-    let mut failures = 0usize;
-    let mut samples = 0usize;
-    for path in &csvs {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| metrics::timeseries::validate_csv(&t))
-        {
-            Ok(stats) => samples += stats.rows,
-            Err(e) => {
-                eprintln!("FAIL {}: {e}", path.display());
-                failures += 1;
-            }
-        }
-    }
-    let mut series = 0usize;
-    for path in &proms {
-        match std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| metrics::exposition::validate(&t))
-        {
-            Ok(stats) => series += stats.samples,
-            Err(e) => {
-                eprintln!("FAIL {}: {e}", path.display());
-                failures += 1;
-            }
-        }
-    }
-    out(&format!(
-        "{dir}: {} sample CSV(s) ({samples} samples), {} exposition(s) ({series} series), \
-         {failures} failure(s)",
-        csvs.len(),
-        proms.len(),
-    ));
-    std::process::exit(if failures == 0 { 0 } else { 1 });
-}
-
-/// Read a metrics dir's sample CSVs as `(point-name, text)` blobs plus
-/// the merged offender tables, exiting on I/O errors. Shared by
-/// `repro explain` and `repro explain --diff`.
-fn read_metrics_dir(dir: &str) -> (Vec<(String, String)>, Option<String>) {
-    let root = PathBuf::from(dir);
-    let csvs = walk_files(&root, "csv");
-    if csvs.is_empty() {
-        eprintln!("error: no sample CSVs under {dir} — run with --metrics-out first");
-        std::process::exit(1);
-    }
-    let mut files = Vec::with_capacity(csvs.len());
-    for path in &csvs {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        let name = path
-            .strip_prefix(&root)
-            .unwrap_or(path)
-            .with_extension("")
-            .display()
-            .to_string();
-        files.push((name, text));
-    }
-    // Merge every experiment's offenders.tsv into one table (first header
-    // kept, later headers dropped). Older artefact dirs have none — the
-    // fault decomposition still renders. Filter by file name: the
-    // oversub sweep writes its own `oversub.tsv` heatmap beside the
-    // CSVs, which must not bleed into the offender table.
-    let mut offenders: Option<String> = None;
-    for path in walk_files(&root, "tsv") {
-        if !path.file_name().is_some_and(|n| n == "offenders.tsv") {
-            continue;
-        }
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        match &mut offenders {
-            None => offenders = Some(text),
-            Some(merged) => merged.extend(text.lines().skip(1).map(|l| format!("{l}\n"))),
-        }
-    }
-    (files, offenders)
-}
-
-/// `repro explain <metrics-dir>`: render the per-fault root-cause
-/// decomposition (faults by cause, migrated bytes by origin, top
-/// offending VABlocks) from a `--metrics-out` dir's artefacts alone.
-/// `repro explain --diff <dir-a> <dir-b>` renders the cross-run
-/// attribution diff instead. Either form exits 1 when a point's
-/// attribution columns fail to reconcile with its counter columns.
-fn cmd_explain(args: &[String]) -> ! {
-    let result = if args.first().map(String::as_str) == Some("--diff") {
-        let json = args.iter().any(|a| a == "--json");
-        let dirs: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with('-')).collect();
-        let (a, b) = match (dirs.first(), dirs.get(1)) {
-            (Some(a), Some(b)) if dirs.len() == 2 => (*a, *b),
-            _ => usage(),
-        };
-        let (fa, _) = read_metrics_dir(a);
-        let (fb, _) = read_metrics_dir(b);
-        status(&format!(
-            "explain: diffing {} vs {} sample CSV(s)",
-            fa.len(),
-            fb.len()
-        ));
-        if json {
-            bench::metricsio::render_explain_diff_json(a, &fa, b, &fb)
-        } else {
-            bench::metricsio::render_explain_diff(a, &fa, b, &fb)
-        }
-    } else {
-        let dir = args.first().map(String::as_str).unwrap_or_else(|| usage());
-        let (files, offenders) = read_metrics_dir(dir);
-        status(&format!(
-            "explain: reading {} sample CSV(s) under {dir}",
-            files.len()
-        ));
-        bench::metricsio::render_explain(&files, offenders.as_deref())
-    };
+/// Print a renderer's text and exit 0, or its error and exit 1.
+fn out_or_exit(result: Result<String, String>) -> ! {
     match result {
         Ok(text) => {
             out(&text);
@@ -498,27 +370,102 @@ fn cmd_explain(args: &[String]) -> ! {
     }
 }
 
+/// `repro check <path>...`: load every artefact under the paths and run
+/// every reconciliation that applies (see
+/// [`bench::metricsio::check_artefacts`]). Prints `FAIL <path>: <reason>`
+/// per failure and ends with `N failure(s)`; exits 1 on any failure or
+/// when nothing was found.
+fn cmd_check(paths: &[String]) -> ! {
+    if paths.is_empty() || paths.iter().any(|p| p.starts_with('-')) {
+        usage();
+    }
+    let (lines, failures) = bench::metricsio::check_artefacts(&load_artefacts(paths));
+    if lines.is_empty() && failures.is_empty() {
+        eprintln!("error: no artefacts to check under {}", paths.join(" "));
+        std::process::exit(1);
+    }
+    for line in &lines {
+        out(line);
+    }
+    for f in &failures {
+        eprintln!("FAIL {f}");
+    }
+    out(&format!("{} failure(s)", failures.len()));
+    std::process::exit(if failures.is_empty() { 0 } else { 1 });
+}
+
+/// `repro report <metrics-dir>`: re-read every sample CSV a
+/// `--metrics-out` run wrote and render the per-run cost decompositions.
+/// When an `oversub.tsv` heatmap lives under the dir, the thrash-cliff
+/// map is appended — with a root-cause delta diff across each cliff's
+/// bracketing cells when their sample CSVs are on hand.
+fn cmd_report(dir: &str) -> ! {
+    let set = load_or_exit(dir, "sample CSVs", |s| !s.samples.is_empty() || !s.oversubs.is_empty());
+    let mut sections = Vec::new();
+    if !set.samples.is_empty() {
+        sections.push(bench::metricsio::render_report(&set.samples, 20));
+    }
+    for o in &set.oversubs {
+        sections.push(
+            bench::metricsio::render_oversub(o, &set.samples)
+                .map_err(|e| format!("{}: {e}", o.path.display())),
+        );
+    }
+    out_or_exit(sections.into_iter().collect::<Result<Vec<_>, _>>().map(|s| s.join("\n")));
+}
+
+/// `repro explain <metrics-dir>`: render the per-fault root-cause
+/// decomposition (faults by cause, migrated bytes by origin, top
+/// offending VABlocks) from a `--metrics-out` dir's artefacts alone.
+/// `repro explain --diff <dir-a> <dir-b>` renders the cross-run
+/// attribution diff instead. Either form exits 1 when a point's
+/// attribution columns fail to reconcile with its counter columns,
+/// because such a ledger cannot be rendered.
+fn cmd_explain(args: &[String]) -> ! {
+    if args.first().map(String::as_str) == Some("--diff") {
+        let json = args.iter().any(|a| a == "--json");
+        let dirs: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with('-')).collect();
+        let (a, b) = match (dirs.first(), dirs.get(1)) {
+            (Some(a), Some(b)) if dirs.len() == 2 => (*a, *b),
+            _ => usage(),
+        };
+        let (fa, fb) = (samples_or_exit(a).samples, samples_or_exit(b).samples);
+        status(&format!(
+            "explain: diffing {} vs {} sample CSV(s)",
+            fa.len(),
+            fb.len()
+        ));
+        out_or_exit(if json {
+            bench::metricsio::render_explain_diff_json(a, &fa, b, &fb)
+        } else {
+            bench::metricsio::render_explain_diff(a, &fa, b, &fb)
+        })
+    }
+    let dir = args.first().map(String::as_str).unwrap_or_else(|| usage());
+    let set = samples_or_exit(dir);
+    status(&format!(
+        "explain: reading {} sample CSV(s) under {dir}",
+        set.samples.len()
+    ));
+    out_or_exit(bench::metricsio::render_explain(
+        &set.samples,
+        set.merged_offenders().as_deref(),
+    ))
+}
+
 /// `repro lineage <metrics-dir>`: re-render the fault-lineage event
 /// streams written by a `--metrics-out` run — per-kind lifecycle totals,
 /// refault/reuse-distance analytics, antagonism chains, and any flight
 /// dumps. `--block <n>` appends one VABlock's timeline per point.
-/// `--check` reconciles every artefact against its sibling sample CSV
-/// and exits 1 on mismatch (the CI gate for the lineage stream).
 fn cmd_lineage(args: &[String]) -> ! {
     let mut dir: Option<&str> = None;
     let mut block: Option<u64> = None;
-    let mut check = false;
     let mut j = 0;
     while j < args.len() {
         match args[j].as_str() {
-            "--check" => check = true,
             "--block" => {
                 j += 1;
-                block = Some(
-                    args.get(j)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
+                block = Some(parse_or_usage(args.get(j)));
             }
             a if dir.is_none() && !a.starts_with('-') => dir = Some(a),
             _ => usage(),
@@ -526,93 +473,19 @@ fn cmd_lineage(args: &[String]) -> ! {
         j += 1;
     }
     let dir = dir.unwrap_or_else(|| usage());
-    let root = PathBuf::from(dir);
-    let paths = walk_files(&root, "lineage");
-    if paths.is_empty() {
-        eprintln!("error: no .lineage artefacts under {dir} — run with --metrics-out first");
-        std::process::exit(1);
-    }
+    let lineages = load_or_exit(dir, ".lineage artefacts", |s| !s.lineages.is_empty()).lineages;
     status(&format!(
         "lineage: reading {} artefact(s) under {dir}",
-        paths.len()
+        lineages.len()
     ));
-    let mut files = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: read {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        };
-        // Flight dumps live beside the event stream (only written when a
-        // trigger fired); absence simply means no anomaly was captured.
-        let flight = std::fs::read_to_string(path.with_extension("flight.json")).ok();
-        let name = path
-            .strip_prefix(&root)
-            .unwrap_or(path)
-            .with_extension("")
-            .display()
-            .to_string();
-        files.push((name, text, flight, path.clone()));
-    }
-    if check {
-        let mut failures = 0usize;
-        for (name, text, flight, path) in &files {
-            let csv_path = path.with_extension("csv");
-            let csv = match std::fs::read_to_string(&csv_path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("FAIL {name}: read {}: {e}", csv_path.display());
-                    failures += 1;
-                    continue;
-                }
-            };
-            if let Err(e) = bench::metricsio::check_lineage(name, text, flight.as_deref(), &csv) {
-                eprintln!("FAIL {e}");
-                failures += 1;
-            }
-        }
-        out(&format!(
-            "{dir}: {} lineage artefact(s) reconciled against sample CSVs, {failures} failure(s)",
-            files.len(),
-        ));
-        std::process::exit(if failures == 0 { 0 } else { 1 });
-    }
-    let blobs: Vec<(String, String, Option<String>)> = files
-        .into_iter()
-        .map(|(name, text, flight, _)| (name, text, flight))
-        .collect();
-    match bench::metricsio::render_lineage(&blobs, block) {
-        Ok(text) => {
-            out(&text);
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-    }
+    out_or_exit(bench::metricsio::render_lineage(&lineages, block))
 }
 
 /// `repro regress <trend-file>`: gate on the `ci_trend` perf history.
 /// Exits 1 when any headline metric of any series regressed beyond the
 /// threshold, 2 on unusable input, 0 otherwise.
 fn cmd_regress(path: &str, threshold: f64, min_runs: usize) -> ! {
-    let body = match std::fs::read_to_string(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let root: Value = match serde_json::from_str(&body) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: parse {path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let root = read_json_or_exit(path, 2);
     let findings = match bench::metricsio::evaluate_trend(&root, threshold, min_runs) {
         Ok(f) => f,
         Err(e) => {
@@ -660,57 +533,25 @@ fn cmd_trend_import(
     experiment: &str,
     as_name: Option<&str>,
 ) -> ! {
-    let bench_body = match std::fs::read_to_string(bench_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: read {bench_path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let bench_root: Value = match serde_json::from_str(&bench_body) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: parse {bench_path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let bench_root = read_json_or_exit(bench_path, 1);
     let Value::Map(bench_keys) = &bench_root else {
         eprintln!("error: {bench_path}: top level is not a JSON object");
         std::process::exit(1);
-    };
-    let find_named = |entries: &[Value]| -> Option<Vec<(String, Value)>> {
-        entries.iter().rev().find_map(|e| match e {
-            Value::Map(m)
-                if m.iter()
-                    .any(|(k, v)| k == "name" && *v == Value::Str(experiment.to_string())) =>
-            {
-                Some(m.clone())
-            }
-            _ => None,
-        })
     };
     // Experiments written by `repro --json` carry the full perf record;
     // `bench-append` series (traced wall times) live in the report's own
     // `ci_trend` array with just name + wall_seconds. Accept either, so
     // the nightly can gate every series it records. `rev()` takes the
     // newest entry when a bench-append series repeats within one run.
-    let record = bench_keys
-        .iter()
-        .find(|(k, _)| k == "experiments")
-        .and_then(|(_, v)| match v {
-            Value::Seq(entries) => find_named(entries),
+    let name = Value::Str(experiment.to_string());
+    let newest_named = |key: &str| match bench_keys.iter().find(|(k, _)| k == key) {
+        Some((_, Value::Seq(entries))) => entries.iter().rev().find_map(|e| match e {
+            Value::Map(m) if m.iter().any(|(k, v)| k == "name" && *v == name) => Some(m.clone()),
             _ => None,
-        })
-        .or_else(|| {
-            bench_keys
-                .iter()
-                .find(|(k, _)| k == "ci_trend")
-                .and_then(|(_, v)| match v {
-                    Value::Seq(entries) => find_named(entries),
-                    _ => None,
-                })
-        });
-    let Some(record) = record else {
+        }),
+        _ => None,
+    };
+    let Some(record) = newest_named("experiments").or_else(|| newest_named("ci_trend")) else {
         eprintln!("error: {bench_path}: no experiment or ci_trend entry named `{experiment}`");
         std::process::exit(1);
     };
@@ -719,28 +560,12 @@ fn cmd_trend_import(
     // other new perf-record keys can never perturb an existing
     // ci_trend.json baseline.
     let entry = bench::metricsio::trend_entry(&record, as_name);
-    let trend_body = std::fs::read_to_string(trend_path).unwrap_or_else(|_| "{}".to_string());
-    let mut trend_root: Value = match serde_json::from_str(&trend_body) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: parse {trend_path}: {e}");
-            std::process::exit(1);
-        }
+    let trend_root = if std::path::Path::new(trend_path).exists() {
+        read_json_or_exit(trend_path, 1)
+    } else {
+        Value::Map(Vec::new())
     };
-    let Value::Map(trend_keys) = &mut trend_root else {
-        eprintln!("error: {trend_path}: top level is not a JSON object");
-        std::process::exit(1);
-    };
-    match trend_keys.iter_mut().find(|(k, _)| k == "ci_trend") {
-        Some((_, Value::Seq(trend))) => trend.push(entry),
-        Some((_, other)) => *other = Value::Seq(vec![entry]),
-        None => trend_keys.push(("ci_trend".to_string(), Value::Seq(vec![entry]))),
-    }
-    let rendered = serde_json::to_string_pretty(&trend_root).expect("re-serialize trend file");
-    if let Err(e) = std::fs::write(trend_path, rendered) {
-        eprintln!("error: write {trend_path}: {e}");
-        std::process::exit(1);
-    }
+    append_trend_or_exit(trend_path, trend_root, entry);
     let shown = as_name.unwrap_or(experiment);
     out(&format!("{trend_path}: ci_trend += {shown} perf record"));
     std::process::exit(0);
@@ -773,29 +598,15 @@ fn cmd_serve(args: &[String]) -> ! {
             }
             "--scale" => {
                 i += 1;
-                let den: f64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|d: &f64| d.is_finite() && *d >= 1.0)
-                    .unwrap_or_else(|| usage());
-                opts.default_scale = den;
+                opts.default_scale = parse_scale(args.get(i));
             }
             "--cache" => {
                 i += 1;
-                opts.cache_capacity = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|c: &usize| *c >= 1)
-                    .unwrap_or_else(|| usage());
+                opts.cache_capacity = parse_positive(args.get(i), "--cache");
             }
             "--threads" => {
                 i += 1;
-                threads = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|n: &usize| *n >= 1)
-                        .unwrap_or_else(|| usage()),
-                );
+                threads = Some(parse_positive(args.get(i), "--threads"));
             }
             _ => usage(),
         }
@@ -807,10 +618,7 @@ fn cmd_serve(args: &[String]) -> ! {
     };
     opts.socket = socket;
     if let Some(n) = threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("configure global thread pool");
+        build_pool(n);
     }
     std::process::exit(bench::serve::run_serve(opts));
 }
@@ -831,12 +639,7 @@ fn cmd_submit(args: &[String]) -> ! {
         match args[i].as_str() {
             "--scale" => {
                 i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|d: &f64| d.is_finite() && *d >= 1.0)
-                    .map(Some)
-                    .unwrap_or_else(|| usage());
+                scale = Some(parse_scale(args.get(i)));
             }
             "--ndjson" => ndjson = true,
             _ => usage(),
@@ -851,78 +654,24 @@ fn cmd_submit(args: &[String]) -> ! {
 /// then write `oversub.tsv` + `oversub.prom` and print the
 /// thrash-cliff map. See the crate docs for the artefact schemas.
 fn cmd_oversub(args: &[String]) -> ! {
-    if args.first().map(String::as_str) == Some("--check") {
-        cmd_oversub_check(args.get(1).map(String::as_str).unwrap_or_else(|| usage()));
-    }
-    let mut scale_den = 16.0f64;
-    let mut out_dir = PathBuf::from("repro-out");
     let mut grid = bench::experiments::oversub::Grid::full();
-    let mut json = false;
-    let mut threads: Option<usize> = None;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut metrics_interval = metrics::DEFAULT_SAMPLE_INTERVAL_NS;
-    let mut progress: Option<bool> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
-            "--grid" => {
-                i += 1;
-                grid = match args.get(i).map(String::as_str) {
-                    Some("small") => bench::experiments::oversub::Grid::small(),
-                    Some("full") => bench::experiments::oversub::Grid::full(),
-                    _ => usage(),
-                };
-            }
-            "--scale" => {
-                i += 1;
-                scale_den = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|d: &f64| d.is_finite() && *d >= 1.0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                i += 1;
-                threads = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .filter(|n: &usize| *n >= 1)
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--metrics-interval" => {
-                i += 1;
-                metrics_interval = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|ns: &u64| *ns >= 1)
-                    .unwrap_or_else(|| usage());
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).unwrap_or_else(|| usage()));
-            }
-            "--progress" => progress = Some(true),
-            "--no-progress" => progress = Some(false),
-            _ => usage(),
+    let RunFlags {
+        scale_den,
+        out_dir,
+        json,
+        metrics_out,
+    } = parse_run_flags(args, |args, i| {
+        if args[*i] != "--grid" {
+            return false;
         }
-        i += 1;
-    }
-    if let Some(n) = threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("configure global thread pool");
-    }
-    if metrics_out.is_some() {
-        obs::enable_metrics(metrics_interval, metrics::DEFAULT_SAMPLE_CAPACITY);
-    }
-    obs::set_progress(progress.unwrap_or_else(obs::progress_default));
+        *i += 1;
+        grid = match args.get(*i).map(String::as_str) {
+            Some("small") => bench::experiments::oversub::Grid::small(),
+            Some("full") => bench::experiments::oversub::Grid::full(),
+            _ => usage(),
+        };
+        true
+    });
     let scale = Scale {
         fraction: 1.0 / scale_den,
     };
@@ -943,42 +692,30 @@ fn cmd_oversub(args: &[String]) -> ! {
     metrics::phase::take();
     metrics::sched::take();
     let outcome = bench::experiments::oversub::run(scale, &grid);
-    let wall = total0.elapsed().as_secs_f64();
+    let total_wall = total0.elapsed();
+    let wall = total_wall.as_secs_f64();
     let totals = bench::experiments::take_sim_totals();
     let phase = metrics::phase::take();
     let sched = metrics::sched::take();
 
-    let tsv = metrics::oversub::render_table(&outcome.cells, &outcome.cliffs);
-    let prom = bench::metricsio::render_oversub_exposition(&outcome.cells, &outcome.cliffs);
-    create_dir_or_exit(&out_dir);
-    let tsv_path = out_dir.join("oversub.tsv");
-    write_or_exit("oversub.tsv", &tsv_path, &tsv);
-    let prom_path = out_dir.join("oversub.prom");
-    write_or_exit("oversub.prom", &prom_path, &prom);
-
+    let write_oversub = |dir: &std::path::Path| {
+        bench::metricsio::write_oversub(dir, &outcome.cells, &outcome.cliffs).unwrap_or_else(|e| {
+            eprintln!("error: write oversub artefacts under {}: {e}", dir.display());
+            std::process::exit(1)
+        })
+    };
+    let written = write_oversub(&out_dir);
     out(&bench::metricsio::render_cliff_map(&outcome.cells, &outcome.cliffs));
-    out(&format!("  wrote {}", tsv_path.display()));
-    out(&format!("  wrote {}", prom_path.display()));
+    for path in &written {
+        out(&format!("  wrote {}", path.display()));
+    }
 
     if let Some(dir) = &metrics_out {
-        let points = obs::take_metrics_points();
-        match bench::metricsio::write_experiment(dir, "oversub", &points, Some(&sched)) {
-            Ok(written) => out(&format!(
-                "  wrote {} metrics file(s) under {}",
-                written.len(),
-                dir.join("oversub").display()
-            )),
-            Err(e) => {
-                eprintln!("error: write metrics under {}: {e}", dir.display());
-                std::process::exit(1);
-            }
-        }
+        write_metrics_or_exit(dir, "oversub", &sched);
         // The heatmap lives beside the per-point CSVs too, so `repro
         // report <metrics-dir>` renders the cliff map plus the bracket
         // diffs from one tree.
-        let exp_dir = dir.join("oversub");
-        write_or_exit("oversub.tsv", &exp_dir.join("oversub.tsv"), &tsv);
-        write_or_exit("oversub.prom", &exp_dir.join("oversub.prom"), &prom);
+        write_oversub(&dir.join("oversub"));
     }
 
     if json {
@@ -998,31 +735,9 @@ fn cmd_oversub(args: &[String]) -> ! {
         } else {
             found.iter().map(|&r| r as f64).sum::<f64>() / found.len() as f64 / 100.0
         };
-        let perf = ExperimentPerf::new("oversub", wall, &totals, &phase, &sched);
-        let report = PerfReport {
-            build: bench::metricsio::build_info(),
-            scale_denominator: scale_den,
-            threads: rayon::current_num_threads(),
-            experiments: vec![perf],
-            total_wall_seconds: wall,
-        };
-        // Round-trip through Value to graft the cliff keys onto the
-        // experiment record (the derive can't carry oversub-only keys
-        // without every other experiment serializing zeros for them).
-        let body = serde_json::to_string_pretty(&report).expect("serialize perf report");
-        let mut root: Value = serde_json::from_str(&body).expect("reparse perf report");
-        if let Value::Map(keys) = &mut root {
-            if let Some((_, Value::Seq(exps))) = keys.iter_mut().find(|(k, _)| k == "experiments")
-            {
-                if let Some(Value::Map(e)) = exps.first_mut() {
-                    e.push(("cliff_min_ratio".to_string(), Value::F64(cliff_min)));
-                    e.push(("cliff_mean_ratio".to_string(), Value::F64(cliff_mean)));
-                }
-            }
-        }
-        let path = out_dir.join("BENCH_hotpaths.json");
-        let body = serde_json::to_string_pretty(&root).expect("serialize perf report");
-        write_or_exit("perf report", &path, body);
+        let perf = [ExperimentPerf::new("oversub", wall, &totals, &phase, &sched)];
+        let cliffs = [("cliff_min_ratio", cliff_min), ("cliff_mean_ratio", cliff_mean)];
+        let path = write_perf_report(&out_dir, scale_den, &perf, total_wall, &cliffs);
         out(&format!("  wrote {}", path.display()));
     }
     out(&format!(
@@ -1031,77 +746,6 @@ fn cmd_oversub(args: &[String]) -> ! {
         outcome.cliffs.iter().filter(|c| c.ratio_centi != 0).count(),
     ));
     std::process::exit(0);
-}
-
-/// `repro oversub --check <dir>`: re-derive the observatory's results
-/// from the on-disk artefacts alone — the tsv must parse → re-render
-/// byte-identically with the knee detector reproducing every recorded
-/// cliff row, and the sibling `oversub.prom` must match the exposition
-/// re-derived from the tsv on every `uvm_oversub_*` series (build
-/// identity is allowed to differ). Exits 1 on any drift; CI gates on it.
-fn cmd_oversub_check(dir: &str) -> ! {
-    let root = PathBuf::from(dir);
-    let tsvs: Vec<PathBuf> = walk_files(&root, "tsv")
-        .into_iter()
-        .filter(|p| p.file_name().is_some_and(|n| n == "oversub.tsv"))
-        .collect();
-    if tsvs.is_empty() {
-        eprintln!("error: no oversub.tsv under {dir} — run `repro oversub` first");
-        std::process::exit(1);
-    }
-    let mut failures = 0usize;
-    for path in &tsvs {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("FAIL {}: {e}", path.display());
-                failures += 1;
-                continue;
-            }
-        };
-        match metrics::oversub::check_table(&text) {
-            Ok(stats) => out(&format!(
-                "{}: OK — {} cells, {} curves, {} cliff(s) reproduced",
-                path.display(),
-                stats.cells,
-                stats.curves,
-                stats.cliffs_found,
-            )),
-            Err(e) => {
-                eprintln!("FAIL {}: {e}", path.display());
-                failures += 1;
-                continue;
-            }
-        }
-        let prom_path = path.with_file_name("oversub.prom");
-        let Ok(prom) = std::fs::read_to_string(&prom_path) else {
-            continue; // tsv-only artefact dir: nothing more to reconcile
-        };
-        if let Err(e) = metrics::exposition::validate(&prom) {
-            eprintln!("FAIL {}: {e}", prom_path.display());
-            failures += 1;
-            continue;
-        }
-        let (cells, cliffs) = metrics::oversub::parse_table(&text).expect("checked above");
-        let expect = bench::metricsio::render_oversub_exposition(&cells, &cliffs);
-        fn keep(t: &str) -> Vec<&str> {
-            t.lines().filter(|l| l.contains("uvm_oversub")).collect()
-        }
-        if keep(&prom) == keep(&expect) {
-            out(&format!(
-                "{}: OK — {} uvm_oversub series match the tsv",
-                prom_path.display(),
-                keep(&prom).len(),
-            ));
-        } else {
-            eprintln!(
-                "FAIL {}: uvm_oversub_* exposition drifts from oversub.tsv",
-                prom_path.display()
-            );
-            failures += 1;
-        }
-    }
-    std::process::exit(if failures == 0 { 0 } else { 1 });
 }
 
 /// One experiment's row in the `BENCH_hotpaths.json` throughput report.
@@ -1189,22 +833,15 @@ fn main() {
         usage();
     }
     match args[0].as_str() {
-        "check-trace" => cmd_check_trace(args.get(1).map(String::as_str).unwrap_or_else(|| usage())),
+        "check" => cmd_check(&args[1..]),
         "bench-append" => {
             let file = args.get(1).unwrap_or_else(|| usage());
             let name = args.get(2).unwrap_or_else(|| usage());
-            let wall: f64 = args
-                .get(3)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or_else(|| usage());
-            cmd_bench_append(file, name, wall);
+            cmd_bench_append(file, name, parse_or_usage(args.get(3)));
         }
         "report" => cmd_report(args.get(1).map(String::as_str).unwrap_or_else(|| usage())),
         "explain" => cmd_explain(&args[1..]),
         "lineage" => cmd_lineage(&args[1..]),
-        "check-metrics" => {
-            cmd_check_metrics(args.get(1).map(String::as_str).unwrap_or_else(|| usage()))
-        }
         "regress" => {
             let file = args.get(1).unwrap_or_else(|| usage());
             let mut threshold = 0.20f64;
@@ -1222,10 +859,7 @@ fn main() {
                     }
                     "--min-runs" => {
                         j += 1;
-                        min_runs = args
-                            .get(j)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| usage());
+                        min_runs = parse_or_usage(args.get(j));
                     }
                     _ => usage(),
                 }
@@ -1246,99 +880,37 @@ fn main() {
         _ => {}
     }
     let mut which = String::new();
-    let mut scale_den = 16.0f64;
-    let mut out_dir = PathBuf::from("repro-out");
-    let mut json = false;
-    let mut threads: Option<usize> = None;
     let mut trace_out: Option<PathBuf> = None;
     let mut trace_cap = metrics::DEFAULT_SPAN_CAPACITY;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut metrics_interval = metrics::DEFAULT_SAMPLE_INTERVAL_NS;
-    let mut progress: Option<bool> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = true,
+    let RunFlags {
+        scale_den,
+        out_dir,
+        json,
+        metrics_out,
+    } = parse_run_flags(&args, |args, i| {
+        match args[*i].as_str() {
             "--trace-out" => {
-                i += 1;
-                trace_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
+                *i += 1;
+                trace_out = Some(PathBuf::from(args.get(*i).unwrap_or_else(|| usage())));
             }
             "--trace-cap" => {
-                i += 1;
-                trace_cap = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--metrics-out" => {
-                i += 1;
-                metrics_out = Some(PathBuf::from(args.get(i).unwrap_or_else(|| usage())));
-            }
-            "--metrics-interval" => {
-                i += 1;
-                let ns: u64 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if ns == 0 {
-                    eprintln!("error: --metrics-interval must be >= 1 sim-ns");
-                    std::process::exit(2);
-                }
-                metrics_interval = ns;
+                *i += 1;
+                trace_cap = parse_or_usage(args.get(*i));
             }
             "--retry-crosscheck" => obs::set_retry_crosscheck(true),
-            "--progress" => progress = Some(true),
-            "--no-progress" => progress = Some(false),
-            "--scale" => {
-                i += 1;
-                scale_den = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                i += 1;
-                let n: usize = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage());
-                if n == 0 {
-                    eprintln!("error: --threads must be >= 1");
-                    std::process::exit(2);
-                }
-                threads = Some(n);
-            }
-            "--out" => {
-                i += 1;
-                out_dir = PathBuf::from(args.get(i).unwrap_or_else(|| usage()));
-            }
             name if which.is_empty() && !name.starts_with('-') => which = name.to_string(),
-            _ => usage(),
+            _ => return false,
         }
-        i += 1;
-    }
-    if let Some(n) = threads {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(n)
-            .build_global()
-            .expect("configure global thread pool");
-    }
+        true
+    });
     if trace_out.is_some() {
         obs::enable_tracing(trace_cap);
     }
-    if metrics_out.is_some() {
-        obs::enable_metrics(metrics_interval, metrics::DEFAULT_SAMPLE_CAPACITY);
-    }
-    obs::set_progress(progress.unwrap_or_else(obs::progress_default));
     if which == "list" {
         for (name, _) in EXPERIMENTS {
             out(name);
         }
         return;
-    }
-    if scale_den.is_nan() || scale_den < 1.0 {
-        eprintln!("error: --scale must be a denominator >= 1 (got {scale_den})");
-        std::process::exit(2);
     }
     let selected: Vec<&(&str, ExperimentFn)> = if which == "all" {
         EXPERIMENTS.iter().collect()
@@ -1391,24 +963,11 @@ fn main() {
             // (interrupted, or killed by the nightly timeout) still
             // leaves every completed experiment's host-phase telemetry
             // on disk instead of reporting it only at process exit.
-            let path = write_perf_report(&out_dir, scale_den, &perf, total0);
+            let path = write_perf_report(&out_dir, scale_den, &perf, total0.elapsed(), &[]);
             out(&format!("  wrote {}", path.display()));
         }
         if let Some(dir) = &metrics_out {
-            let points = obs::take_metrics_points();
-            match bench::metricsio::write_experiment(dir, name, &points, Some(&sched)) {
-                Ok(written) => {
-                    out(&format!(
-                        "  wrote {} metrics file(s) under {}",
-                        written.len(),
-                        dir.join(name).display()
-                    ));
-                }
-                Err(e) => {
-                    eprintln!("error: write metrics under {}: {e}", dir.display());
-                    std::process::exit(1);
-                }
-            }
+            write_metrics_or_exit(dir, name, &sched);
         }
         out(&format!("  [{name} regenerated in {wall:.1}s]\n"));
     }
@@ -1457,7 +1016,7 @@ fn main() {
     if json {
         // Final rewrite with the end-to-end wall time (the incremental
         // flushes above carried a still-growing total).
-        let path = write_perf_report(&out_dir, scale_den, &perf, total0);
+        let path = write_perf_report(&out_dir, scale_den, &perf, total0.elapsed(), &[]);
         out(&format!("  wrote {}", path.display()));
     }
 }
@@ -1470,20 +1029,50 @@ fn write_perf_report(
     out_dir: &std::path::Path,
     scale_den: f64,
     perf: &[ExperimentPerf],
-    total0: Instant,
+    total_wall: std::time::Duration,
+    extra: &[(&str, f64)],
 ) -> PathBuf {
-    let report = PerfReport {
+    let mut root = PerfReport {
         build: bench::metricsio::build_info(),
         scale_denominator: scale_den,
         threads: rayon::current_num_threads(),
         experiments: perf.to_vec(),
-        total_wall_seconds: total0.elapsed().as_secs_f64(),
-    };
+        total_wall_seconds: total_wall.as_secs_f64(),
+    }
+    .serialize();
+    // Graft command-specific keys onto the newest experiment record (the
+    // derive can't carry oversub-only keys without every other
+    // experiment serializing zeros for them).
+    if let Value::Map(keys) = &mut root {
+        if let Some((_, Value::Seq(exps))) = keys.iter_mut().find(|(k, _)| k == "experiments") {
+            if let Some(Value::Map(e)) = exps.last_mut() {
+                e.extend(extra.iter().map(|&(k, v)| (k.to_string(), Value::F64(v))));
+            }
+        }
+    }
     create_dir_or_exit(out_dir);
     let path = out_dir.join("BENCH_hotpaths.json");
-    let body = serde_json::to_string_pretty(&report).expect("serialize perf report");
+    let body = serde_json::to_string_pretty(&root).expect("serialize perf report");
     write_or_exit("perf report", &path, body);
     path
+}
+
+/// Write one experiment's metrics artefacts under `dir` (see
+/// [`bench::metricsio::write_experiment`]), or report the error and
+/// exit 1.
+fn write_metrics_or_exit(dir: &std::path::Path, experiment: &str, sched: &metrics::SweepSchedStats) {
+    let points = obs::take_metrics_points();
+    match bench::metricsio::write_experiment(dir, experiment, &points, Some(sched)) {
+        Ok(written) => out(&format!(
+            "  wrote {} metrics file(s) under {}",
+            written.len(),
+            dir.join(experiment).display()
+        )),
+        Err(e) => {
+            eprintln!("error: write metrics under {}: {e}", dir.display());
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Create `dir` and its parents, or report the I/O error and exit 1.

@@ -9,7 +9,6 @@ pub mod oversub;
 pub mod tables;
 
 use metrics::report::Table;
-use sim_engine::units::GIB;
 use std::sync::atomic::{AtomicU64, Ordering};
 use uvm_sim::{SimConfig, SimReport, Workload, WorkloadKind};
 
@@ -33,9 +32,11 @@ impl Scale {
         fraction: 1.0 / 128.0,
     };
 
-    /// GPU memory in bytes at this scale.
+    /// GPU memory in bytes at this scale: the device size of
+    /// [`Scale::config`], floor included, so workloads are sized against
+    /// the memory they actually run on.
     pub fn gpu_bytes(&self) -> u64 {
-        (12.0 * GIB as f64 * self.fraction) as u64
+        self.config().driver.gpu_memory_bytes
     }
 
     /// Base simulation config at this scale.
@@ -251,12 +252,18 @@ pub fn ms(d: sim_engine::SimDuration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_engine::units::GIB;
 
     #[test]
     fn scale_arithmetic() {
         assert_eq!(Scale::DEFAULT.gpu_bytes(), 12 * GIB / 16);
         let cfg = Scale::DEFAULT.config();
         assert_eq!(cfg.driver.gpu_memory_bytes, 12 * GIB / 16);
+        // Past 12 GiB / 1536 the device floor holds, and workloads are
+        // sized against it.
+        let tiny = Scale { fraction: 1.0 / 4096.0 };
+        assert_eq!(tiny.gpu_bytes(), tiny.config().driver.gpu_memory_bytes);
+        assert_eq!(tiny.gpu_bytes(), 8 << 20);
     }
 
     #[test]

@@ -1,15 +1,18 @@
-//! Metrics export, reporting, and the perf-regression gate for the
-//! `repro` harness.
-//!
-//! Three consumers of the simulated-time telemetry live here:
+//! Metrics export, the on-disk artefact layout, reporting, and the
+//! perf-regression gate for the `repro` harness.
 //!
 //! * [`write_experiment`] — `repro --metrics-out <dir>`: one sample CSV
 //!   per sweep point plus a Prometheus text-exposition snapshot per
 //!   experiment, each point labelled by `workload`/`ratio`/`policy`.
-//! * [`render_report`] — `repro report <dir>`: re-reads the CSVs and
-//!   renders per-run cost decompositions in the shape of the paper's
-//!   Figs. 8–10 (a fault-vs-eviction timeline per point, and a summary
-//!   of data moved / evictions / coverage per point).
+//! * [`load_artefacts`] — the one reader of that layout (and of traces
+//!   and `oversub.tsv` heatmaps): walks the given paths once and returns
+//!   the typed [`Artefacts`] set that `repro report`, `explain`,
+//!   `lineage` and `check` consume. [`check_artefacts`] runs every
+//!   reconciliation that applies to a loaded set (`repro check`).
+//! * [`render_report`] — `repro report <dir>`: renders per-run cost
+//!   decompositions in the shape of the paper's Figs. 8–10 (a
+//!   fault-vs-eviction timeline per point, and a summary of data moved /
+//!   evictions / coverage per point).
 //! * [`evaluate_trend`] / [`render_findings`] — `repro regress`: compare
 //!   the newest `ci_trend` entry of each benchmark series against the
 //!   median of its history, flagging wall-time, throughput, eviction-rate
@@ -28,6 +31,7 @@ use metrics::{
 use serde::Value;
 use sim_engine::units::PAGE_SIZE;
 use std::fmt::Write;
+use std::path::{Path, PathBuf};
 
 /// One finished sweep point with everything the metrics artefacts need.
 #[derive(Debug, Clone)]
@@ -284,10 +288,9 @@ pub fn render_exposition(points: &[MetricsPoint], sched: Option<&SweepSchedStats
 
 /// Write one experiment's metrics artefacts under `dir/<experiment>/`:
 /// a sample CSV and a `.lineage` event log per point, a `.flight.json`
-/// per point that captured flight dumps, plus the exposition snapshot.
-/// Returns the written paths. The `.lineage` extension is deliberate:
-/// the metrics-dir CSV walkers (`repro report` / `check-metrics`) must
-/// never mistake the event log for a sample CSV.
+/// per point that captured flight dumps, the exposition snapshot
+/// ([`EXPERIMENT_MARKER`]) and `offenders.tsv`. Returns the written
+/// paths. [`load_artefacts`] reads this layout back.
 pub fn write_experiment(
     dir: &std::path::Path,
     experiment: &str,
@@ -312,10 +315,10 @@ pub fn write_experiment(
             written.push(flight);
         }
     }
-    let prom = exp_dir.join("metrics.prom");
+    let prom = exp_dir.join(EXPERIMENT_MARKER);
     std::fs::write(&prom, render_exposition(points, sched))?;
     written.push(prom);
-    let tsv = exp_dir.join("offenders.tsv");
+    let tsv = exp_dir.join(OFFENDERS_FILE);
     std::fs::write(&tsv, render_offenders_tsv(points))?;
     written.push(tsv);
     Ok(written)
@@ -326,8 +329,7 @@ const OFFENDERS_HEADER: &str = "point\tblock\trefault_faults\tprefetch_evicted_p
 
 /// Render the per-experiment offender table (`offenders.tsv`): one row
 /// per (point, offending VABlock), points in sweep order, blocks in
-/// descending badness. Tab-separated so the metrics-dir CSV walkers
-/// (`repro report` / `check-metrics`) never mistake it for a sample CSV.
+/// descending badness.
 pub fn render_offenders_tsv(points: &[MetricsPoint]) -> String {
     let rows: usize = points.iter().map(|p| p.top_offenders.len()).sum();
     let mut out = String::with_capacity(OFFENDERS_HEADER.len() + 1 + 96 * rows);
@@ -348,6 +350,241 @@ pub fn render_offenders_tsv(points: &[MetricsPoint]) -> String {
         }
     }
     out
+}
+
+/// Marker of an experiment directory: [`write_experiment`] always
+/// writes it, so only the `*.csv` files beside it are sample CSVs.
+pub const EXPERIMENT_MARKER: &str = "metrics.prom";
+const OFFENDERS_FILE: &str = "offenders.tsv";
+const OVERSUB_FILE: &str = "oversub.tsv";
+const OVERSUB_PROM: &str = "oversub.prom";
+
+/// One artefact file as read from disk.
+#[derive(Debug, Clone, Default)]
+pub struct Artefact {
+    /// Where it was read from.
+    pub path: PathBuf,
+    /// The path below the root it was found under, extension stripped
+    /// (`fig1/03_regular_r0.05_density`): the label reports print.
+    pub name: String,
+    /// The file's contents.
+    pub text: String,
+    /// The optional sibling, if present: `<stem>.flight.json` beside a
+    /// lineage stream, `oversub.prom` beside an oversub heatmap.
+    pub sibling: Option<String>,
+}
+
+/// Every artefact [`load_artefacts`] found, by kind, in path order.
+#[derive(Debug, Clone, Default)]
+pub struct Artefacts {
+    /// Sample CSVs.
+    pub samples: Vec<Artefact>,
+    /// `<stem>.lineage` event streams.
+    pub lineages: Vec<Artefact>,
+    /// Prometheus expositions (every `*.prom`).
+    pub expositions: Vec<Artefact>,
+    /// `oversub.tsv` heatmaps.
+    pub oversubs: Vec<Artefact>,
+    /// Per-experiment `offenders.tsv` tables.
+    pub offenders: Vec<Artefact>,
+    /// Chrome traces.
+    pub traces: Vec<Artefact>,
+    /// I/O errors met on the way, as `<path>: <error>`. An absent
+    /// optional sibling is not one.
+    pub errors: Vec<String>,
+}
+
+impl Artefacts {
+    /// Every offender table merged into one (first header kept).
+    pub fn merged_offenders(&self) -> Option<String> {
+        let (first, rest) = self.offenders.split_first()?;
+        let mut merged = first.text.clone();
+        for o in rest {
+            merged.extend(o.text.lines().skip(1).map(|l| format!("{l}\n")));
+        }
+        Some(merged)
+    }
+
+    fn read(&mut self, path: &Path, optional: bool) -> Option<String> {
+        match std::fs::read_to_string(path) {
+            Ok(text) => Some(text),
+            Err(e) if optional && e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => {
+                self.errors.push(format!("{}: {e}", path.display()));
+                None
+            }
+        }
+    }
+
+    /// File one path by the layout rules (see [`load_artefacts`]).
+    fn classify(&mut self, root: &Path, path: &Path, explicit: bool) {
+        let file = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        let ext = path.extension().and_then(|e| e.to_str()).unwrap_or("");
+        let wanted = match ext {
+            "csv" => path.with_file_name(EXPERIMENT_MARKER).is_file(),
+            "lineage" | "prom" => true,
+            "tsv" => file == OVERSUB_FILE || file == OFFENDERS_FILE,
+            "json" => explicit || !file.ends_with(".flight.json"),
+            _ => false,
+        };
+        let Some(text) = wanted.then(|| self.read(path, false)).flatten() else {
+            return;
+        };
+        let sibling = match ext {
+            "lineage" => self.read(&path.with_extension("flight.json"), true),
+            _ if file == OVERSUB_FILE => self.read(&path.with_file_name(OVERSUB_PROM), true),
+            _ => None,
+        };
+        let rel = path.strip_prefix(root).ok().filter(|r| !r.as_os_str().is_empty());
+        let a = Artefact {
+            path: path.to_path_buf(),
+            name: rel.unwrap_or(path).with_extension("").display().to_string(),
+            text,
+            sibling,
+        };
+        match ext {
+            "csv" => self.samples.push(a),
+            "lineage" => self.lineages.push(a),
+            "prom" => self.expositions.push(a),
+            "tsv" if file == OVERSUB_FILE => self.oversubs.push(a),
+            "tsv" => self.offenders.push(a),
+            _ if explicit || a.text.starts_with(metrics::chrome::TRACE_PREFIX) => {
+                self.traces.push(a)
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Walk `paths` (directories recursively, files as named) once and
+/// return every artefact found. The layout: every `*.csv` beside an
+/// [`EXPERIMENT_MARKER`] is a sample CSV; `<stem>.lineage` pairs with
+/// `<stem>.csv` and, if present, `<stem>.flight.json`; `oversub.tsv`
+/// pairs with `oversub.prom`; every `*.prom` is an exposition. A `.json`
+/// named explicitly is a Chrome trace; one found by the walk is a trace
+/// only if it begins with [`metrics::chrome::TRACE_PREFIX`].
+pub fn load_artefacts<P: AsRef<Path>>(paths: &[P]) -> Artefacts {
+    let mut set = Artefacts::default();
+    for root in paths.iter().map(AsRef::as_ref) {
+        if !root.is_dir() {
+            match std::fs::metadata(root) {
+                Ok(_) => set.classify(root, root, true),
+                Err(e) => set.errors.push(format!("{}: {e}", root.display())),
+            }
+            continue;
+        }
+        let (mut files, mut dirs) = (Vec::new(), vec![root.to_path_buf()]);
+        while let Some(dir) = dirs.pop() {
+            match std::fs::read_dir(&dir).and_then(|d| d.collect::<std::io::Result<Vec<_>>>()) {
+                Ok(entries) => {
+                    for path in entries.into_iter().map(|e| e.path()) {
+                        if path.is_dir() { dirs.push(path) } else { files.push(path) }
+                    }
+                }
+                Err(e) => set.errors.push(format!("{}: {e}", dir.display())),
+            }
+        }
+        files.sort();
+        for path in &files {
+            set.classify(root, path, false);
+        }
+    }
+    set
+}
+
+/// Run every reconciliation that applies to `set` (`repro check`):
+/// sample CSVs against the column schema and the attribution ledger,
+/// lineage streams against their sibling sample CSVs, expositions
+/// against the text format, oversub heatmaps against the knee detector
+/// and their `oversub.prom`, traces against the trace-event invariants.
+/// Returns the stdout lines (an OK line per trace and oversub file, a
+/// count line per other kind) and the failures as `<path>: <reason>`,
+/// I/O errors first.
+pub fn check_artefacts(set: &Artefacts) -> (Vec<String>, Vec<String>) {
+    let mut lines = Vec::new();
+    let mut failures = set.errors.clone();
+    let mut fail = |path: &Path, e: String| failures.push(format!("{}: {e}", path.display()));
+    for t in &set.traces {
+        match metrics::chrome::validate(&t.text) {
+            Ok(s) => lines.push(format!(
+                "{}: OK — {} process(es), {} events ({} leaf spans, {} containers, \
+                 {} instants), {} dropped",
+                t.path.display(),
+                s.processes,
+                s.events,
+                s.leaf_spans,
+                s.container_spans,
+                s.instants,
+                s.dropped,
+            )),
+            Err(e) => fail(&t.path, e),
+        }
+    }
+    let mut rows = 0;
+    for a in &set.samples {
+        match parse_rows(&a.text).and_then(|r| ledger(&r).map(|_| r.len())) {
+            Ok(n) => rows += n,
+            Err(e) => fail(&a.path, e),
+        }
+    }
+    for l in &set.lineages {
+        let csv = l.path.with_extension("csv");
+        let checked = match set.samples.iter().find(|a| a.path == csv) {
+            Some(a) => check_lineage(&l.text, l.sibling.as_deref(), &a.text),
+            None => Err(format!("no sample CSV {} to reconcile against", csv.display())),
+        };
+        if let Err(e) = checked {
+            fail(&l.path, e);
+        }
+    }
+    let mut series = 0;
+    for a in &set.expositions {
+        match metrics::exposition::validate(&a.text) {
+            Ok(s) => series += s.samples,
+            Err(e) => fail(&a.path, e),
+        }
+    }
+    for (n, what) in [
+        (set.samples.len(), format!("sample CSV(s) ({rows} samples) match the schema and ledger")),
+        (set.lineages.len(), "lineage artefact(s) reconciled against sample CSVs".into()),
+        (set.expositions.len(), format!("exposition(s) ({series} series) well-formed")),
+    ] {
+        if n > 0 {
+            lines.push(format!("{n} {what}"));
+        }
+    }
+    for o in &set.oversubs {
+        let (cells, cliffs) = match metrics::oversub::check_table(&o.text)
+            .and_then(|s| parse_table(&o.text).map(|t| (s, t)))
+        {
+            Ok((s, table)) => {
+                lines.push(format!(
+                    "{}: OK — {} cells, {} curves, {} cliff(s) reproduced",
+                    o.path.display(),
+                    s.cells,
+                    s.curves,
+                    s.cliffs_found,
+                ));
+                table
+            }
+            Err(e) => {
+                fail(&o.path, e);
+                continue;
+            }
+        };
+        let Some(prom) = &o.sibling else { continue };
+        fn keep(t: &str) -> Vec<&str> {
+            t.lines().filter(|l| l.contains("uvm_oversub")).collect()
+        }
+        let prom_path = o.path.with_file_name(OVERSUB_PROM);
+        if keep(prom) == keep(&render_oversub_exposition(&cells, &cliffs)) {
+            let n = keep(prom).len();
+            lines.push(format!("{}: OK — {n} uvm_oversub series match the tsv", prom_path.display()));
+        } else {
+            fail(&prom_path, "uvm_oversub_* exposition drifts from oversub.tsv".into());
+        }
+    }
+    (lines, failures)
 }
 
 /// The provenance ledger of one finished point, re-read from its sample
@@ -387,7 +624,8 @@ impl Ledger {
     /// Evicted-before-use share in integer basis points (the JSON form
     /// stays integer-valued like every other machine-readable metric).
     fn evict_before_use_bp(&self) -> u64 {
-        self.prefetch_evicted * 10_000 / (self.evicted_used + self.prefetch_evicted).max(1)
+        let total = (self.evicted_used as u128 + self.prefetch_evicted as u128).max(1);
+        (self.prefetch_evicted as u128 * 10_000 / total) as u64
     }
 
     /// Pages migrated by explicit hints, derivable from the byte total:
@@ -396,31 +634,36 @@ impl Ledger {
         self.h2d_bytes / PAGE_SIZE - self.faulted_in - self.prefetched
     }
 
-    fn merge(&mut self, o: &Ledger) {
-        self.faults += o.faults;
-        self.duplicates += o.duplicates;
-        self.faulted_in += o.faulted_in;
-        self.prefetched += o.prefetched;
-        self.cold += o.cold;
-        self.refault_used += o.refault_used;
-        self.refault_unused += o.refault_unused;
-        self.prefetch_hit += o.prefetch_hit;
-        self.replay_dup += o.replay_dup;
-        self.evicted_used += o.evicted_used;
-        self.prefetch_evicted += o.prefetch_evicted;
-        self.pages_evicted += o.pages_evicted;
-        self.h2d_bytes += o.h2d_bytes;
-        self.d2h_bytes += o.d2h_bytes;
+    fn merge(&mut self, o: &Ledger) -> Result<(), String> {
+        fn add(a: &mut u64, b: u64) -> Result<(), String> {
+            *a = a.checked_add(b).ok_or("merged attribution totals overflow u64")?;
+            Ok(())
+        }
+        add(&mut self.faults, o.faults)?;
+        add(&mut self.duplicates, o.duplicates)?;
+        add(&mut self.faulted_in, o.faulted_in)?;
+        add(&mut self.prefetched, o.prefetched)?;
+        add(&mut self.cold, o.cold)?;
+        add(&mut self.refault_used, o.refault_used)?;
+        add(&mut self.refault_unused, o.refault_unused)?;
+        add(&mut self.prefetch_hit, o.prefetch_hit)?;
+        add(&mut self.replay_dup, o.replay_dup)?;
+        add(&mut self.evicted_used, o.evicted_used)?;
+        add(&mut self.prefetch_evicted, o.prefetch_evicted)?;
+        add(&mut self.pages_evicted, o.pages_evicted)?;
+        add(&mut self.h2d_bytes, o.h2d_bytes)?;
+        add(&mut self.d2h_bytes, o.d2h_bytes)
     }
 }
 
-/// Re-read one point's ledger from its sample CSV and *reconcile* it:
-/// the per-cause attribution columns must partition the counter columns
-/// exactly. A mismatch is a corrupted or internally-inconsistent
-/// artefact — reported as `Err`, never papered over.
-fn read_ledger(name: &str, text: &str) -> Result<Ledger, String> {
-    let rows = parse_rows(text).map_err(|e| format!("{name}: {e}"))?;
-    let last = rows.last().ok_or_else(|| format!("{name}: no samples"))?;
+/// Re-read one point's ledger from its sample CSV rows' final row and
+/// *reconcile* it: the per-cause attribution columns must partition the
+/// counter columns exactly. The sums are taken in u128, so no doctored
+/// cell can wrap them back into balance. A mismatch is a corrupted or
+/// internally-inconsistent artefact — reported as `Err`, never papered
+/// over.
+fn ledger(rows: &[Vec<u64>]) -> Result<Ledger, String> {
+    let last = rows.last().ok_or("no samples")?;
     let l = Ledger {
         faults: last[col("faults_fetched")],
         duplicates: last[col("duplicate_faults")],
@@ -437,44 +680,53 @@ fn read_ledger(name: &str, text: &str) -> Result<Ledger, String> {
         h2d_bytes: last[col("migrated_bytes_h2d")],
         d2h_bytes: last[col("migrated_bytes_d2h")],
     };
-    let checks: [(&str, u64, u64); 4] = [
+    let w = |x: u64| x as u128;
+    let checks: [(&str, u128, u128); 4] = [
         (
             "cold + refault_used + refault_unused == pages_faulted_in",
-            l.cold + l.refault_used + l.refault_unused,
-            l.faulted_in,
+            w(l.cold) + w(l.refault_used) + w(l.refault_unused),
+            w(l.faulted_in),
         ),
         (
             "prefetch_hit + replay_dup == duplicate_faults",
-            l.prefetch_hit + l.replay_dup,
-            l.duplicates,
+            w(l.prefetch_hit) + w(l.replay_dup),
+            w(l.duplicates),
         ),
         (
             "sum of per-cause faults == faults_fetched",
-            l.cold + l.refault_used + l.refault_unused + l.prefetch_hit + l.replay_dup,
-            l.faults,
+            w(l.cold) + w(l.refault_used) + w(l.refault_unused) + w(l.prefetch_hit)
+                + w(l.replay_dup),
+            w(l.faults),
         ),
         (
             "evicted_used + prefetch_evicted == pages_evicted",
-            l.evicted_used + l.prefetch_evicted,
-            l.pages_evicted,
+            w(l.evicted_used) + w(l.prefetch_evicted),
+            w(l.pages_evicted),
         ),
     ];
     for (eq, lhs, rhs) in checks {
         if lhs != rhs {
             return Err(format!(
-                "{name}: attribution does not reconcile: {eq} violated ({lhs} != {rhs})"
+                "attribution does not reconcile: {eq} violated ({lhs} != {rhs})"
             ));
         }
     }
-    if l.h2d_bytes < (l.faulted_in + l.prefetched) * PAGE_SIZE {
+    let moved = (w(l.faulted_in) + w(l.prefetched)) * w(PAGE_SIZE);
+    if w(l.h2d_bytes) < moved {
         return Err(format!(
-            "{name}: attribution does not reconcile: H2D bytes {} below \
-             (pages_faulted_in + pages_prefetched) * page size {}",
+            "attribution does not reconcile: H2D bytes {} below \
+             (pages_faulted_in + pages_prefetched) * page size {moved}",
             l.h2d_bytes,
-            (l.faulted_in + l.prefetched) * PAGE_SIZE
         ));
     }
     Ok(l)
+}
+
+/// [`ledger`] of one sample CSV, errors prefixed with its name.
+fn read_ledger(a: &Artefact) -> Result<Ledger, String> {
+    parse_rows(&a.text)
+        .and_then(|rows| ledger(&rows))
+        .map_err(|e| format!("{}: {e}", a.name))
 }
 
 /// Percentage cell, `total == 0` rendering as a dash.
@@ -490,7 +742,7 @@ fn pct(part: u64, total: u64) -> String {
 /// the paper-style per-fault root-cause breakdown (§VI shape), entirely
 /// from run artefacts. Errs if any point's attribution columns fail to
 /// reconcile with its counter columns.
-pub fn render_explain(files: &[(String, String)], offenders_tsv: Option<&str>) -> Result<String, String> {
+pub fn render_explain(files: &[Artefact], offenders_tsv: Option<&str>) -> Result<String, String> {
     let mut out = String::new();
     let mut faults = Table::new(
         "fault decomposition by root cause (% of driver-observed faults)",
@@ -507,10 +759,10 @@ pub fn render_explain(files: &[(String, String)], offenders_tsv: Option<&str>) -
         ],
     );
     let mib = |b: u64| format!("{:.1}", b as f64 / (1 << 20) as f64);
-    for (name, text) in files {
-        let l = read_ledger(name, text)?;
+    for a in files {
+        let l = read_ledger(a)?;
         faults.row(vec![
-            name.clone(),
+            a.name.clone(),
             l.faults.to_string(),
             pct(l.cold, l.faults),
             pct(l.refault_used, l.faults),
@@ -519,7 +771,7 @@ pub fn render_explain(files: &[(String, String)], offenders_tsv: Option<&str>) -
             pct(l.replay_dup, l.faults),
         ]);
         pages.row(vec![
-            name.clone(),
+            a.name.clone(),
             mib(l.h2d_bytes),
             mib(l.faulted_in * PAGE_SIZE),
             mib(l.prefetched * PAGE_SIZE),
@@ -566,10 +818,10 @@ fn render_offender_table(tsv: &str) -> Result<String, String> {
 }
 
 /// Sum a dir's ledgers into one (each point reconciled on read).
-fn merged_ledger(files: &[(String, String)]) -> Result<Ledger, String> {
+fn merged_ledger(files: &[Artefact]) -> Result<Ledger, String> {
     let mut l = Ledger::default();
-    for (name, text) in files {
-        l.merge(&read_ledger(name, text)?);
+    for a in files {
+        l.merge(&read_ledger(a)?)?;
     }
     Ok(l)
 }
@@ -598,9 +850,9 @@ fn explain_delta_rows(a: &Ledger, b: &Ledger) -> [(&'static str, u64, u64); 10] 
 /// are the same sweep with prefetch on and off.
 pub fn render_explain_diff(
     a_label: &str,
-    a_files: &[(String, String)],
+    a_files: &[Artefact],
     b_label: &str,
-    b_files: &[(String, String)],
+    b_files: &[Artefact],
 ) -> Result<String, String> {
     let a = merged_ledger(a_files)?;
     let b = merged_ledger(b_files)?;
@@ -643,9 +895,9 @@ pub fn render_explain_diff(
 /// form). All values are integers; deltas are signed `B − A`.
 pub fn render_explain_diff_json(
     a_label: &str,
-    a_files: &[(String, String)],
+    a_files: &[Artefact],
     b_label: &str,
-    b_files: &[(String, String)],
+    b_files: &[Artefact],
 ) -> Result<String, String> {
     let a = merged_ledger(a_files)?;
     let b = merged_ledger(b_files)?;
@@ -655,26 +907,19 @@ pub fn render_explain_diff_json(
             ("points".to_string(), Value::U64(points as u64)),
         ])
     };
-    let mut rows: Vec<Value> = explain_delta_rows(&a, &b)
+    let bp = ("evict_before_use_bp", a.evict_before_use_bp(), b.evict_before_use_bp());
+    let rows: Vec<Value> = explain_delta_rows(&a, &b)
         .into_iter()
+        .chain([bp])
         .map(|(name, x, y)| {
             Value::Map(vec![
                 ("metric".to_string(), Value::Str(name.to_string())),
                 ("a".to_string(), Value::U64(x)),
                 ("b".to_string(), Value::U64(y)),
-                ("delta".to_string(), Value::I64(y as i64 - x as i64)),
+                ("delta".to_string(), Value::I64(y.wrapping_sub(x) as i64)),
             ])
         })
         .collect();
-    rows.push(Value::Map(vec![
-        ("metric".to_string(), Value::Str("evict_before_use_bp".to_string())),
-        ("a".to_string(), Value::U64(a.evict_before_use_bp())),
-        ("b".to_string(), Value::U64(b.evict_before_use_bp())),
-        (
-            "delta".to_string(),
-            Value::I64(b.evict_before_use_bp() as i64 - a.evict_before_use_bp() as i64),
-        ),
-    ]));
     let root = Value::Map(vec![
         ("a".to_string(), side(a_label, a_files.len())),
         ("b".to_string(), side(b_label, b_files.len())),
@@ -696,26 +941,21 @@ fn dist_pct(h: &Histogram, q: f64) -> String {
 /// Parse one point's lineage pair: the `.lineage` artefact plus, when
 /// present, the sibling `.flight.json` holding its flight-recorder dumps
 /// (the artefact itself carries only the event stream and totals).
-fn read_lineage_point(
-    name: &str,
-    lineage_text: &str,
-    flight_text: Option<&str>,
-) -> Result<LineageLog, String> {
-    let mut log = LineageLog::from_artefact(lineage_text).map_err(|e| format!("{name}: {e}"))?;
+fn read_lineage_point(lineage_text: &str, flight_text: Option<&str>) -> Result<LineageLog, String> {
+    let mut log = LineageLog::from_artefact(lineage_text)?;
     if let Some(fj) = flight_text {
-        log.dumps =
-            serde_json::from_str(fj).map_err(|e| format!("{name}: flight dumps: {e:?}"))?;
+        log.dumps = serde_json::from_str(fj).map_err(|e| format!("flight dumps: {e:?}"))?;
     }
     Ok(log)
 }
 
-/// Render the `repro lineage` analytics from
-/// `(name, artefact, flight-json)` blobs — per-kind lifecycle totals,
+/// Render the `repro lineage` analytics from loaded lineage streams —
+/// per-kind lifecycle totals,
 /// refault/reuse-distance histograms, and the prefetch→eviction
 /// antagonism chains, entirely from `.lineage` run artefacts. `block`
 /// narrows the output to one VABlock's lifecycle timeline per point.
 pub fn render_lineage(
-    files: &[(String, String, Option<String>)],
+    files: &[Artefact],
     block: Option<u64>,
 ) -> Result<String, String> {
     use LineageEventKind as K;
@@ -735,8 +975,10 @@ pub fn render_lineage(
         ],
     );
     let mut parsed = Vec::new();
-    for (name, text, flight) in files {
-        let log = read_lineage_point(name, text, flight.as_deref())?;
+    for l in files {
+        let name = &l.name;
+        let log = read_lineage_point(&l.text, l.sibling.as_deref())
+            .map_err(|e| format!("{name}: {e}"))?;
         totals.row(vec![
             name.clone(),
             log.total(K::FirstTouch).pages.to_string(),
@@ -823,24 +1065,25 @@ pub fn render_lineage(
 
 /// Reconcile one point's `.lineage` artefact (plus its `.flight.json`
 /// dumps, when any were captured) against its sample CSV (`repro
-/// lineage --check`): the per-kind page totals must partition the
-/// counter and attribution columns exactly, and the byte equations must
-/// close against the transfer totals. A mismatch means a corrupted or
+/// check`): the per-kind page totals must partition the counter and
+/// attribution columns exactly, and the byte equations must close
+/// against the transfer totals. Sums are taken in u128, so doctored
+/// cells cannot wrap into balance. A mismatch means a corrupted or
 /// internally-inconsistent artefact set — reported as `Err`.
 pub fn check_lineage(
-    name: &str,
     lineage_text: &str,
     flight_text: Option<&str>,
     csv_text: &str,
 ) -> Result<(), String> {
     use LineageEventKind as K;
-    let log = read_lineage_point(name, lineage_text, flight_text)?;
-    let rows = parse_rows(csv_text).map_err(|e| format!("{name}: {e}"))?;
-    let last = rows.last().ok_or_else(|| format!("{name}: no samples"))?;
-    let v = |n: &str| last[col(n)];
-    let pages = |k: K| log.total(k).pages;
-    let aux = |k: K| log.total(k).aux;
-    let checks: [(&str, u64, u64); 13] = [
+    let log = read_lineage_point(lineage_text, flight_text)?;
+    let rows = parse_rows(csv_text)?;
+    let last = rows.last().ok_or("no samples")?;
+    let v = |n: &str| last[col(n)] as u128;
+    let pages = |k: K| log.total(k).pages as u128;
+    let aux = |k: K| log.total(k).aux as u128;
+    let page = PAGE_SIZE as u128;
+    let checks: [(&str, u128, u128); 13] = [
         ("first_touch pages == attr_cold_faults", pages(K::FirstTouch), v("attr_cold_faults")),
         (
             "refault pages == attr refault faults",
@@ -867,23 +1110,25 @@ pub fn check_lineage(
         ("replay rounds == replays", pages(K::Replay), v("replays")),
         (
             "(migration + hint_prefetch) bytes == migrated_bytes_h2d",
-            (pages(K::Migration) + pages(K::HintPrefetch)) * PAGE_SIZE,
+            (pages(K::Migration) + pages(K::HintPrefetch)) * page,
             v("migrated_bytes_h2d"),
         ),
         (
             "(writeback + host_writeback) bytes == migrated_bytes_d2h",
-            (pages(K::Writeback) + pages(K::HostWriteback)) * PAGE_SIZE,
+            (pages(K::Writeback) + pages(K::HostWriteback)) * page,
             v("migrated_bytes_d2h"),
         ),
-        ("lineage events == lineage_events column", log.events_total(), v("lineage_events")),
-        ("dropped events == lineage_dropped column", log.dropped, v("lineage_dropped")),
-        ("flight dumps == flight_dumps column", log.dumps.len() as u64, v("flight_dumps")),
+        (
+            "lineage events == lineage_events column",
+            log.events_total() as u128,
+            v("lineage_events"),
+        ),
+        ("dropped events == lineage_dropped column", log.dropped as u128, v("lineage_dropped")),
+        ("flight dumps == flight_dumps column", log.dumps.len() as u128, v("flight_dumps")),
     ];
     for (eq, lhs, rhs) in checks {
         if lhs != rhs {
-            return Err(format!(
-                "{name}: lineage does not reconcile: {eq} violated ({lhs} != {rhs})"
-            ));
+            return Err(format!("lineage does not reconcile: {eq} violated ({lhs} != {rhs})"));
         }
     }
     Ok(())
@@ -912,7 +1157,7 @@ fn parse_rows(text: &str) -> Result<Vec<Vec<u64>>, String> {
 /// a per-point summary (Fig. 9/10 shape: time, faults, evictions, data
 /// moved, coverage) and a per-point fault-vs-eviction timeline (Fig. 8
 /// shape), down-sampled to at most `max_timeline_rows` rows.
-pub fn render_report(files: &[(String, String)], max_timeline_rows: usize) -> Result<String, String> {
+pub fn render_report(files: &[Artefact], max_timeline_rows: usize) -> Result<String, String> {
     let t_ns = col("t_ns");
     let faults = col("faults_fetched");
     let evictions = col("evictions");
@@ -933,7 +1178,7 @@ pub fn render_report(files: &[(String, String)], max_timeline_rows: usize) -> Re
         ],
     );
     let mut parsed = Vec::new();
-    for (name, text) in files {
+    for Artefact { name, text, .. } in files {
         let rows = parse_rows(text).map_err(|e| format!("{name}: {e}"))?;
         let last = rows.last().ok_or_else(|| format!("{name}: no samples"))?;
         summary.row(vec![
@@ -1275,9 +1520,9 @@ pub fn render_cliff_map(cells: &[OversubCell], cliffs: &[Cliff]) -> String {
 /// Render the oversub sweep's Prometheus exposition: the build-identity
 /// gauge plus every cell's `uvm_oversub_*` families and the per-curve
 /// cliff gauges, all labelled `experiment="oversub"`. Both `repro
-/// oversub` (writing `oversub.prom`) and `repro oversub --check`
-/// (re-deriving it from `oversub.tsv` alone) call this, so any drift
-/// between the two artefacts is a byte diff.
+/// oversub` (writing `oversub.prom`) and `repro check` (re-deriving it
+/// from `oversub.tsv` alone) call this, so any drift between the two
+/// artefacts is a byte diff.
 pub fn render_oversub_exposition(cells: &[OversubCell], cliffs: &[Cliff]) -> String {
     let mut exp = Exposition::new();
     push_build_info(&mut exp);
@@ -1285,20 +1530,26 @@ pub fn render_oversub_exposition(cells: &[OversubCell], cliffs: &[Cliff]) -> Str
     exp.render()
 }
 
-/// Base file name of a sample-CSV path, for sweep-index matching.
-fn base_name(path: &str) -> &str {
-    path.rsplit('/').next().unwrap_or(path)
+/// Write the oversub heatmap and its exposition into `dir` as
+/// `oversub.tsv` and `oversub.prom`, returning both paths.
+pub fn write_oversub(dir: &Path, cells: &[OversubCell], cliffs: &[Cliff]) -> std::io::Result<[PathBuf; 2]> {
+    std::fs::create_dir_all(dir)?;
+    let (tsv, prom) = (dir.join(OVERSUB_FILE), dir.join(OVERSUB_PROM));
+    std::fs::write(&tsv, metrics::oversub::render_table(cells, cliffs))?;
+    std::fs::write(&prom, render_oversub_exposition(cells, cliffs))?;
+    Ok([tsv, prom])
 }
 
 /// Render the oversubscription section of `repro report` from the
 /// artefacts alone: the cliff map from `oversub.tsv`, then — for every
 /// curve with a cliff whose bracketing per-point sample CSVs are on
 /// hand — a root-cause delta table across the cliff (the cell just
-/// below the cliff ratio vs the cell at it). Sample CSVs are matched by
-/// their sweep-index prefix (`{index:02}_…`), which is immune to
-/// workload/ratio label drift; missing CSVs skip the diff, never fail.
-pub fn render_oversub(tsv: &str, cell_csvs: &[(String, String)]) -> Result<String, String> {
-    let (cells, cliffs) = parse_table(tsv)?;
+/// below the cliff ratio vs the cell at it). The cell CSVs are the
+/// `samples` beside the heatmap, matched by their sweep-index prefix
+/// (`{index:02}_…`), which is immune to workload/ratio label drift;
+/// missing CSVs skip the diff, never fail.
+pub fn render_oversub(heatmap: &Artefact, samples: &[Artefact]) -> Result<String, String> {
+    let (cells, cliffs) = parse_table(&heatmap.text)?;
     let mut out = render_cliff_map(&cells, &cliffs);
     for cliff in cliffs.iter().filter(|c| c.ratio_centi != 0) {
         // Cell indices of this curve, in sweep order (= ratio-ascending:
@@ -1318,10 +1569,10 @@ pub fn render_oversub(tsv: &str, cell_csvs: &[(String, String)]) -> Result<Strin
         }
         let find = |idx: usize| {
             let prefix = format!("{idx:02}_");
-            cell_csvs
-                .iter()
-                .find(|(name, _)| base_name(name).starts_with(&prefix))
-                .cloned()
+            samples.iter().find(|a| {
+                a.path.parent() == heatmap.path.parent()
+                    && a.path.file_name().is_some_and(|n| n.to_string_lossy().starts_with(&prefix))
+            })
         };
         let (Some(fa), Some(fb)) = (find(curve[pos - 1]), find(curve[pos])) else {
             continue; // no per-point CSVs alongside the tsv — map only
@@ -1338,9 +1589,9 @@ pub fn render_oversub(tsv: &str, cell_csvs: &[(String, String)]) -> Result<Strin
         ));
         out.push_str(&render_explain_diff(
             &label(below),
-            &[fa],
+            std::slice::from_ref(fa),
             &label(&cells[curve[pos]]),
-            &[fb],
+            std::slice::from_ref(fb),
         )?);
     }
     Ok(out)
@@ -1352,6 +1603,16 @@ mod tests {
     use metrics::exposition;
     use metrics::timeseries::Sample;
     use metrics::{LineageConfig, LineageRecorder};
+
+    /// An in-memory artefact named `name`.
+    fn blob(name: &str, text: String) -> Artefact {
+        Artefact {
+            path: PathBuf::from(name),
+            name: name.to_string(),
+            text,
+            sibling: None,
+        }
+    }
 
     /// A lineage log consistent with the `point` fixture's final sample:
     /// all faults cold, 3 prefetched pages per fault, no evictions.
@@ -1502,7 +1763,10 @@ mod tests {
         rec.note_thrash_pin(4_500, 4, 3, 2, 2, &[]);
         let log = rec.take();
         let flight = serde_json::to_string_pretty(&log.dumps).expect("dumps serialize");
-        let files = vec![("p0".to_string(), log.to_artefact(), Some(flight))];
+        let files = vec![Artefact {
+            sibling: Some(flight),
+            ..blob("p0", log.to_artefact())
+        }];
         let out = render_lineage(&files, None).expect("lineage renders");
         assert!(out.contains("lineage event totals"));
         assert!(out.contains("refault / reuse distance analytics"));
@@ -1520,24 +1784,24 @@ mod tests {
         let p = point("regular", 0.5, 100);
         let art = p.lineage.to_artefact();
         let csv = p.timeseries.to_csv();
-        check_lineage("good", &art, None, &csv).expect("consistent pair reconciles");
+        check_lineage(&art, None, &csv).expect("consistent pair reconciles");
         // Tamper: the CSV claims one more event than the artefact holds.
         let mut bad = point("regular", 0.5, 100);
         bad.timeseries.samples[1].lineage_events = 4;
-        let err = check_lineage("bad", &art, None, &bad.timeseries.to_csv())
+        let err = check_lineage(&art, None, &bad.timeseries.to_csv())
             .expect_err("tampered pair must fail");
         assert!(err.contains("lineage does not reconcile"), "{err}");
         assert!(err.contains("lineage_events column"), "{err}");
         // Tamper the partition itself: cold faults disagree.
         let mut worse = point("regular", 0.5, 100);
         worse.timeseries.samples[1].attr_cold_faults = 99;
-        let err = check_lineage("worse", &art, None, &worse.timeseries.to_csv())
+        let err = check_lineage(&art, None, &worse.timeseries.to_csv())
             .expect_err("partition mismatch must fail");
         assert!(err.contains("attr_cold_faults"), "{err}");
         // A missing .flight.json while the CSV counted dumps is drift too.
         let mut dumped = point("regular", 0.5, 100);
         dumped.timeseries.samples[1].flight_dumps = 2;
-        let err = check_lineage("dumped", &art, None, &dumped.timeseries.to_csv())
+        let err = check_lineage(&art, None, &dumped.timeseries.to_csv())
             .expect_err("missing flight dumps must fail");
         assert!(err.contains("flight dumps"), "{err}");
     }
@@ -1545,7 +1809,7 @@ mod tests {
     #[test]
     fn explain_renders_decomposition_and_offenders() {
         let p = point("regular", 1.5, 100);
-        let files = vec![("regular_r1.50".to_string(), p.timeseries.to_csv())];
+        let files = vec![blob("regular_r1.50", p.timeseries.to_csv())];
         let tsv = render_offenders_tsv(std::slice::from_ref(&p));
         let out = render_explain(&files, Some(&tsv)).expect("explain renders");
         assert!(out.contains("fault decomposition by root cause"));
@@ -1561,10 +1825,36 @@ mod tests {
         // Corrupt the artefact: claim one fault was a refault without
         // taking it from the cold count — the partition no longer sums.
         p.timeseries.samples[1].attr_refault_used_faults = 1;
-        let files = vec![("bad".to_string(), p.timeseries.to_csv())];
+        let files = vec![blob("bad", p.timeseries.to_csv())];
         let err = render_explain(&files, None).expect_err("mismatch must fail");
         assert!(err.contains("does not reconcile"), "{err}");
         assert!(err.contains("pages_faulted_in"), "{err}");
+    }
+
+    #[test]
+    fn loader_follows_the_layout_and_check_runs_every_kind() {
+        let dir = std::env::temp_dir().join(format!("metricsio-layout-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_experiment(&dir, "fig1", &[point("regular", 0.5, 100)], None).expect("write");
+        // Beside the experiment dir: a figure CSV and two JSON files,
+        // only one of which starts the way a rendered trace does.
+        std::fs::write(dir.join("fig7.csv"), "x,y\n1,2\n").unwrap();
+        std::fs::write(dir.join("fig1.json"), "{}").unwrap();
+        let trace = format!("{}[]}}", metrics::chrome::TRACE_PREFIX);
+        std::fs::write(dir.join("trace.json"), trace).unwrap();
+        let set = load_artefacts(&[&dir]);
+        let kinds = [&set.samples, &set.lineages, &set.expositions, &set.offenders, &set.traces];
+        assert_eq!(kinds.map(Vec::len), [1, 1, 1, 1, 1], "{set:?}");
+        assert_eq!(set.samples[0].name, "fig1/00_regular_r0.50_density");
+        let (lines, failures) = check_artefacts(&set);
+        assert!(failures.is_empty() && lines.len() == 4, "{lines:?} {failures:?}");
+        // Named explicitly, any JSON is a trace; a missing path is an
+        // error, not an empty set.
+        let set = load_artefacts(&[dir.join("fig1.json"), dir.join("absent")]);
+        let (_, failures) = check_artefacts(&set);
+        assert_eq!(failures.len(), 2, "{failures:?}");
+        assert!(failures[1].contains("missing traceEvents array"));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1577,8 +1867,8 @@ mod tests {
         s.attr_refault_unused_faults = 40;
         s.attr_prefetch_evicted_pages = 40;
         s.pages_evicted = 40;
-        let fa = vec![("a".to_string(), a.timeseries.to_csv())];
-        let fb = vec![("b".to_string(), b.timeseries.to_csv())];
+        let fa = vec![blob("a", a.timeseries.to_csv())];
+        let fb = vec![blob("b", b.timeseries.to_csv())];
         let out = render_explain_diff("off", &fa, "on", &fb).expect("diff renders");
         assert!(out.contains("attribution diff"));
         assert!(out.contains("refault_unused_faults"));
@@ -1595,7 +1885,7 @@ mod tests {
     #[test]
     fn report_renders_summary_and_timeline() {
         let p = point("regular", 0.5, 100);
-        let files = vec![("regular_r0.50".to_string(), p.timeseries.to_csv())];
+        let files = vec![blob("regular_r0.50", p.timeseries.to_csv())];
         let out = render_report(&files, 16).expect("report renders");
         assert!(out.contains("per-run cost decomposition"));
         assert!(out.contains("regular_r0.50: fault/eviction timeline"));
@@ -1605,7 +1895,7 @@ mod tests {
 
     #[test]
     fn report_rejects_malformed_csv() {
-        let files = vec![("bad".to_string(), "nope\n1,2\n".to_string())];
+        let files = vec![blob("bad", "nope\n1,2\n".to_string())];
         assert!(render_report(&files, 16).is_err());
     }
 

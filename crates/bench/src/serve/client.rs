@@ -274,7 +274,7 @@ fn reconcile_artefacts(record: &Value) -> Vec<String> {
         return vec![format!("request {id}: ledger has no artefact list")];
     };
     let Some(prom) = artefacts.iter().find_map(|a| match a {
-        Value::Str(p) if p.ends_with("metrics.prom") => Some(p.clone()),
+        Value::Str(p) if p.ends_with(crate::metricsio::EXPERIMENT_MARKER) => Some(p.clone()),
         _ => None,
     }) else {
         return vec![format!("request {id}: no metrics.prom artefact")];

@@ -67,6 +67,10 @@ fn push_timers(out: &mut String, key: &str, t: &Timers) {
     close(out, "},");
 }
 
+/// How every document [`render`] writes begins: what tells a trace
+/// apart from other JSON in an artefact tree.
+pub const TRACE_PREFIX: &str = r#"{"traceEvents":"#;
+
 /// Render `points` as a Chrome-trace JSON document (compact, one event
 /// per `traceEvents` element). Deterministic: identical inputs produce
 /// byte-identical output (wall-clock stamps are carried under
@@ -81,7 +85,8 @@ pub fn render(points: &[ChromePoint]) -> String {
     let events: usize = points.iter().map(|p| p.spans.events.len() + p.faults.len()).sum();
     // Events average ~150 bytes; over-reserving only maps untouched pages.
     let mut out = String::with_capacity(1024 * points.len() + 176 * events);
-    out.push_str(r#"{"traceEvents":["#);
+    out.push_str(TRACE_PREFIX);
+    out.push('[');
     for (i, p) in points.iter().enumerate() {
         let pid = i + 1;
         let label = serde_json::to_string(&p.label).expect("serialize chrome trace label");
@@ -215,6 +220,7 @@ fn get<'a>(obj: &'a Value, key: &str) -> Option<&'a Value> {
 /// 6. per process, leaf `X` durations by category plus the recorded
 ///    dropped remainder equal the `uvmSim.points` timer totals.
 ///
+/// Sums saturate, so a doctored file errs instead of overflowing.
 /// Returns summary stats, or a description of the first violation.
 pub fn validate(json: &str) -> Result<TraceStats, String> {
     let doc: Value = serde_json::from_str(json).map_err(|e| format!("invalid JSON: {e}"))?;
@@ -358,7 +364,7 @@ pub fn validate(json: &str) -> Result<TraceStats, String> {
                     open_pass.iter_mut().rev().find(|(p, _, _)| *p == pid)
                 {
                     if ns >= *pass_start {
-                        *leaves += dns;
+                        *leaves = leaves.saturating_add(dns);
                     }
                 }
                 let per_cat = match leaf_ns.iter_mut().find(|(k, _)| *k == pid) {
@@ -369,7 +375,7 @@ pub fn validate(json: &str) -> Result<TraceStats, String> {
                     }
                 };
                 match per_cat.iter_mut().find(|(k, _)| *k == cat) {
-                    Some((_, total)) => *total += dns,
+                    Some((_, total)) => *total = total.saturating_add(dns),
                     None => per_cat.push((cat, dns)),
                 }
             }
@@ -394,7 +400,8 @@ pub fn validate(json: &str) -> Result<TraceStats, String> {
             let pid = get(p, "pid")
                 .and_then(as_u64)
                 .ok_or("uvmSim point missing pid")?;
-            stats.dropped += get(p, "spans_dropped").and_then(as_u64).unwrap_or(0);
+            let spans_dropped = get(p, "spans_dropped").and_then(as_u64).unwrap_or(0);
+            stats.dropped = stats.dropped.saturating_add(spans_dropped);
             let empty = Vec::new();
             let captured = leaf_ns
                 .iter()
@@ -414,7 +421,7 @@ pub fn validate(json: &str) -> Result<TraceStats, String> {
                     .iter()
                     .find(|(k, _)| k == label)
                     .map_or(0, |(_, v)| *v)
-                    + dropped;
+                    .saturating_add(dropped);
                 if got != want {
                     return Err(format!(
                         "pid {pid}: category `{label}` spans sum to {got}ns \
@@ -554,6 +561,15 @@ mod tests {
         ]}"#;
         let err = validate(json).unwrap_err();
         assert!(err.contains("pass"), "{err}");
+        // Leaves whose durations would overflow a u64 sum saturate and
+        // fail the same check instead of panicking.
+        let max = u64::MAX;
+        let leaf = format!(
+            r#"{{"name":"a","cat":"preprocess","ph":"X","ts":0.0,"dur":0.005,"pid":1,"tid":1,"args":{{"ns":0,"dns":{max}}}}},"#
+        );
+        let json = json.replacen(r#"{"name":"fetch_sort""#, &format!("{leaf}{leaf}{{\"name\":\"fetch_sort\""), 1);
+        let err = validate(&json).unwrap_err();
+        assert!(err.contains(&format!("sum to {max}ns")), "{err}");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! set, in insertion order — deterministic output); [`validate`] parses a
 //! rendered blob back and checks the format invariants (name and label
 //! legality, TYPE-before-sample, single declaration per family,
-//! non-negative counters), powering `repro check-metrics` and the format
+//! non-negative counters), powering `repro check` and the format
 //! unit tests.
 //!
 //! [text exposition format]: https://prometheus.io/docs/instrumenting/exposition_formats/

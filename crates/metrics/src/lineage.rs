@@ -409,8 +409,9 @@ impl LineageLog {
     /// Parse and *validate* a `.lineage` artefact: version line, the
     /// nine totals in order, known kinds, non-decreasing timestamps, and
     /// stored-event sums that match the exact totals (equality when
-    /// nothing was dropped, never exceeding them otherwise). Dumps are
-    /// not carried by the text artefact and come back empty.
+    /// nothing was dropped, never exceeding them otherwise), every sum
+    /// overflow-checked. Dumps are not carried by the text artefact and
+    /// come back empty.
     pub fn from_artefact(text: &str) -> Result<LineageLog, String> {
         let mut lines = text.lines();
         let head = lines.next().ok_or("lineage artefact is empty")?;
@@ -441,6 +442,9 @@ impl LineageLog {
                 pages: num(cells[3])?,
                 aux: num(cells[4])?,
             });
+        }
+        if totals.iter().try_fold(0u64, |n, t| n.checked_add(t.events)).is_none() {
+            return Err("lineage event totals overflow u64".into());
         }
         let columns = lines.next().ok_or("missing lineage column header")?;
         if columns != ARTEFACT_COLUMNS {
@@ -476,9 +480,10 @@ impl LineageLog {
             }
             last_t = e.t_ns;
             let s = &mut seen[kind.index()];
+            let overflow = || format!("lineage {} row sums overflow u64", kind.name());
             s.events += 1;
-            s.pages += e.pages;
-            s.aux += e.aux;
+            s.pages = s.pages.checked_add(e.pages).ok_or_else(overflow)?;
+            s.aux = s.aux.checked_add(e.aux).ok_or_else(overflow)?;
             events.push(e);
         }
         for kind in LineageEventKind::ALL {
@@ -1014,6 +1019,27 @@ mod tests {
         ];
         let err = LineageLog::from_artefact(&log.to_artefact()).expect_err("regressing t");
         assert!(err.contains("regress"), "{err}");
+    }
+
+    #[test]
+    fn artefact_sums_are_overflow_checked() {
+        let ft = LineageEventKind::FirstTouch;
+        let mut r = LineageRecorder::new(&cfg());
+        ev(&mut r, ft, 10, 1, 0, 1, 0);
+        let good = r.take().to_artefact();
+        // Rows whose pages wrap a u64 sum back to the recorded total.
+        let rows = format!("first_touch,{},0\nevent,10,1,0,first_touch,2,0", u64::MAX);
+        let bad = good
+            .replace("total,first_touch,1,1,", "total,first_touch,2,1,")
+            .replace("first_touch,1,0", &rows);
+        let err = LineageLog::from_artefact(&bad).expect_err("wrapping rows");
+        assert!(err.contains("overflow"), "{err}");
+        // Per-kind event totals that cannot be summed are refused too.
+        let bad = good
+            .replace("total,first_touch,1,", &format!("total,first_touch,{},", u64::MAX))
+            .replace("total,refault,0,", "total,refault,1,");
+        let err = LineageLog::from_artefact(&bad).expect_err("unsummable totals");
+        assert!(err.contains("overflow"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Everything here is integer arithmetic over simulated counters, so a
 //! rendered artefact is a pure function of the sweep's `SimReport`s and
-//! `repro oversub --check` can re-derive every derived column and cliff
+//! `repro check` can re-derive every derived column and cliff
 //! from the raw columns alone — byte-identical or exit 1.
 
 use crate::exposition::{Exposition, MetricDef, MetricKind};
@@ -40,17 +40,17 @@ pub struct OversubCell {
 impl OversubCell {
     /// Block evictions per kilo-fault (integer milli ratio).
     pub fn evictions_per_fault_milli(&self) -> u64 {
-        self.evictions * 1000 / self.faults.max(1)
+        per(self.evictions, 1000, self.faults)
     }
 
     /// Refaults per fault, in basis points.
     pub fn refault_rate_bp(&self) -> u64 {
-        self.refault_faults * 10_000 / self.faults.max(1)
+        per(self.refault_faults, 10_000, self.faults)
     }
 
     /// Evicted-before-use share of evicted pages, in basis points.
     pub fn evict_before_use_bp(&self) -> u64 {
-        self.prefetch_evicted_pages * 10_000 / self.pages_evicted.max(1)
+        per(self.prefetch_evicted_pages, 10_000, self.pages_evicted)
     }
 
     /// Footprint-normalised cost: simulated nanoseconds per footprint
@@ -65,6 +65,12 @@ impl OversubCell {
     pub fn ratio_label(&self) -> String {
         ratio_label(self.ratio_centi)
     }
+}
+
+/// `n * scale / d` (`d` clamped to 1) without intermediate overflow,
+/// saturating at `u64::MAX`, so a doctored heatmap cannot panic a check.
+fn per(n: u64, scale: u64, d: u64) -> u64 {
+    u64::try_from(n as u128 * scale as u128 / d.max(1) as u128).unwrap_or(u64::MAX)
 }
 
 /// Format a centi-ratio as its canonical two-decimal label.
@@ -540,6 +546,14 @@ mod tests {
         // Drop the cliffs section entirely.
         let truncated = text.split(CLIFFS_MARKER).next().unwrap().to_string();
         assert!(parse_table(&truncated).is_err());
+        // A raw count too large for the derived arithmetic is an error,
+        // not an overflow.
+        let mut lines: Vec<String> = text.lines().map(String::from).collect();
+        let col = lines[0].split('\t').position(|c| c == "evictions").unwrap();
+        let mut row: Vec<String> = lines[1].split('\t').map(String::from).collect();
+        row[col] = u64::MAX.to_string();
+        lines[1] = row.join("\t");
+        assert!(check_table(&(lines.join("\n") + "\n")).is_err());
     }
 
     #[test]

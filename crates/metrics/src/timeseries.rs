@@ -276,7 +276,7 @@ pub struct CsvStats {
 
 /// Validate a sample-CSV blob against the schema: exact header, all-u64
 /// cells, strictly increasing `t_ns`, and non-decreasing cumulative
-/// columns. Powering `repro check-metrics` and the format unit tests.
+/// columns. Powering `repro check` and the format unit tests.
 pub fn validate_csv(text: &str) -> Result<CsvStats, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty CSV")?;

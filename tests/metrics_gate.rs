@@ -1,34 +1,14 @@
 //! End-to-end checks of the `repro` metrics surface through the real
 //! binary: `--metrics-out` artefact emission + reconciliation against the
-//! perf report, `check-metrics`/`report` consumption, and the
+//! perf report, `check`/`report` consumption (including the non-zero
+//! exit on each kind of doctored artefact), and the
 //! `regress`/`trend-import` CI gate (including the non-zero exit on a
 //! doctored baseline).
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("spawn repro")
-}
-
-fn stdout(o: &Output) -> String {
-    String::from_utf8_lossy(&o.stdout).into_owned()
-}
-
-fn stderr(o: &Output) -> String {
-    String::from_utf8_lossy(&o.stderr).into_owned()
-}
-
-/// Fresh scratch dir under the target tmpdir, namespaced per test.
-fn scratch(test: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(test);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use common::{repro, scratch, stderr, stdout};
+use std::path::Path;
 
 /// Every value of a `name{...} value` family in an exposition, in order.
 fn prom_values(text: &str, family: &str) -> Vec<u64> {
@@ -60,8 +40,8 @@ fn metrics_out_reconciles_with_perf_report() {
     assert!(run.status.success(), "repro failed: {}", stderr(&run));
 
     // The emitted artefacts re-validate through the CLI.
-    let check = repro(&["check-metrics", metrics_dir.to_str().unwrap()]);
-    assert!(check.status.success(), "check-metrics: {}", stderr(&check));
+    let check = repro(&["check", metrics_dir.to_str().unwrap()]);
+    assert!(check.status.success(), "check: {}", stderr(&check));
     assert!(stdout(&check).contains("0 failure(s)"));
 
     // Exposition totals reconcile exactly with the perf report's
@@ -94,28 +74,14 @@ fn metrics_out_reconciles_with_perf_report() {
     // And with the sample CSVs: summed final-row faults match the perf
     // report, and the per-point fault totals match the exposition's
     // labelled series one-for-one.
-    let mut csv_faults = 0u64;
-    let mut csv_point_faults = Vec::new();
-    let mut csvs: Vec<_> = std::fs::read_dir(metrics_dir.join("fig1"))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "csv"))
+    // (`repro check` above already validated every CSV's schema.)
+    let samples = bench::metricsio::load_artefacts(&[&metrics_dir]).samples;
+    assert!(samples.len() > 10, "fig1 sweeps many points");
+    let mut csv_point_faults: Vec<u64> = samples
+        .iter()
+        .map(|a| a.text.lines().last().unwrap().split(',').nth(1).unwrap().parse().unwrap())
         .collect();
-    csvs.sort();
-    assert!(csvs.len() > 10, "fig1 sweeps many points");
-    for path in &csvs {
-        let text = std::fs::read_to_string(path).unwrap();
-        metrics::timeseries::validate_csv(&text).expect("sample CSV validates");
-        let last: Vec<u64> = text
-            .lines()
-            .last()
-            .unwrap()
-            .split(',')
-            .map(|c| c.parse().unwrap())
-            .collect();
-        csv_point_faults.push(last[1]);
-        csv_faults += last[1];
-    }
+    let csv_faults: u64 = csv_point_faults.iter().sum();
     assert_eq!(csv_faults, sim_faults, "sample CSVs vs perf report faults");
     let mut prom_point_faults = prom_values(&prom, "uvm_faults_fetched_total");
     prom_point_faults.sort_unstable();
@@ -131,6 +97,94 @@ fn metrics_out_reconciles_with_perf_report() {
     let text = stdout(&report);
     assert!(text.contains("per-run cost decomposition"));
     assert!(text.contains("fault/eviction timeline"));
+}
+
+/// Copy a file, or a directory tree recursively.
+fn copy_tree(src: &Path, dst: &Path) {
+    if src.is_file() {
+        std::fs::copy(src, dst).expect("copy file");
+        return;
+    }
+    std::fs::create_dir_all(dst).expect("create copy dir");
+    for entry in std::fs::read_dir(src).expect("read copy source") {
+        let path = entry.expect("dir entry").path();
+        copy_tree(&path, &dst.join(path.file_name().unwrap()));
+    }
+}
+
+#[test]
+fn check_passes_clean_tree_and_fails_each_doctored_kind() {
+    let dir = scratch("check_gate");
+    let clean = dir.join("clean");
+    let arg = |p: &str| clean.join(p).to_str().unwrap().to_string();
+    let (out, metrics, trace) = (arg("out"), arg("metrics"), arg("trace.json"));
+    let run = repro(&["fig1", "--scale", "128", "--no-progress", "--out", &out]
+        .into_iter()
+        .chain(["--metrics-out", &metrics, "--trace-out", &trace])
+        .collect::<Vec<_>>());
+    assert!(run.status.success(), "repro failed: {}", stderr(&run));
+    let ok = repro(&["check", &arg("")]);
+    let text = stdout(&ok);
+    assert_eq!(ok.status.code(), Some(0), "clean tree: {}", stderr(&ok));
+    assert!(text.contains("trace.json: OK") && text.ends_with("\n0 failure(s)\n"), "{text}");
+
+    // The first point is undersubscribed: no refaults, no evictions. One
+    // more cold fault plus a u64::MAX refault count wraps a u64 fault
+    // sum back to the true total, which a wrapping ledger would miss.
+    let point = "metrics/fig1/00_regular_r0.01_disabled";
+    let csv = std::fs::read_to_string(arg(&format!("{point}.csv"))).unwrap();
+    let col = |name: &str| csv.lines().next().unwrap().split(',').position(|c| c == name).unwrap();
+    let (cold, used) = (col("attr_cold_faults"), col("attr_refault_used_faults"));
+    let last = csv.lines().last().unwrap();
+    let mut row: Vec<u64> = last.split(',').map(|c| c.parse().unwrap()).collect();
+    assert_eq!(row[used], 0, "fixture point must have no refaults");
+    row[cold] += 1;
+    row[used] = u64::MAX;
+    let wrapped: Vec<String> = row.iter().map(u64::to_string).collect();
+    let prom = std::fs::read_to_string(arg("metrics/fig1/metrics.prom")).unwrap();
+    let faults = prom.lines().find(|l| l.starts_with("uvm_faults_fetched_total{")).unwrap();
+    let negative = format!("{} -5", faults.rsplit_once(' ').unwrap().0);
+    // (kind, copied artefact, doctored file, text, replacement, message);
+    // an empty text stands for the whole file.
+    let cases = [
+        ("csv", "metrics", format!("{point}.csv"), last, wrapped.join(","), "does not reconcile"),
+        ("lineage", "metrics", format!("{point}.lineage"), "total,eviction,0,0,0", "total,eviction,0,1,0".into(), "lineage"),
+        ("trace", "trace.json", "trace.json".into(), "", r#"{"traceEvents":5}"#.into(), "missing traceEvents array"),
+        ("prom", "metrics", "metrics/fig1/metrics.prom".into(), faults, negative, "negative counter"),
+    ];
+    for (kind, src, file, from, to, message) in cases {
+        // Each case copies only what it doctors, so the large trace is
+        // validated once, on the clean tree.
+        let (copy, path) = (dir.join(kind), dir.join(kind).join(&file));
+        std::fs::create_dir_all(&copy).unwrap();
+        copy_tree(&clean.join(src), &copy.join(src));
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doctored = if from.is_empty() { to } else { text.replacen(from, &to, 1) };
+        assert_ne!(doctored, text, "{kind}: fixture must actually tamper");
+        std::fs::write(&path, doctored).unwrap();
+        let bad = repro(&["check", copy.to_str().unwrap()]);
+        let err = stderr(&bad);
+        assert_eq!(bad.status.code(), Some(1), "{kind}: {err}");
+        let fail = format!("FAIL {}: ", path.display());
+        assert!(err.contains(&fail) && err.contains(message), "{kind}: {err}");
+        assert!(!err.contains("panicked"), "{kind}: {err}");
+    }
+
+    // A path that does not exist is a failure, not a clean run.
+    let missing = repro(&["check", &arg("absent")]);
+    assert_eq!(missing.status.code(), Some(1), "{}", stderr(&missing));
+    // The per-kind check commands are gone: each is a usage error. The
+    // retired names are spelled in parts so they appear nowhere else.
+    let retired = [["check", "metrics"].join("-"), ["check", "trace"].join("-")];
+    for args in [
+        vec![&*retired[0], &metrics],
+        vec![&*retired[1], &trace],
+        vec!["lineage", "--check", &metrics],
+        vec!["oversub", "--check", &metrics],
+    ] {
+        let gone = repro(&args);
+        assert_eq!(gone.status.code(), Some(2), "{args:?}: {}", stderr(&gone));
+    }
 }
 
 #[test]

@@ -1,34 +1,13 @@
 //! End-to-end checks of the oversubscription observatory through the
 //! real binary: `repro oversub` artefact emission, bit-identical output
-//! across host thread counts and planning widths, the `--check`
+//! across host thread counts and planning widths, the `repro check`
 //! artefact-only verification (including the non-zero exit on a
 //! doctored heatmap), and the `report` cliff-map rendering.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-fn repro(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(args)
-        .output()
-        .expect("spawn repro")
-}
-
-fn stdout(o: &Output) -> String {
-    String::from_utf8_lossy(&o.stdout).into_owned()
-}
-
-fn stderr(o: &Output) -> String {
-    String::from_utf8_lossy(&o.stderr).into_owned()
-}
-
-/// Fresh scratch dir under the target tmpdir, namespaced per test.
-fn scratch(test: &str) -> PathBuf {
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(test);
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
+use common::{repro, scratch, stderr, stdout};
+use std::path::Path;
 
 /// Run the small-grid sweep into `out`, with extra flags appended.
 fn run_small(out: &Path, extra: &[&str]) {
@@ -75,8 +54,8 @@ fn oversub_artefacts_are_bit_identical_across_threads() {
     );
 
     // The artefacts re-verify from disk alone.
-    let check = repro(&["oversub", "--check", base.to_str().unwrap()]);
-    assert!(check.status.success(), "oversub --check: {}", stderr(&check));
+    let check = repro(&["check", base.to_str().unwrap()]);
+    assert!(check.status.success(), "check: {}", stderr(&check));
     assert!(stdout(&check).contains("cliff(s) reproduced"), "{}", stdout(&check));
     assert!(stdout(&check).contains("match the tsv"), "{}", stdout(&check));
 }
@@ -93,16 +72,16 @@ fn oversub_check_fails_on_doctored_artefacts() {
     let doctored = format!("{}#cliffs{}", head.replacen("\t8750\n", "\t8751\n", 1), tail);
     assert_ne!(doctored, clean, "fixture must actually tamper a row");
     std::fs::write(&tsv_path, &doctored).unwrap();
-    let check = repro(&["oversub", "--check", dir.to_str().unwrap()]);
-    assert!(!check.status.success(), "doctored tsv must fail --check");
+    let check = repro(&["check", dir.to_str().unwrap()]);
+    assert!(!check.status.success(), "doctored tsv must fail check");
     assert!(stderr(&check).contains("derived column"), "{}", stderr(&check));
 
     // Moving a recorded cliff row contradicts the knee detector.
     let doctored = format!("{head}#cliffs{}", tail.replacen("\t150\t", "\t175\t", 1));
     assert_ne!(doctored, clean);
     std::fs::write(&tsv_path, &doctored).unwrap();
-    let check = repro(&["oversub", "--check", dir.to_str().unwrap()]);
-    assert!(!check.status.success(), "moved cliff must fail --check");
+    let check = repro(&["check", dir.to_str().unwrap()]);
+    assert!(!check.status.success(), "moved cliff must fail check");
     assert!(stderr(&check).contains("knee detector"), "{}", stderr(&check));
 
     // A prom value that drifts from the tsv fails the reconciliation.
@@ -114,8 +93,8 @@ fn oversub_check_fails_on_doctored_artefacts() {
         .find(|l| l.starts_with("uvm_oversub_faults{"))
         .expect("a cell gauge");
     std::fs::write(&prom_path, prom.replacen(line, &format!("{line}0"), 1)).unwrap();
-    let check = repro(&["oversub", "--check", dir.to_str().unwrap()]);
-    assert!(!check.status.success(), "drifted prom must fail --check");
+    let check = repro(&["check", dir.to_str().unwrap()]);
+    assert!(!check.status.success(), "drifted prom must fail check");
     assert!(stderr(&check).contains("drifts from oversub.tsv"), "{}", stderr(&check));
 }
 
@@ -128,8 +107,8 @@ fn oversub_report_renders_cliff_map_and_bracket_diffs() {
     // The heatmap lands beside the per-point CSVs, and the generic
     // metrics validators still pass over the mixed tree.
     assert!(metrics.join("oversub/oversub.tsv").exists());
-    let check = repro(&["check-metrics", metrics.to_str().unwrap()]);
-    assert!(check.status.success(), "check-metrics: {}", stderr(&check));
+    let check = repro(&["check", metrics.to_str().unwrap()]);
+    assert!(check.status.success(), "check: {}", stderr(&check));
 
     let report = repro(&["report", metrics.to_str().unwrap()]);
     assert!(report.status.success(), "report: {}", stderr(&report));

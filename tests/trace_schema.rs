@@ -11,8 +11,11 @@ use metrics::{
     TraceEvent,
 };
 use sim_engine::{SimDuration, SimTime};
-use std::process::Command;
 use uvm_sim::{SimReport, WorkloadKind};
+
+mod common;
+
+use common::{repro, scratch, stderr};
 
 /// One oversubscribed QUICK-scale run (faults, migrations, evictions and
 /// replays all exercised) with span recording at `span_capacity`.
@@ -182,35 +185,30 @@ fn render_is_the_serializers_canonical_form() {
     assert_eq!(stats.instants, 2 + 3, "replay markers plus page instants");
 }
 
-/// An unwritable `--trace-out` path is an I/O error, not a panic.
+/// An unwritable `--trace-out` path is an I/O error, not a panic; so is
+/// an out-of-range `--scale`.
 #[test]
 fn trace_out_under_a_regular_file_exits_cleanly() {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_out_unwritable");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let dir = scratch("trace_out_unwritable");
     let blocker = dir.join("not-a-dir");
     std::fs::write(&blocker, "").expect("create regular file");
-    let trace = blocker.join("sub").join("trace.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["table1", "--scale", "128", "--no-progress", "--out"])
-        .arg(dir.join("out"))
-        .arg("--trace-out")
-        .arg(&trace)
-        .output()
-        .expect("spawn repro");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("error: write trace"), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
-
-    // The same for the `--out` artefact directory itself.
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["table1", "--scale", "128", "--no-progress", "--json", "--out"])
-        .arg(blocker.join("sub"))
-        .output()
-        .expect("spawn repro");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("error:"), "stderr: {stderr}");
-    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let (out_dir, sub, trace) = (dir.join("out"), blocker.join("sub"), blocker.join("sub/t.json"));
+    let (out_dir, sub, trace) = (out_dir.to_str().unwrap(), sub.to_str().unwrap(), trace.to_str().unwrap());
+    let cases = [
+        // An unwritable `--trace-out`, then an unwritable `--out` itself.
+        (vec!["table1", "--scale", "128", "--out", out_dir, "--trace-out", trace], 1, "error: write trace"),
+        (vec!["table1", "--scale", "128", "--json", "--out", sub], 1, "error:"),
+        // A non-finite `--scale` is a usage error; a huge finite one runs
+        // on the 8 MiB device floor instead of sizing workloads to zero.
+        (vec!["fig1", "--scale", "inf", "--out", out_dir], 2, "error: --scale"),
+        (vec!["fig1", "--scale", "1e9", "--out", out_dir], 0, ""),
+    ];
+    for (mut args, code, message) in cases {
+        args.push("--no-progress");
+        let out = repro(&args);
+        let stderr = stderr(&out);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }
