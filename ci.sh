@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gates.
 #
-#   ./ci.sh            per-push gate: build, full test suite, the
-#                      perfbench self-tests, quick-scale end-to-end
+#   ./ci.sh            per-push gate: build, full test suite, rustdoc
+#                      with warnings denied, the perfbench
+#                      self-tests, quick-scale end-to-end
 #                      repro (~1 min on one core), a traced
 #                      + telemetry-sampled fig1, the small-grid
 #                      oversubscription observatory, the `repro serve`
@@ -33,6 +34,10 @@ case "$target" in
 push)
     echo "== cargo test =="
     cargo test -q --workspace
+
+    echo "== cargo doc (warnings are errors) =="
+    # A doc link left dangling by a deleted or renamed item fails here.
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
     echo "== perfbench self-tests (pinned digests, mirror parity) =="
     # The benchmark is its own cargo package; its self-tests pin the

@@ -284,7 +284,7 @@ pub fn fig7(scale: Scale) -> Artifact {
             (
                 cfg_with(scale, |d| {
                     d.prefetch = PrefetchPolicy::Disabled;
-                    d.capture_trace = true;
+                    d.trace_capacity = Some(metrics::DEFAULT_TRACE_CAPACITY);
                 }),
                 scale.workload(k, 0.4),
             )
@@ -323,7 +323,7 @@ pub fn fig7(scale: Scale) -> Artifact {
 pub fn fig8(scale: Scale) -> Artifact {
     let w = sgemm_at_ratio(scale, 1.27);
     let mut cfg = sgemm_config(scale);
-    cfg.driver.capture_trace = true;
+    cfg.driver.trace_capacity = Some(metrics::DEFAULT_TRACE_CAPACITY);
     let r = uvm_sim::run(&cfg, &w);
 
     let mut csv = String::from("order,page,kind\n");

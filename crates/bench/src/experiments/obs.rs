@@ -15,7 +15,7 @@
 //! the log stays readable.
 
 use crate::metricsio::MetricsPoint;
-use metrics::{ChromePoint, LineageConfig, TimeseriesConfig};
+use metrics::{ChromePoint, TimeseriesConfig};
 use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -177,18 +177,13 @@ pub fn instrument_points(points: &mut [(SimConfig, Workload)]) {
     if interval_ns > 0 {
         let capacity = METRICS_CAPACITY.load(Ordering::Relaxed);
         for (config, _) in points.iter_mut() {
-            config.driver.timeseries = TimeseriesConfig {
-                enabled: true,
+            // Sampling also arms the driver's fault lineage: the
+            // `.lineage` artefact is what `repro lineage` and the
+            // reconciliation gate consume.
+            config.driver.timeseries = Some(TimeseriesConfig {
                 interval_ns,
                 capacity,
-            };
-            // Telemetry runs also collect fault lineage: the `.lineage`
-            // artefact is what `repro lineage` and the reconciliation
-            // gate consume.
-            config.driver.lineage = LineageConfig {
-                enabled: true,
-                ..LineageConfig::default()
-            };
+            });
         }
     }
     if !tracing_enabled() {
@@ -196,10 +191,8 @@ pub fn instrument_points(points: &mut [(SimConfig, Workload)]) {
     }
     let cap = SPAN_CAPACITY.load(Ordering::Relaxed);
     for (config, _) in points.iter_mut() {
-        config.driver.record_spans = true;
-        config.driver.span_capacity = cap;
-        config.driver.capture_trace = true;
-        config.driver.trace_capacity = FAULT_EVENT_CAPACITY;
+        config.driver.span_capacity = Some(cap);
+        config.driver.trace_capacity = Some(FAULT_EVENT_CAPACITY);
     }
 }
 
@@ -354,12 +347,11 @@ mod tests {
     fn armed_tracing_instruments_and_collects() {
         let s = Scale::QUICK;
         let mut points = vec![(s.config(), s.workload(WorkloadKind::Regular, 0.05))];
-        assert!(!points[0].0.driver.record_spans);
+        assert_eq!(points[0].0.driver.span_capacity, None);
         enable_tracing(1 << 14);
         instrument_points(&mut points);
-        assert!(points[0].0.driver.record_spans);
-        assert!(points[0].0.driver.capture_trace);
-        assert_eq!(points[0].0.driver.span_capacity, 1 << 14);
+        assert_eq!(points[0].0.driver.span_capacity, Some(1 << 14));
+        assert_eq!(points[0].0.driver.trace_capacity, Some(FAULT_EVENT_CAPACITY));
 
         let reports = uvm_sim::run_sweep(points);
         collect_reports(&reports);
@@ -386,13 +378,16 @@ mod tests {
     fn armed_metrics_instrument_and_collect() {
         let s = Scale::QUICK;
         let mut points = vec![(s.config(), s.workload(WorkloadKind::Regular, 0.05))];
-        assert!(!points[0].0.driver.timeseries.enabled);
+        assert_eq!(points[0].0.driver.timeseries, None);
         enable_metrics(100_000, 512);
         instrument_points(&mut points);
-        assert!(points[0].0.driver.timeseries.enabled);
-        assert_eq!(points[0].0.driver.timeseries.interval_ns, 100_000);
-        assert_eq!(points[0].0.driver.timeseries.capacity, 512);
-        assert!(points[0].0.driver.lineage.enabled, "metrics arming also arms lineage");
+        assert_eq!(
+            points[0].0.driver.timeseries,
+            Some(TimeseriesConfig {
+                interval_ns: 100_000,
+                capacity: 512,
+            })
+        );
 
         let policies = vec![points[0].0.driver.prefetch.label()];
         let reports = uvm_sim::run_sweep(points);
@@ -407,13 +402,11 @@ mod tests {
             let last = p.timeseries.last().expect("armed run produced samples");
             assert_eq!(last.faults_fetched, p.counters.faults_fetched, "{}", p.workload);
             assert_eq!(last.migrated_bytes_h2d, p.h2d_bytes, "{}", p.workload);
-            assert!(!p.lineage.is_empty(), "armed run produced lineage ({})", p.workload);
+            assert!(!p.lineage.is_empty(), "metrics arming also arms lineage ({})", p.workload);
             assert_eq!(last.lineage_events, p.lineage.events_total(), "{}", p.workload);
             p.lineage
-                .reconcile(&p.counters, &p.attribution)
-                .unwrap_or_else(|(what, lhs, rhs)| {
-                    panic!("{}: lineage does not reconcile: {what}: {lhs} != {rhs}", p.workload)
-                });
+                .reconcile(last)
+                .unwrap_or_else(|e| panic!("{}: {e}", p.workload));
         }
         let rendered = crate::metricsio::render_exposition(&collected, None);
         metrics::exposition::validate(&rendered).expect("collected points render validly");

@@ -23,7 +23,7 @@ use metrics::lineage::analyze;
 use metrics::oversub::{parse_table, ratio_label, Cliff, OversubCell};
 use metrics::report::Table;
 use metrics::sched::{SWEEP_MAX_STRAGGLER_MS, SWEEP_POINTS, SWEEP_POINTS_STOLEN, SWEEP_THREADS};
-use metrics::timeseries::{validate_csv, SAMPLE_COLUMNS};
+use metrics::timeseries::{last_sample, validate_csv, SAMPLE_COLUMNS};
 use metrics::{
     Attribution, Counters, Exposition, Histogram, LineageEventKind, LineageLog, Offender,
     SweepSchedStats, Timeseries, ATTRIBUTION_REGISTRY, COUNTER_REGISTRY,
@@ -1064,74 +1064,17 @@ pub fn render_lineage(
 }
 
 /// Reconcile one point's `.lineage` artefact (plus its `.flight.json`
-/// dumps, when any were captured) against its sample CSV (`repro
-/// check`): the per-kind page totals must partition the counter and
-/// attribution columns exactly, and the byte equations must close
-/// against the transfer totals. Sums are taken in u128, so doctored
-/// cells cannot wrap into balance. A mismatch means a corrupted or
+/// dumps, when any were captured) against the final row of its sample
+/// CSV (`repro check`), through [`LineageLog::reconcile`] — the same
+/// equations the live run is held to. A mismatch means a corrupted or
 /// internally-inconsistent artefact set — reported as `Err`.
 pub fn check_lineage(
     lineage_text: &str,
     flight_text: Option<&str>,
     csv_text: &str,
 ) -> Result<(), String> {
-    use LineageEventKind as K;
     let log = read_lineage_point(lineage_text, flight_text)?;
-    let rows = parse_rows(csv_text)?;
-    let last = rows.last().ok_or("no samples")?;
-    let v = |n: &str| last[col(n)] as u128;
-    let pages = |k: K| log.total(k).pages as u128;
-    let aux = |k: K| log.total(k).aux as u128;
-    let page = PAGE_SIZE as u128;
-    let checks: [(&str, u128, u128); 13] = [
-        ("first_touch pages == attr_cold_faults", pages(K::FirstTouch), v("attr_cold_faults")),
-        (
-            "refault pages == attr refault faults",
-            pages(K::Refault),
-            v("attr_refault_used_faults") + v("attr_refault_unused_faults"),
-        ),
-        (
-            "refault aux == attr_refault_unused_faults",
-            aux(K::Refault),
-            v("attr_refault_unused_faults"),
-        ),
-        ("prefetch_in pages == pages_prefetched", pages(K::PrefetchIn), v("pages_prefetched")),
-        (
-            "migration pages == pages_faulted_in + pages_prefetched",
-            pages(K::Migration),
-            v("pages_faulted_in") + v("pages_prefetched"),
-        ),
-        ("eviction pages == pages_evicted", pages(K::Eviction), v("pages_evicted")),
-        (
-            "eviction aux == attr_prefetch_evicted_pages",
-            aux(K::Eviction),
-            v("attr_prefetch_evicted_pages"),
-        ),
-        ("replay rounds == replays", pages(K::Replay), v("replays")),
-        (
-            "(migration + hint_prefetch) bytes == migrated_bytes_h2d",
-            (pages(K::Migration) + pages(K::HintPrefetch)) * page,
-            v("migrated_bytes_h2d"),
-        ),
-        (
-            "(writeback + host_writeback) bytes == migrated_bytes_d2h",
-            (pages(K::Writeback) + pages(K::HostWriteback)) * page,
-            v("migrated_bytes_d2h"),
-        ),
-        (
-            "lineage events == lineage_events column",
-            log.events_total() as u128,
-            v("lineage_events"),
-        ),
-        ("dropped events == lineage_dropped column", log.dropped as u128, v("lineage_dropped")),
-        ("flight dumps == flight_dumps column", log.dumps.len() as u128, v("flight_dumps")),
-    ];
-    for (eq, lhs, rhs) in checks {
-        if lhs != rhs {
-            return Err(format!("lineage does not reconcile: {eq} violated ({lhs} != {rhs})"));
-        }
-    }
-    Ok(())
+    log.reconcile(&last_sample(csv_text)?)
 }
 
 /// Index of a column in the sample CSV schema.
@@ -1259,7 +1202,7 @@ const TREND_METRICS: &[(&str, Direction)] = &[
 ];
 
 /// The exact keys a `ci_trend` entry may carry: the series name plus the
-/// [`TREND_METRICS`] the regress gate reads. `repro trend-import` filters
+/// `TREND_METRICS` the regress gate reads. `repro trend-import` filters
 /// every perf record through this list, so new telemetry families — the
 /// serve daemon's `uvm_serve_*` signals, build identity, cache stats —
 /// can never leak into existing `ci_trend.json` baselines and perturb
@@ -1602,7 +1545,7 @@ mod tests {
     use super::*;
     use metrics::exposition;
     use metrics::timeseries::Sample;
-    use metrics::{LineageConfig, LineageRecorder};
+    use metrics::LineageRecorder;
 
     /// An in-memory artefact named `name`.
     fn blob(name: &str, text: String) -> Artefact {
@@ -1617,10 +1560,7 @@ mod tests {
     /// A lineage log consistent with the `point` fixture's final sample:
     /// all faults cold, 3 prefetched pages per fault, no evictions.
     fn lineage_for(faults: u64) -> LineageLog {
-        let mut rec = LineageRecorder::new(&LineageConfig {
-            enabled: true,
-            ..LineageConfig::default()
-        });
+        let mut rec = LineageRecorder::new(true);
         rec.record(LineageEventKind::FirstTouch, 1_500, 1, 3, faults, 0);
         rec.record(LineageEventKind::PrefetchIn, 1_500, 1, 3, faults * 3, 0);
         rec.record(LineageEventKind::Migration, 1_500, 1, 3, faults * 4, 0);
@@ -1749,10 +1689,7 @@ mod tests {
     #[test]
     fn lineage_renders_totals_analytics_and_drilldown() {
         use LineageEventKind as K;
-        let mut rec = LineageRecorder::new(&LineageConfig {
-            enabled: true,
-            ..LineageConfig::default()
-        });
+        let mut rec = LineageRecorder::new(true);
         // Block 3: touched in pass 1, evicted in pass 2, refaulted in
         // pass 4 => refault distance of 2 passes.
         rec.record(K::FirstTouch, 1_000, 1, 3, 16, 0);

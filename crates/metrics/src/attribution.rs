@@ -6,7 +6,7 @@
 //! thrash, and the prefetch–eviction antagonism. [`Attribution`] is the
 //! compact ledger the driver maintains to answer "why did this fault /
 //! this byte happen", partitioned so the causes reconcile *exactly*
-//! against [`Counters`](crate::Counters) and the transfer log:
+//! against [`Counters`] and the transfer log:
 //!
 //! * **Fault entries** (`faults_fetched`) partition into five causes —
 //!   `ColdFirstTouch`, `EvictionRefault` split by evict-before-use

@@ -72,7 +72,7 @@ pub use counters::{CounterMetric, Counters, COUNTER_REGISTRY};
 pub use exposition::{Exposition, ExpositionStats, MetricDef, MetricKind};
 pub use histogram::Histogram;
 pub use lineage::{
-    FlightDump, FlightTrigger, KindTotal, LineageConfig, LineageEvent, LineageEventKind,
+    FlightDump, FlightTrigger, KindTotal, LineageEvent, LineageEventKind,
     LineageLog, LineageRecorder, NO_BLOCK,
 };
 pub use oversub::{
@@ -91,4 +91,4 @@ pub use span::{
     DEFAULT_SPAN_CAPACITY,
 };
 pub use timers::{Category, Timers};
-pub use trace::{EventKind, TraceEvent, TraceRecorder};
+pub use trace::{EventKind, TraceEvent, TraceRecorder, DEFAULT_TRACE_CAPACITY};

@@ -18,9 +18,9 @@
 //!   (in passes and simulated ns), prefetch→eviction antagonism chains,
 //!   and per-block last-seen state, all recomputable from the events
 //!   alone.
-//! * [`LineageLog::reconcile`] — hard equality checks of the lineage
-//!   totals against [`Counters`] and [`Attribution`], mirroring the
-//!   attribution partition equations.
+//! * [`LineageLog::reconcile`] — the one list of hard equality checks of
+//!   the lineage totals against a run's final telemetry [`Sample`], used
+//!   live and by `repro check` on the artefacts.
 //! * `to_artefact` / `from_artefact` — the `.lineage` text artefact
 //!   written per sweep point, validated the way sample CSVs are.
 //!
@@ -29,11 +29,10 @@
 //! simulated timestamps, so the stream is bit-identical at any
 //! `--threads` setting.
 
-use crate::attribution::Attribution;
-use crate::counters::Counters;
 use crate::histogram::Histogram;
 use crate::timeseries::Sample;
 use serde::{Deserialize, Serialize};
+use sim_engine::units::PAGE_SIZE;
 use std::fmt::Write;
 
 /// Number of lineage event kinds (array size for per-kind totals).
@@ -128,76 +127,21 @@ pub struct LineageEvent {
     pub aux: u64,
 }
 
-/// Recorder configuration, embedded in `DriverConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LineageConfig {
-    /// Master switch; everything below is inert when false.
-    #[serde(default)]
-    pub enabled: bool,
-    /// Event-log capacity; events beyond it are counted (`dropped` and
-    /// the per-kind totals) but not stored.
-    #[serde(default = "default_capacity")]
-    pub capacity: usize,
-    /// Flight-recorder ring size (last N events kept for dumps).
-    #[serde(default = "default_ring_capacity")]
-    pub ring_capacity: usize,
-    /// Maximum flight dumps kept per run; later triggers are ignored.
-    #[serde(default = "default_max_dumps")]
-    pub max_dumps: usize,
-    /// Timeseries samples captured alongside each dump (tail window).
-    #[serde(default = "default_window_samples")]
-    pub window_samples: usize,
-    /// Pass-latency trigger percentile (1..=100, e.g. 99 for p99).
-    #[serde(default = "default_latency_percentile")]
-    pub latency_percentile: u32,
-    /// Pass-latency trigger threshold in simulated ns; 0 disables the
-    /// latency trigger (the thrash trigger stays active).
-    #[serde(default)]
-    pub latency_threshold_ns: u64,
-}
-
-fn default_capacity() -> usize {
-    65_536
-}
-
-fn default_ring_capacity() -> usize {
-    256
-}
-
-fn default_max_dumps() -> usize {
-    4
-}
-
-fn default_window_samples() -> usize {
-    32
-}
-
-fn default_latency_percentile() -> u32 {
-    99
-}
-
-impl Default for LineageConfig {
-    fn default() -> Self {
-        LineageConfig {
-            enabled: false,
-            capacity: default_capacity(),
-            ring_capacity: default_ring_capacity(),
-            max_dumps: default_max_dumps(),
-            window_samples: default_window_samples(),
-            latency_percentile: default_latency_percentile(),
-            latency_threshold_ns: 0,
-        }
-    }
-}
+/// Event-log capacity; events beyond it are counted (`dropped` and the
+/// per-kind totals) but not stored.
+const LOG_CAPACITY: usize = 65_536;
+/// Flight-recorder ring size (last N events kept for dumps).
+const RING_CAPACITY: usize = 256;
+/// Maximum flight dumps kept per run; later triggers are ignored.
+const MAX_DUMPS: usize = 4;
+/// Timeseries samples captured alongside each dump (tail window).
+const WINDOW_SAMPLES: usize = 32;
 
 /// What fired a flight dump.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FlightTrigger {
     /// The ThrashDetector pinned a block (`value` = refault count seen).
     ThrashPin,
-    /// The pass-latency percentile crossed the configured threshold
-    /// (`value` = the percentile's ns at trigger time).
-    PassLatency,
 }
 
 impl FlightTrigger {
@@ -205,7 +149,6 @@ impl FlightTrigger {
     pub fn name(self) -> &'static str {
         match self {
             FlightTrigger::ThrashPin => "thrash_pin",
-            FlightTrigger::PassLatency => "pass_latency",
         }
     }
 }
@@ -213,7 +156,6 @@ impl FlightTrigger {
 /// Bookkeeping for one dump inside the recorder's flat storage.
 #[derive(Debug, Clone, Copy)]
 struct DumpMeta {
-    trigger: FlightTrigger,
     t_ns: u64,
     pass: u64,
     block: u64,
@@ -233,9 +175,9 @@ pub struct FlightDump {
     pub t_ns: u64,
     /// Pass index at trigger time.
     pub pass: u64,
-    /// Block that triggered (thrash pin), or [`NO_BLOCK`].
+    /// Block that triggered.
     pub block: u64,
-    /// Trigger-specific observed value (refaults seen / latency ns).
+    /// Refault count observed at the trigger.
     pub value: u64,
     /// The threshold the value crossed.
     pub threshold: u64,
@@ -274,7 +216,7 @@ pub struct LineageLog {
     pub dropped: u64,
     /// Exact per-kind totals, in [`LineageEventKind::ALL`] order.
     pub totals: Vec<KindTotal>,
-    /// Flight dumps captured by the anomaly triggers.
+    /// Flight dumps captured by the thrash-pin trigger.
     pub dumps: Vec<FlightDump>,
 }
 
@@ -307,73 +249,91 @@ impl LineageLog {
         self.events.is_empty() && self.dropped == 0 && self.events_total() == 0
     }
 
-    /// Reconcile the lineage totals against the driver counters and the
-    /// attribution ledger: the event stream must carry *exactly* the
-    /// page volumes the other two books recorded, or the artefact is
-    /// corrupt. Returns the violated equation and both sides on failure,
-    /// mirroring [`Attribution::reconcile`].
-    pub fn reconcile(
-        &self,
-        c: &Counters,
-        a: &Attribution,
-    ) -> Result<(), (&'static str, u64, u64)> {
+    /// Reconcile the lineage totals against `last`, the run's final
+    /// telemetry sample (live, or parsed back from a sample CSV by
+    /// `repro check`): the event stream must carry *exactly* the page
+    /// volumes the counters and the attribution ledger recorded, close
+    /// the transfer byte totals, and match the recorder's own columns,
+    /// or the artefact set is corrupt. Sums are taken in u128, so
+    /// doctored totals cannot wrap into balance. Names the first violated
+    /// equation and both sides on failure.
+    pub fn reconcile(&self, last: &Sample) -> Result<(), String> {
         use LineageEventKind as K;
-        let check = |name, lhs, rhs| if lhs == rhs { Ok(()) } else { Err((name, lhs, rhs)) };
-        check(
-            "lineage first_touch pages == attribution cold faults",
-            self.total(K::FirstTouch).pages,
-            a.cold_faults,
-        )?;
-        check(
-            "lineage refault pages == attribution refault faults",
-            self.total(K::Refault).pages,
-            a.refault_used_faults + a.refault_unused_faults,
-        )?;
-        check(
-            "lineage refault aux == attribution refault_unused faults",
-            self.total(K::Refault).aux,
-            a.refault_unused_faults,
-        )?;
-        check(
-            "lineage prefetch_in pages == counter pages_prefetched",
-            self.total(K::PrefetchIn).pages,
-            c.pages_prefetched,
-        )?;
-        check(
-            "lineage hint_prefetch pages == counter pages_hint_prefetched",
-            self.total(K::HintPrefetch).pages,
-            c.pages_hint_prefetched,
-        )?;
-        check(
-            "lineage migration pages == pages_faulted_in + pages_prefetched",
-            self.total(K::Migration).pages,
-            c.pages_faulted_in + c.pages_prefetched,
-        )?;
-        check(
-            "lineage eviction pages == counter pages_evicted_total",
-            self.total(K::Eviction).pages,
-            c.pages_evicted_total(),
-        )?;
-        check(
-            "lineage eviction aux == attribution prefetch_evicted pages",
-            self.total(K::Eviction).aux,
-            a.prefetch_evicted_pages,
-        )?;
-        check(
-            "lineage writeback pages == counter pages_evicted_migrated",
-            self.total(K::Writeback).pages,
-            c.pages_evicted_migrated,
-        )?;
-        check(
-            "lineage host_writeback pages == counter pages_migrated_to_host",
-            self.total(K::HostWriteback).pages,
-            c.pages_migrated_to_host,
-        )?;
-        check(
-            "lineage replay pages == counter replays",
-            self.total(K::Replay).pages,
-            c.replays,
-        )?;
+        let pages = |k: K| self.total(k).pages as u128;
+        let aux = |k: K| self.total(k).aux as u128;
+        let v = |x: u64| x as u128;
+        let page = PAGE_SIZE as u128;
+        let checks: [(&str, u128, u128); 16] = [
+            (
+                "first_touch pages == attr_cold_faults",
+                pages(K::FirstTouch),
+                v(last.attr_cold_faults),
+            ),
+            (
+                "refault pages == attr refault faults",
+                pages(K::Refault),
+                v(last.attr_refault_used_faults) + v(last.attr_refault_unused_faults),
+            ),
+            (
+                "refault aux == attr_refault_unused_faults",
+                aux(K::Refault),
+                v(last.attr_refault_unused_faults),
+            ),
+            (
+                "prefetch_in pages == pages_prefetched",
+                pages(K::PrefetchIn),
+                v(last.pages_prefetched),
+            ),
+            (
+                "hint_prefetch pages == pages_hint_prefetched",
+                pages(K::HintPrefetch),
+                v(last.pages_hint_prefetched),
+            ),
+            (
+                "migration pages == pages_faulted_in + pages_prefetched",
+                pages(K::Migration),
+                v(last.pages_faulted_in) + v(last.pages_prefetched),
+            ),
+            ("eviction pages == pages_evicted", pages(K::Eviction), v(last.pages_evicted)),
+            (
+                "eviction aux == attr_prefetch_evicted_pages",
+                aux(K::Eviction),
+                v(last.attr_prefetch_evicted_pages),
+            ),
+            (
+                "writeback pages == pages_evicted_migrated",
+                pages(K::Writeback),
+                v(last.pages_evicted_migrated),
+            ),
+            (
+                "host_writeback pages == pages_migrated_to_host",
+                pages(K::HostWriteback),
+                v(last.pages_migrated_to_host),
+            ),
+            ("replay rounds == replays", pages(K::Replay), v(last.replays)),
+            (
+                "(migration + hint_prefetch) bytes == migrated_bytes_h2d",
+                (pages(K::Migration) + pages(K::HintPrefetch)) * page,
+                v(last.migrated_bytes_h2d),
+            ),
+            (
+                "(writeback + host_writeback) bytes == migrated_bytes_d2h",
+                (pages(K::Writeback) + pages(K::HostWriteback)) * page,
+                v(last.migrated_bytes_d2h),
+            ),
+            (
+                "lineage events == lineage_events column",
+                self.totals.iter().map(|t| t.events as u128).sum(),
+                v(last.lineage_events),
+            ),
+            ("dropped events == lineage_dropped column", v(self.dropped), v(last.lineage_dropped)),
+            ("flight dumps == flight_dumps column", self.dumps.len() as u128, v(last.flight_dumps)),
+        ];
+        for (eq, lhs, rhs) in checks {
+            if lhs != rhs {
+                return Err(format!("lineage does not reconcile: {eq} violated ({lhs} != {rhs})"));
+            }
+        }
         Ok(())
     }
 
@@ -535,43 +495,48 @@ pub struct LineageRecorder {
     dump_meta: Vec<DumpMeta>,
     dump_events: Vec<LineageEvent>,
     dump_samples: Vec<Sample>,
-    latency_percentile: u32,
-    latency_threshold_ns: u64,
-    latency_armed: bool,
 }
 
 impl LineageRecorder {
-    /// Build a recorder; a disabled config allocates nothing.
-    pub fn new(cfg: &LineageConfig) -> LineageRecorder {
-        let on = cfg.enabled;
-        fn alloc<T>(on: bool, n: usize) -> Vec<T> {
-            if on {
-                Vec::with_capacity(n)
-            } else {
-                Vec::new()
+    /// A recorder at the fixed log, ring and dump sizes when `armed`
+    /// (the driver arms it exactly when telemetry sampling is on); an
+    /// unarmed recorder allocates and records nothing.
+    pub fn new(armed: bool) -> LineageRecorder {
+        if armed {
+            LineageRecorder::sized(LOG_CAPACITY, RING_CAPACITY, MAX_DUMPS, WINDOW_SAMPLES)
+        } else {
+            LineageRecorder {
+                on: false,
+                ..LineageRecorder::sized(0, 0, 0, 0)
             }
         }
+    }
+
+    /// An armed recorder with the given sizes (unit tests use small ones).
+    pub(crate) fn sized(
+        capacity: usize,
+        ring_capacity: usize,
+        max_dumps: usize,
+        window_samples: usize,
+    ) -> LineageRecorder {
         let mut totals = [KindTotal::default(); LINEAGE_KINDS];
         for kind in LineageEventKind::ALL {
             totals[kind.index()].kind = kind;
         }
         LineageRecorder {
-            on,
-            capacity: cfg.capacity,
-            events: alloc(on, cfg.capacity),
+            on: true,
+            capacity,
+            events: Vec::with_capacity(capacity),
             dropped: 0,
             totals,
-            ring_capacity: cfg.ring_capacity,
-            ring: alloc(on, cfg.ring_capacity),
+            ring_capacity,
+            ring: Vec::with_capacity(ring_capacity),
             ring_next: 0,
-            max_dumps: cfg.max_dumps,
-            window_samples: cfg.window_samples,
-            dump_meta: alloc(on, cfg.max_dumps),
-            dump_events: alloc(on, cfg.max_dumps * cfg.ring_capacity),
-            dump_samples: alloc(on, cfg.max_dumps * cfg.window_samples),
-            latency_percentile: cfg.latency_percentile.clamp(1, 100),
-            latency_threshold_ns: cfg.latency_threshold_ns,
-            latency_armed: true,
+            max_dumps,
+            window_samples,
+            dump_meta: Vec::with_capacity(max_dumps),
+            dump_events: Vec::with_capacity(max_dumps * ring_capacity),
+            dump_samples: Vec::with_capacity(max_dumps * window_samples),
         }
     }
 
@@ -638,7 +603,10 @@ impl LineageRecorder {
 
     /// ThrashDetector trigger: a block just crossed the pin threshold.
     /// `value` is the refault count observed, `threshold` the detector's
-    /// configured pin threshold, `window` the live sample buffer.
+    /// configured pin threshold, `window` the live sample buffer. Captures
+    /// the ring and the telemetry tail into the preallocated flat dump
+    /// storage; `extend_from_slice` stays within the reserved capacity,
+    /// so no allocation happens here either.
     pub fn note_thrash_pin(
         &mut self,
         t_ns: u64,
@@ -648,58 +616,7 @@ impl LineageRecorder {
         threshold: u64,
         window: &[Sample],
     ) {
-        if self.on {
-            self.dump(FlightTrigger::ThrashPin, t_ns, pass, block, value, threshold, window);
-        }
-    }
-
-    /// Pass-latency trigger: fires when the configured percentile of the
-    /// pass-latency histogram first crosses the threshold, then re-arms
-    /// once it drops back under (so a sustained plateau yields one dump,
-    /// not one per pass).
-    pub fn note_pass_latency(
-        &mut self,
-        latency: &Histogram,
-        t_ns: u64,
-        pass: u64,
-        window: &[Sample],
-    ) {
-        if !self.on || self.latency_threshold_ns == 0 || latency.total() == 0 {
-            return;
-        }
-        let p = latency.percentile(self.latency_percentile as f64 / 100.0);
-        if p > self.latency_threshold_ns {
-            if self.latency_armed {
-                self.latency_armed = false;
-                self.dump(
-                    FlightTrigger::PassLatency,
-                    t_ns,
-                    pass,
-                    NO_BLOCK,
-                    p,
-                    self.latency_threshold_ns,
-                    window,
-                );
-            }
-        } else {
-            self.latency_armed = true;
-        }
-    }
-
-    /// Capture the ring and the telemetry tail into the preallocated
-    /// flat dump storage. `extend_from_slice` stays within the reserved
-    /// capacity, so no allocation happens here either.
-    fn dump(
-        &mut self,
-        trigger: FlightTrigger,
-        t_ns: u64,
-        pass: u64,
-        block: u64,
-        value: u64,
-        threshold: u64,
-        window: &[Sample],
-    ) {
-        if self.dump_meta.len() >= self.max_dumps {
+        if !self.on || self.dump_meta.len() >= self.max_dumps {
             return;
         }
         let n_events = self.ring.len();
@@ -713,7 +630,6 @@ impl LineageRecorder {
         self.dump_samples
             .extend_from_slice(&window[window.len() - n_samples..]);
         self.dump_meta.push(DumpMeta {
-            trigger,
             t_ns,
             pass,
             block,
@@ -734,7 +650,7 @@ impl LineageRecorder {
         let mut sa_off = 0usize;
         for m in &self.dump_meta {
             dumps.push(FlightDump {
-                trigger: m.trigger,
+                trigger: FlightTrigger::ThrashPin,
                 t_ns: m.t_ns,
                 pass: m.pass,
                 block: m.block,
@@ -852,20 +768,13 @@ pub fn analyze(events: &[LineageEvent]) -> LineageAnalysis {
 mod tests {
     use super::*;
 
-    fn cfg() -> LineageConfig {
-        LineageConfig {
-            enabled: true,
-            ..LineageConfig::default()
-        }
-    }
-
     fn ev(rec: &mut LineageRecorder, kind: LineageEventKind, t: u64, pass: u64, block: u64, pages: u64, aux: u64) {
         rec.record(kind, t, pass, block, pages, aux);
     }
 
     #[test]
     fn disabled_recorder_allocates_and_records_nothing() {
-        let mut r = LineageRecorder::new(&LineageConfig::default());
+        let mut r = LineageRecorder::new(false);
         assert!(!r.is_enabled());
         assert_eq!(r.events.capacity(), 0);
         r.record(LineageEventKind::FirstTouch, 1, 1, 0, 4, 0);
@@ -875,10 +784,7 @@ mod tests {
 
     #[test]
     fn totals_stay_exact_past_capacity() {
-        let mut r = LineageRecorder::new(&LineageConfig {
-            capacity: 2,
-            ..cfg()
-        });
+        let mut r = LineageRecorder::sized(2, RING_CAPACITY, MAX_DUMPS, WINDOW_SAMPLES);
         for i in 0..5u64 {
             ev(&mut r, LineageEventKind::FirstTouch, i, i, 0, 3, 0);
         }
@@ -892,10 +798,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_last_events_oldest_first() {
-        let mut r = LineageRecorder::new(&LineageConfig {
-            ring_capacity: 3,
-            ..cfg()
-        });
+        let mut r = LineageRecorder::sized(LOG_CAPACITY, 3, MAX_DUMPS, WINDOW_SAMPLES);
         for i in 0..5u64 {
             ev(&mut r, LineageEventKind::Migration, 10 + i, i, 1, 1, 0);
         }
@@ -913,11 +816,7 @@ mod tests {
 
     #[test]
     fn dump_captures_sample_window_tail_and_caps_dump_count() {
-        let mut r = LineageRecorder::new(&LineageConfig {
-            max_dumps: 1,
-            window_samples: 2,
-            ..cfg()
-        });
+        let mut r = LineageRecorder::sized(LOG_CAPACITY, RING_CAPACITY, 1, 2);
         let samples: Vec<Sample> = (1..=4u64)
             .map(|t| Sample {
                 t_ns: t * 100,
@@ -933,48 +832,8 @@ mod tests {
     }
 
     #[test]
-    fn latency_trigger_fires_once_and_rearms() {
-        let mut r = LineageRecorder::new(&LineageConfig {
-            latency_threshold_ns: 100,
-            latency_percentile: 99,
-            ..cfg()
-        });
-        let mut h = Histogram::default();
-        h.record(50);
-        r.note_pass_latency(&h, 1, 1, &[]);
-        assert_eq!(r.dumps_captured(), 0, "under threshold");
-        h.record(1000);
-        r.note_pass_latency(&h, 2, 2, &[]);
-        assert_eq!(r.dumps_captured(), 1, "crossing fires");
-        h.record(1000);
-        r.note_pass_latency(&h, 3, 3, &[]);
-        assert_eq!(r.dumps_captured(), 1, "sustained plateau stays disarmed");
-        let calm = {
-            let mut h = Histogram::default();
-            h.record(10);
-            h
-        };
-        r.note_pass_latency(&calm, 4, 4, &[]);
-        r.note_pass_latency(&h, 5, 5, &[]);
-        assert_eq!(r.dumps_captured(), 2, "re-armed after dropping under");
-        let log = r.take();
-        assert_eq!(log.dumps[0].trigger, FlightTrigger::PassLatency);
-        assert_eq!(log.dumps[0].block, NO_BLOCK);
-        assert_eq!(log.dumps[0].threshold, 100);
-    }
-
-    #[test]
-    fn zero_threshold_disables_latency_trigger() {
-        let mut r = LineageRecorder::new(&cfg());
-        let mut h = Histogram::default();
-        h.record(u64::MAX / 2);
-        r.note_pass_latency(&h, 1, 1, &[]);
-        assert_eq!(r.dumps_captured(), 0);
-    }
-
-    #[test]
     fn artefact_roundtrips_and_validates() {
-        let mut r = LineageRecorder::new(&cfg());
+        let mut r = LineageRecorder::new(true);
         ev(&mut r, LineageEventKind::FirstTouch, 10, 1, 0, 8, 0);
         ev(&mut r, LineageEventKind::Migration, 10, 1, 0, 8, 0);
         ev(&mut r, LineageEventKind::Eviction, 20, 2, 0, 8, 3);
@@ -990,7 +849,7 @@ mod tests {
 
     #[test]
     fn artefact_rejects_tampering() {
-        let mut r = LineageRecorder::new(&cfg());
+        let mut r = LineageRecorder::new(true);
         ev(&mut r, LineageEventKind::FirstTouch, 10, 1, 0, 8, 0);
         let good = r.take().to_artefact();
         // Row/total mismatch: inflate the event's page count.
@@ -1024,7 +883,7 @@ mod tests {
     #[test]
     fn artefact_sums_are_overflow_checked() {
         let ft = LineageEventKind::FirstTouch;
-        let mut r = LineageRecorder::new(&cfg());
+        let mut r = LineageRecorder::new(true);
         ev(&mut r, ft, 10, 1, 0, 1, 0);
         let good = r.take().to_artefact();
         // Rows whose pages wrap a u64 sum back to the recorded total.
@@ -1044,7 +903,7 @@ mod tests {
 
     #[test]
     fn reconcile_checks_pages_against_both_books() {
-        let mut r = LineageRecorder::new(&cfg());
+        let mut r = LineageRecorder::new(true);
         ev(&mut r, LineageEventKind::FirstTouch, 10, 1, 0, 6, 0);
         ev(&mut r, LineageEventKind::Refault, 20, 2, 0, 4, 1);
         ev(&mut r, LineageEventKind::PrefetchIn, 20, 2, 0, 5, 0);
@@ -1055,29 +914,39 @@ mod tests {
         ev(&mut r, LineageEventKind::HostWriteback, 50, 3, 1, 2, 0);
         ev(&mut r, LineageEventKind::Replay, 50, 3, NO_BLOCK, 5, 5);
         let log = r.take();
-        let c = Counters {
+        let last = Sample {
             pages_faulted_in: 10,
             pages_prefetched: 5,
             pages_hint_prefetched: 7,
+            pages_evicted: 9,
             pages_evicted_migrated: 3,
-            pages_evicted_clean: 6,
             pages_migrated_to_host: 2,
+            migrated_bytes_h2d: (15 + 7) * PAGE_SIZE,
+            migrated_bytes_d2h: (3 + 2) * PAGE_SIZE,
             replays: 5,
-            ..Counters::default()
+            attr_cold_faults: 6,
+            attr_refault_used_faults: 3,
+            attr_refault_unused_faults: 1,
+            attr_prefetch_evicted_pages: 2,
+            lineage_events: 9,
+            ..Sample::default()
         };
-        let a = Attribution {
-            cold_faults: 6,
-            refault_used_faults: 3,
-            refault_unused_faults: 1,
-            prefetch_evicted_pages: 2,
-            ..Attribution::default()
+        log.reconcile(&last).expect("books agree");
+        let bad = Sample {
+            pages_prefetched: 4,
+            ..last
         };
-        log.reconcile(&c, &a).expect("books agree");
-        let mut bad = c;
-        bad.pages_prefetched = 4;
-        let (eq, lhs, rhs) = log.reconcile(&bad, &a).expect_err("mismatch");
-        assert!(eq.contains("prefetch_in"));
-        assert_eq!((lhs, rhs), (5, 4));
+        let err = log.reconcile(&bad).expect_err("mismatch");
+        assert!(err.contains("prefetch_in") && err.contains("(5 != 4)"), "{err}");
+        // Device-to-host pages relabelled between eviction write-back and
+        // host migration keep the byte closure but not the page split.
+        let relabelled = Sample {
+            pages_evicted_migrated: 2,
+            pages_migrated_to_host: 3,
+            ..last
+        };
+        let err = log.reconcile(&relabelled).expect_err("relabel");
+        assert!(err.contains("writeback pages == pages_evicted_migrated"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The paper's contribution is *visibility*: a per-batch breakdown of
 //! where UVM time goes (pre/post-processing, the three fault-service
 //! sub-phases, replay policy, eviction — Fig. 4–6). Run-level
-//! [`Timers`](crate::Timers) totals show the shares; this module records
+//! [`Timers`] totals show the shares; this module records
 //! the *timeline*: one [`SpanEvent`] per lifecycle phase, stamped in both
 //! sim-time and wall-time, organised as
 //!
@@ -20,7 +20,7 @@
 //! ```
 //!
 //! Every leaf span is recorded by the same call that charges the
-//! [`Timers`](crate::Timers), so captured leaf durations (plus the
+//! [`Timers`], so captured leaf durations (plus the
 //! dropped-span remainder the recorder keeps per category) sum *exactly*
 //! to the run's per-category totals — the invariant
 //! [`chrome::validate`](crate::chrome::validate) checks on exported

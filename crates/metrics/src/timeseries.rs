@@ -32,11 +32,10 @@ pub const DEFAULT_SAMPLE_INTERVAL_NS: u64 = 500_000;
 /// Default sample-buffer capacity.
 pub const DEFAULT_SAMPLE_CAPACITY: usize = 4096;
 
-/// Driver-load-time configuration of the timeseries sampler.
+/// Driver-load-time configuration of the timeseries sampler; the driver
+/// samples exactly when it is given one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimeseriesConfig {
-    /// Record samples at all (off = stock driver, zero overhead).
-    pub enabled: bool,
     /// Base sampling interval in simulated nanoseconds.
     pub interval_ns: u64,
     /// Sample-buffer capacity; at capacity the buffer compacts in place
@@ -47,7 +46,6 @@ pub struct TimeseriesConfig {
 impl Default for TimeseriesConfig {
     fn default() -> Self {
         TimeseriesConfig {
-            enabled: false,
             interval_ns: DEFAULT_SAMPLE_INTERVAL_NS,
             capacity: DEFAULT_SAMPLE_CAPACITY,
         }
@@ -119,7 +117,7 @@ pub struct Sample {
     pub lineage_events: u64,
     /// Lineage events dropped at the event-log capacity.
     pub lineage_dropped: u64,
-    /// Flight-recorder dumps captured by the anomaly triggers.
+    /// Flight-recorder dumps captured by the thrash-pin trigger.
     pub flight_dumps: u64,
     /// Engine retries resolved arithmetically (event-driven replay).
     pub retries_skipped: u64,
@@ -127,6 +125,12 @@ pub struct Sample {
     pub retry_pages_skipped: u64,
     /// Stalled blocks woken for rescan by residency change events.
     pub wakeups: u64,
+    /// Pages migrated by explicit `prefetch_range` hints.
+    pub pages_hint_prefetched: u64,
+    /// Dirty pages written back device→host by evictions.
+    pub pages_evicted_migrated: u64,
+    /// Resident pages migrated back to the host by CPU access.
+    pub pages_migrated_to_host: u64,
 }
 
 impl Sample {
@@ -148,76 +152,72 @@ impl Sample {
 }
 
 /// One column of the sample CSV schema: name, monotonicity (cumulative
-/// counters never decrease between rows; gauges may), and extractor. The
-/// registry is the single source of truth for the CSV header, row
-/// rendering, and [`validate_csv`].
+/// counters never decrease between rows; gauges may), and field
+/// accessors. The registry is the single source of truth for the CSV
+/// header, row rendering, [`validate_csv`] and [`last_sample`].
 pub struct SampleColumn {
-    /// Column name (also the CSV header token).
+    /// Column name (also the CSV header token and the [`Sample`] field).
     pub name: &'static str,
     /// Whether the column is cumulative (non-decreasing row to row).
     pub monotonic: bool,
     /// Field extractor.
     pub get: fn(&Sample) -> u64,
+    /// Field setter, for parsing rows back into a [`Sample`].
+    pub set: fn(&mut Sample, u64),
 }
 
-/// The CSV schema, in column order.
+/// One [`SampleColumn`] whose name, getter and setter all name the same
+/// [`Sample`] field.
+macro_rules! column {
+    ($field:ident, $monotonic:expr) => {
+        SampleColumn {
+            name: stringify!($field),
+            monotonic: $monotonic,
+            get: |s| s.$field,
+            set: |s, v| s.$field = v,
+        }
+    };
+}
+
+/// The CSV schema, in column order. Schema v2 appended the last three
+/// columns, so every lineage equation can be re-checked against a CSV's
+/// final row.
 pub const SAMPLE_COLUMNS: &[SampleColumn] = &[
-    SampleColumn { name: "t_ns", monotonic: true, get: |s| s.t_ns },
-    SampleColumn { name: "faults_fetched", monotonic: true, get: |s| s.faults_fetched },
-    SampleColumn { name: "duplicate_faults", monotonic: true, get: |s| s.duplicate_faults },
-    SampleColumn { name: "pages_faulted_in", monotonic: true, get: |s| s.pages_faulted_in },
-    SampleColumn { name: "pages_prefetched", monotonic: true, get: |s| s.pages_prefetched },
-    SampleColumn { name: "migrated_bytes_h2d", monotonic: true, get: |s| s.migrated_bytes_h2d },
-    SampleColumn { name: "migrated_bytes_d2h", monotonic: true, get: |s| s.migrated_bytes_d2h },
-    SampleColumn { name: "evictions", monotonic: true, get: |s| s.evictions },
-    SampleColumn { name: "pages_evicted", monotonic: true, get: |s| s.pages_evicted },
-    SampleColumn { name: "thrash_pins", monotonic: true, get: |s| s.thrash_pins },
-    SampleColumn { name: "refaults", monotonic: true, get: |s| s.refaults },
-    SampleColumn { name: "replays", monotonic: true, get: |s| s.replays },
-    SampleColumn { name: "batches", monotonic: true, get: |s| s.batches },
-    SampleColumn { name: "resident_pages", monotonic: false, get: |s| s.resident_pages },
-    SampleColumn { name: "lru_blocks", monotonic: false, get: |s| s.lru_blocks },
-    SampleColumn { name: "batch_ns_p50", monotonic: false, get: |s| s.batch_ns_p50 },
-    SampleColumn { name: "batch_ns_p95", monotonic: false, get: |s| s.batch_ns_p95 },
-    SampleColumn { name: "batch_ns_p99", monotonic: false, get: |s| s.batch_ns_p99 },
-    SampleColumn { name: "prefetch_coverage_bp", monotonic: false, get: |s| s.prefetch_coverage_bp },
-    SampleColumn { name: "attr_cold_faults", monotonic: true, get: |s| s.attr_cold_faults },
-    SampleColumn {
-        name: "attr_refault_used_faults",
-        monotonic: true,
-        get: |s| s.attr_refault_used_faults,
-    },
-    SampleColumn {
-        name: "attr_refault_unused_faults",
-        monotonic: true,
-        get: |s| s.attr_refault_unused_faults,
-    },
-    SampleColumn {
-        name: "attr_prefetch_hit_faults",
-        monotonic: true,
-        get: |s| s.attr_prefetch_hit_faults,
-    },
-    SampleColumn {
-        name: "attr_replay_dup_faults",
-        monotonic: true,
-        get: |s| s.attr_replay_dup_faults,
-    },
-    SampleColumn {
-        name: "attr_prefetch_evicted_pages",
-        monotonic: true,
-        get: |s| s.attr_prefetch_evicted_pages,
-    },
-    SampleColumn {
-        name: "attr_evicted_used_pages",
-        monotonic: true,
-        get: |s| s.attr_evicted_used_pages,
-    },
-    SampleColumn { name: "lineage_events", monotonic: true, get: |s| s.lineage_events },
-    SampleColumn { name: "lineage_dropped", monotonic: true, get: |s| s.lineage_dropped },
-    SampleColumn { name: "flight_dumps", monotonic: true, get: |s| s.flight_dumps },
-    SampleColumn { name: "retries_skipped", monotonic: true, get: |s| s.retries_skipped },
-    SampleColumn { name: "retry_pages_skipped", monotonic: true, get: |s| s.retry_pages_skipped },
-    SampleColumn { name: "wakeups", monotonic: true, get: |s| s.wakeups },
+    column!(t_ns, true),
+    column!(faults_fetched, true),
+    column!(duplicate_faults, true),
+    column!(pages_faulted_in, true),
+    column!(pages_prefetched, true),
+    column!(migrated_bytes_h2d, true),
+    column!(migrated_bytes_d2h, true),
+    column!(evictions, true),
+    column!(pages_evicted, true),
+    column!(thrash_pins, true),
+    column!(refaults, true),
+    column!(replays, true),
+    column!(batches, true),
+    column!(resident_pages, false),
+    column!(lru_blocks, false),
+    column!(batch_ns_p50, false),
+    column!(batch_ns_p95, false),
+    column!(batch_ns_p99, false),
+    column!(prefetch_coverage_bp, false),
+    column!(attr_cold_faults, true),
+    column!(attr_refault_used_faults, true),
+    column!(attr_refault_unused_faults, true),
+    column!(attr_prefetch_hit_faults, true),
+    column!(attr_replay_dup_faults, true),
+    column!(attr_prefetch_evicted_pages, true),
+    column!(attr_evicted_used_pages, true),
+    column!(lineage_events, true),
+    column!(lineage_dropped, true),
+    column!(flight_dumps, true),
+    column!(retries_skipped, true),
+    column!(retry_pages_skipped, true),
+    column!(wakeups, true),
+    column!(pages_hint_prefetched, true),
+    column!(pages_evicted_migrated, true),
+    column!(pages_migrated_to_host, true),
 ];
 
 /// A finished sample stream, as carried in a `SimReport`.
@@ -335,6 +335,24 @@ pub fn validate_csv(text: &str) -> Result<CsvStats, String> {
     Ok(CsvStats { rows })
 }
 
+/// Validate a sample CSV (as [`validate_csv`] does) and parse its final
+/// row back into a [`Sample`]: the end-of-run totals `repro check`
+/// reconciles a lineage stream against.
+pub fn last_sample(text: &str) -> Result<Sample, String> {
+    validate_csv(text)?;
+    let row = text
+        .lines()
+        .skip(1)
+        .filter(|l| !l.is_empty())
+        .last()
+        .ok_or("no samples")?;
+    let mut s = Sample::default();
+    for (cell, col) in row.split(',').zip(SAMPLE_COLUMNS) {
+        (col.set)(&mut s, cell.parse().expect("validate_csv checked every cell"));
+    }
+    Ok(s)
+}
+
 /// The sampler the driver owns: a preallocated buffer filled on a
 /// simulated-time grid, compacted in place when full.
 #[derive(Debug, Clone)]
@@ -349,11 +367,8 @@ pub struct TimeseriesSampler {
 }
 
 impl TimeseriesSampler {
-    /// A sampler per `cfg` (a disabled no-op when `cfg.enabled` is off).
+    /// An armed sampler per `cfg`.
     pub fn new(cfg: &TimeseriesConfig) -> Self {
-        if !cfg.enabled {
-            return Self::disabled();
-        }
         assert!(cfg.interval_ns > 0, "sample interval must be nonzero");
         let capacity = cfg.capacity.max(2);
         let interval = SimDuration::from_nanos(cfg.interval_ns);
@@ -473,7 +488,6 @@ mod tests {
 
     fn cfg(interval_ns: u64, capacity: usize) -> TimeseriesConfig {
         TimeseriesConfig {
-            enabled: true,
             interval_ns,
             capacity,
         }
@@ -489,7 +503,7 @@ mod tests {
 
     #[test]
     fn disabled_sampler_is_inert() {
-        let mut s = TimeseriesSampler::new(&TimeseriesConfig::default());
+        let mut s = TimeseriesSampler::disabled();
         assert!(!s.is_enabled());
         assert!(!s.is_due(SimTime::ZERO + SimDuration::from_secs(1)));
         s.record(SimTime::ZERO + SimDuration::from_secs(1), at(1, 1));
@@ -578,6 +592,9 @@ mod tests {
         assert!(csv.starts_with("t_ns,faults_fetched,"));
         let stats = validate_csv(&csv).expect("valid CSV");
         assert_eq!(stats.rows, 2);
+        assert_eq!(last_sample(&csv), Ok(at(20, 5)));
+        let header_only = format!("{}\n", Timeseries::csv_header());
+        assert_eq!(last_sample(&header_only), Err("no samples".to_string()));
     }
 
     #[test]
@@ -610,7 +627,7 @@ mod tests {
 
     #[test]
     fn columns_cover_every_sample_field() {
-        // 32 public fields in Sample; keep the registry in lockstep.
+        // 35 public fields in Sample; keep the registry in lockstep.
         let s = Sample {
             t_ns: 1,
             faults_fetched: 2,
@@ -644,9 +661,17 @@ mod tests {
             retries_skipped: 30,
             retry_pages_skipped: 31,
             wakeups: 32,
+            pages_hint_prefetched: 33,
+            pages_evicted_migrated: 34,
+            pages_migrated_to_host: 35,
         };
         let vals: Vec<u64> = SAMPLE_COLUMNS.iter().map(|c| (c.get)(&s)).collect();
-        let want: Vec<u64> = (1..=32).collect();
+        let want: Vec<u64> = (1..=35).collect();
         assert_eq!(vals, want, "every field extracted exactly once, in order");
+        let mut back = Sample::default();
+        for (col, v) in SAMPLE_COLUMNS.iter().zip(want) {
+            (col.set)(&mut back, v);
+        }
+        assert_eq!(back, s, "every field set exactly once");
     }
 }

@@ -106,6 +106,39 @@ impl TraceRecorder {
         });
     }
 
+    /// Record `n` events of one kind at `time`, one per page of `pages`
+    /// (which yields at least `n` pages): the same events, orders and
+    /// drops as `n` calls to [`record`](Self::record), but once the
+    /// buffer is full the rest are accounted in O(1) without walking
+    /// `pages`.
+    pub fn record_pages(
+        &mut self,
+        kind: EventKind,
+        n: u64,
+        pages: impl IntoIterator<Item = u64>,
+        time: SimTime,
+    ) {
+        if !self.capture {
+            return;
+        }
+        let fault = matches!(kind, EventKind::Fault);
+        let room = self.capacity.saturating_sub(self.events.len()) as u64;
+        let kept = n.min(room);
+        for page in pages.into_iter().take(kept as usize) {
+            self.events.push(TraceEvent {
+                order: self.next_order,
+                page,
+                time,
+                kind,
+            });
+            self.next_order += u64::from(fault);
+        }
+        self.dropped += n - kept;
+        if fault {
+            self.next_order += n - kept;
+        }
+    }
+
     /// Events dropped because the buffer was at capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -124,26 +157,6 @@ impl TraceRecorder {
     /// True if nothing was captured.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Render events as CSV (`order,page,time_ns,kind`).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("order,page,time_ns,kind\n");
-        for e in &self.events {
-            let kind = match e.kind {
-                EventKind::Fault => "fault",
-                EventKind::Prefetch => "prefetch",
-                EventKind::Eviction => "eviction",
-            };
-            out.push_str(&format!(
-                "{},{},{},{}\n",
-                e.order,
-                e.page,
-                e.time.as_nanos(),
-                kind
-            ));
-        }
-        out
     }
 }
 
@@ -192,13 +205,27 @@ mod tests {
     }
 
     #[test]
-    fn csv_roundtrip_shape() {
-        let mut r = TraceRecorder::enabled();
-        r.record(EventKind::Fault, 5, SimTime::from_nanos(42));
-        let csv = r.to_csv();
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("order,page,time_ns,kind"));
-        assert_eq!(lines.next(), Some("0,5,42,fault"));
-        assert_eq!(lines.next(), None);
+    fn record_pages_matches_per_page_records() {
+        let pages = [3u64, 9, 10, 40];
+        for capacity in [1usize, 3, 5, 8, 100] {
+            let mut one = TraceRecorder::with_capacity(capacity);
+            let mut batched = TraceRecorder::with_capacity(capacity);
+            for (kind, t) in [
+                (EventKind::Fault, 1),
+                (EventKind::Prefetch, 2),
+                (EventKind::Fault, 3),
+            ] {
+                let time = SimTime::from_nanos(t);
+                for &p in &pages {
+                    one.record(kind, p, time);
+                }
+                batched.record_pages(kind, pages.len() as u64, pages, time);
+            }
+            one.record(EventKind::Fault, 0, SimTime::ZERO);
+            batched.record(EventKind::Fault, 0, SimTime::ZERO);
+            assert_eq!(batched.events(), one.events(), "capacity {capacity}");
+            assert_eq!(batched.dropped(), one.dropped(), "capacity {capacity}");
+            assert_eq!(batched.next_order, one.next_order, "capacity {capacity}");
+        }
     }
 }

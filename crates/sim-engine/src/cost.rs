@@ -79,10 +79,6 @@ pub struct CostModelConfig {
     pub access_notif_us: f64,
 
     // ---- GPU side ----
-    /// GPU time for one resident-page access (ns).
-    pub gpu_access_ns: u64,
-    /// GPU hardware cost to raise one fault into the buffer (µs).
-    pub fault_raise_us: f64,
     /// Latency from replay issue until stalled warps retry (µs).
     pub replay_latency_us: f64,
     /// Kernel launch overhead (µs).
@@ -121,8 +117,6 @@ impl Default for CostModelConfig {
             lru_update_us: 0.2,
             access_notif_us: 0.5,
 
-            gpu_access_ns: 20,
-            fault_raise_us: 0.3,
             replay_latency_us: 10.0,
             kernel_launch_us: 15.0,
             uvm_first_touch_us: 350.0,
@@ -349,18 +343,6 @@ impl CostModel {
     }
 
     // ---- GPU side ----
-
-    /// GPU time for one resident access.
-    #[inline]
-    pub fn gpu_access(&self) -> SimDuration {
-        SimDuration::from_nanos(self.cfg.gpu_access_ns)
-    }
-
-    /// GPU hardware cost to raise one fault.
-    #[inline]
-    pub fn fault_raise(&self) -> SimDuration {
-        us(self.cfg.fault_raise_us)
-    }
 
     /// Replay propagation latency on the device.
     #[inline]

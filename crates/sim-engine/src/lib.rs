@@ -8,8 +8,6 @@
 //! * [`time`] — a nanosecond-resolution virtual clock ([`SimTime`],
 //!   [`SimDuration`]) that is advanced explicitly by the simulation, never
 //!   by the host OS.
-//! * [`event`] — a generic discrete-event queue keyed by virtual time with
-//!   deterministic FIFO tie-breaking.
 //! * [`cost`] — the calibrated latency/bandwidth cost model used to charge
 //!   virtual time for every operation the simulated UVM driver and GPU
 //!   perform. The constants are calibrated to the magnitudes reported in
@@ -26,12 +24,10 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod event;
 pub mod rng;
 pub mod time;
 pub mod units;
 
 pub use cost::{CostModel, CostModelConfig};
-pub use event::{EventQueue, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

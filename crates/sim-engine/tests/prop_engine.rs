@@ -1,42 +1,10 @@
-//! Property-based tests for the simulation substrate: event-queue
-//! ordering against a sorted reference, time arithmetic, RNG laws, and
-//! cost-model monotonicity.
+//! Property-based tests for the simulation substrate: time arithmetic,
+//! RNG laws, and cost-model monotonicity.
 
 use proptest::prelude::*;
-use sim_engine::{CostModel, CostModelConfig, EventQueue, SimDuration, SimRng, SimTime};
+use sim_engine::{CostModel, CostModelConfig, SimDuration, SimRng, SimTime};
 
 proptest! {
-    #[test]
-    fn event_queue_matches_stable_sort(times in proptest::collection::vec(0u64..1_000, 0..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_nanos(t), i);
-        }
-        let got: Vec<(u64, usize)> =
-            std::iter::from_fn(|| q.pop().map(|e| (e.at.as_nanos(), e.payload))).collect();
-        let mut want: Vec<(u64, usize)> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i))
-            .collect();
-        want.sort_by_key(|&(t, _)| t); // stable: FIFO ties preserved
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn queue_clock_is_monotone(times in proptest::collection::vec(0u64..1_000, 1..100)) {
-        let mut q = EventQueue::new();
-        for &t in &times {
-            q.schedule(SimTime::from_nanos(t), ());
-        }
-        let mut last = SimTime::ZERO;
-        while let Some(e) = q.pop() {
-            prop_assert!(e.at >= last);
-            prop_assert_eq!(q.now(), e.at);
-            last = e.at;
-        }
-    }
-
     #[test]
     fn duration_addition_is_associative_and_commutative(
         a in 0u64..u64::MAX / 4,

@@ -14,12 +14,11 @@ use crate::service::{plan_group, ServicePlan};
 use crate::thrash::{ThrashConfig, ThrashDetector};
 use gpu_model::dma::TransferLog;
 use gpu_model::{AccessNotification, FaultBuffer, GlobalPage, PageMask, VaBlockIdx};
-use metrics::trace::DEFAULT_TRACE_CAPACITY;
 use metrics::{
-    Attribution, BlockStats, Category, Counters, EventKind, Histogram, LineageConfig,
-    LineageEventKind, LineageLog, LineageRecorder, Offender, Sample, ServicePhaseWall, SpanCat,
-    SpanKind, SpanRecorder, Timers, Timeseries, TimeseriesConfig, TimeseriesSampler,
-    TraceRecorder, DEFAULT_SPAN_CAPACITY, NO_BLOCK,
+    Attribution, BlockStats, Category, Counters, EventKind, Histogram, LineageEventKind,
+    LineageLog, LineageRecorder, Offender, Sample, ServicePhaseWall, SpanCat, SpanKind,
+    SpanRecorder, Timers, Timeseries, TimeseriesConfig, TimeseriesSampler, TraceRecorder,
+    NO_BLOCK,
 };
 use serde::{Deserialize, Serialize};
 use sim_engine::units::{GIB, PAGES_PER_VABLOCK, PAGE_SIZE};
@@ -43,17 +42,14 @@ pub struct DriverConfig {
     /// 512). Paper §VI-B2 suggests flexible granularity; smaller
     /// power-of-two values allocate backing lazily per sub-region.
     pub alloc_granularity_pages: usize,
-    /// Capture per-fault trace events (Fig. 7 / Fig. 8 data).
-    pub capture_trace: bool,
-    /// Capacity of the per-fault trace buffer (events beyond it are
-    /// counted and dropped).
-    pub trace_capacity: usize,
-    /// Record batch-lifecycle spans (Chrome-trace export). Off by
-    /// default: the recorder is then a no-op enum branch on hot paths.
-    pub record_spans: bool,
-    /// Capacity of the span buffer (events beyond it are counted and
-    /// dropped, with dropped leaf *time* still accounted per category).
-    pub span_capacity: usize,
+    /// Per-fault trace capture (Fig. 7 / Fig. 8 data), armed with this
+    /// buffer capacity (events beyond it are counted and dropped).
+    pub trace_capacity: Option<usize>,
+    /// Batch-lifecycle span recording (Chrome-trace export), armed with
+    /// this buffer capacity (events beyond it are counted and dropped,
+    /// with dropped leaf *time* still accounted per category). Unarmed
+    /// by default: the recorder is then a no-op enum branch on hot paths.
+    pub span_capacity: Option<usize>,
     /// Thrashing detection + pinning (off = stock behaviour).
     pub thrash: ThrashConfig,
     /// Inert: the driver ignores it and always services a batch on the
@@ -62,17 +58,13 @@ pub struct DriverConfig {
     /// with those uses.
     #[serde(default)]
     pub service_workers: usize,
-    /// Simulated-time telemetry sampling (off by default; when on, the
-    /// driver snapshots its cumulative signals on a virtual-time grid —
-    /// deterministic at any thread count).
+    /// Simulated-time telemetry sampling, and with it the fault-lineage
+    /// event log and anomaly-triggered flight recorder (off by default;
+    /// when on, the driver snapshots its cumulative signals on a
+    /// virtual-time grid and emits per-VABlock lifecycle events from the
+    /// serial commit path only — deterministic at any thread count).
     #[serde(default)]
-    pub timeseries: TimeseriesConfig,
-    /// Fault-lineage event log and anomaly-triggered flight recorder
-    /// (off by default; when on, per-VABlock lifecycle events are
-    /// emitted from the serial commit path only, so the stream is
-    /// bit-identical at any thread count).
-    #[serde(default)]
-    pub lineage: LineageConfig,
+    pub timeseries: Option<TimeseriesConfig>,
 }
 
 impl Default for DriverConfig {
@@ -84,14 +76,11 @@ impl Default for DriverConfig {
             eviction: EvictionPolicy::default(),
             gpu_memory_bytes: 12 * GIB,
             alloc_granularity_pages: PAGES_PER_VABLOCK,
-            capture_trace: false,
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-            record_spans: false,
-            span_capacity: DEFAULT_SPAN_CAPACITY,
+            trace_capacity: None,
+            span_capacity: None,
             thrash: ThrashConfig::default(),
             service_workers: 0,
-            timeseries: TimeseriesConfig::default(),
-            lineage: LineageConfig::default(),
+            timeseries: None,
         }
     }
 }
@@ -197,16 +186,16 @@ impl UvmDriver {
         );
         let subscription = (space.total_pages() * PAGE_SIZE) as f64 / cfg.gpu_memory_bytes as f64;
         let resolved_prefetch = cfg.prefetch.resolve(subscription);
-        let trace = if cfg.capture_trace {
-            TraceRecorder::with_capacity(cfg.trace_capacity)
-        } else {
-            TraceRecorder::disabled()
-        };
-        let spans = if cfg.record_spans {
-            SpanRecorder::bounded(cfg.span_capacity)
-        } else {
-            SpanRecorder::disabled()
-        };
+        let trace = cfg
+            .trace_capacity
+            .map_or_else(TraceRecorder::disabled, TraceRecorder::with_capacity);
+        let spans = cfg
+            .span_capacity
+            .map_or_else(SpanRecorder::disabled, SpanRecorder::bounded);
+        let sampler = cfg
+            .timeseries
+            .as_ref()
+            .map_or_else(TimeseriesSampler::disabled, TimeseriesSampler::new);
         let evict_rng = rng.derive(0xE71C);
         UvmDriver {
             resolved_prefetch,
@@ -234,10 +223,10 @@ impl UvmDriver {
             evict_skipped: Vec::new(),
             evict_candidates: Vec::new(),
             evict_rng,
-            sampler: TimeseriesSampler::new(&cfg.timeseries),
+            sampler,
             pass_ns: Histogram::default(),
             attribution: Attribution::default(),
-            lineage: LineageRecorder::new(&cfg.lineage),
+            lineage: LineageRecorder::new(cfg.timeseries.is_some()),
             cfg,
         }
     }
@@ -421,22 +410,13 @@ impl UvmDriver {
         // when disabled; when armed, snapshot at pass end if the grid is
         // due. Everything sampled is simulated state, so streams are
         // bit-identical at any `--threads` value.
-        if self.sampler.is_enabled() || self.lineage.is_enabled() {
+        if self.sampler.is_enabled() {
             self.pass_ns.record(t.as_nanos());
             let end = now + t;
             if self.sampler.is_due(end) {
                 let sample = self.snapshot(end);
                 self.sampler.record(end, sample);
             }
-            // Flight-recorder latency trigger: fires (with hysteresis)
-            // when the configured pass-latency percentile crosses the
-            // threshold. Pure simulated state, so it is deterministic.
-            self.lineage.note_pass_latency(
-                &self.pass_ns,
-                end.as_nanos(),
-                self.counters.batches,
-                self.sampler.samples(),
-            );
         }
         self.phase_wall.serial_front_ns += pass_start.elapsed().as_nanos() as u64;
         PassResult {
@@ -645,17 +625,19 @@ impl UvmDriver {
         self.counters.pages_prefetched += plan.prefetch.count() as u64;
         self.counters.vablocks_serviced += 1;
 
-        if self.trace.is_enabled() {
-            let base = vb.first_page().0;
-            for off in plan.faulted.iter_set() {
-                self.trace
-                    .record(EventKind::Fault, base + off as u64, now + t);
-            }
-            for off in plan.prefetch.iter_set() {
-                self.trace
-                    .record(EventKind::Prefetch, base + off as u64, now + t);
-            }
-        }
+        let base = vb.first_page().0;
+        self.trace.record_pages(
+            EventKind::Fault,
+            plan.faulted.count() as u64,
+            plan.faulted.iter_set().map(|off| base + off as u64),
+            now + t,
+        );
+        self.trace.record_pages(
+            EventKind::Prefetch,
+            plan.prefetch.count() as u64,
+            plan.prefetch.iter_set().map(|off| base + off as u64),
+            now + t,
+        );
 
         self.spans.end(
             SpanKind::VablockService,
@@ -979,13 +961,13 @@ impl UvmDriver {
                 n,
                 0,
             );
-            if self.trace.is_enabled() {
-                let base = vb.first_page().0;
-                for off in wanted.iter_set() {
-                    self.trace
-                        .record(EventKind::Prefetch, base + off as u64, now + t);
-                }
-            }
+            let base = vb.first_page().0;
+            self.trace.record_pages(
+                EventKind::Prefetch,
+                n,
+                wanted.iter_set().map(|off| base + off as u64),
+                now + t,
+            );
         }
         self.counters.hint_prefetch_calls += 1;
         self.spans.end(
@@ -1175,19 +1157,13 @@ impl UvmDriver {
         metrics::top_offenders(&self.block_stats, k)
     }
 
-    /// Per-VABlock serviced-fault totals (the
-    /// [`EvictionPolicy::AccessFrequency`] ranking input), indexed by
-    /// block.
-    pub fn block_fault_counts(&self) -> &[u64] {
-        &self.block_faults
-    }
-
-    /// Captured trace events (empty unless `capture_trace`).
+    /// Captured trace events (empty unless `trace_capacity` is set).
     pub fn trace(&self) -> &TraceRecorder {
         &self.trace
     }
 
-    /// Captured batch-lifecycle spans (empty unless `record_spans`).
+    /// Captured batch-lifecycle spans (empty unless `span_capacity` is
+    /// set).
     pub fn spans(&self) -> &SpanRecorder {
         &self.spans
     }
@@ -1258,6 +1234,9 @@ impl UvmDriver {
             retries_skipped: self.counters.retries_skipped,
             retry_pages_skipped: self.counters.retry_pages_skipped,
             wakeups: self.counters.wakeups,
+            pages_hint_prefetched: self.counters.pages_hint_prefetched,
+            pages_evicted_migrated: self.counters.pages_evicted_migrated,
+            pages_migrated_to_host: self.counters.pages_migrated_to_host,
             ..Sample::default()
         };
         s.set_batch_latency(&self.pass_ns);
@@ -1298,7 +1277,7 @@ impl UvmDriver {
         self.sampler.take()
     }
 
-    /// The fault-lineage recorder (inert unless `lineage.enabled`).
+    /// The fault-lineage recorder (inert unless `timeseries` is set).
     pub fn lineage(&self) -> &LineageRecorder {
         &self.lineage
     }
@@ -1645,7 +1624,7 @@ mod tests {
     #[test]
     fn trace_captures_faults_prefetches_evictions() {
         let cfg = DriverConfig {
-            capture_trace: true,
+            trace_capacity: Some(metrics::DEFAULT_TRACE_CAPACITY),
             gpu_memory_bytes: 2 * VABLOCK_SIZE,
             ..DriverConfig::default()
         };
@@ -1667,7 +1646,7 @@ mod tests {
         // Small memory forces evictions; prefetch + thrash stress every
         // span site on the fault path.
         let cfg = DriverConfig {
-            record_spans: true,
+            span_capacity: Some(metrics::DEFAULT_SPAN_CAPACITY),
             gpu_memory_bytes: 2 * VABLOCK_SIZE,
             thrash: ThrashConfig {
                 enabled: true,
@@ -1759,11 +1738,10 @@ mod tests {
     fn sampled_run() -> (UvmDriver, SimTime) {
         let cfg = DriverConfig {
             gpu_memory_bytes: 4 * VABLOCK_SIZE,
-            timeseries: TimeseriesConfig {
-                enabled: true,
+            timeseries: Some(TimeseriesConfig {
                 interval_ns: 1_000,
                 capacity: 16,
-            },
+            }),
             ..DriverConfig::default()
         };
         let mut d = driver_with(cfg, 16 * VABLOCK_SIZE);
@@ -1813,6 +1791,9 @@ mod tests {
         assert_eq!(last.attr_replay_dup_faults, a.replay_dup_faults);
         assert_eq!(last.attr_prefetch_evicted_pages, a.prefetch_evicted_pages);
         assert_eq!(last.attr_evicted_used_pages, a.evicted_used_pages);
+        assert_eq!(last.pages_hint_prefetched, c.pages_hint_prefetched);
+        assert_eq!(last.pages_evicted_migrated, c.pages_evicted_migrated);
+        assert_eq!(last.pages_migrated_to_host, c.pages_migrated_to_host);
     }
 
     #[test]
@@ -1993,14 +1974,11 @@ mod tests {
     }
 
     /// Drive eviction-pressured faults (plus a hint and a host access)
-    /// with the lineage recorder armed.
-    fn lineage_run() -> UvmDriver {
+    /// with sampling, and so the lineage recorder, armed.
+    fn lineage_run() -> (UvmDriver, SimTime) {
         let cfg = DriverConfig {
             gpu_memory_bytes: 4 * VABLOCK_SIZE,
-            lineage: metrics::LineageConfig {
-                enabled: true,
-                ..metrics::LineageConfig::default()
-            },
+            timeseries: Some(TimeseriesConfig::default()),
             ..DriverConfig::default()
         };
         let mut d = driver_with(cfg, 16 * VABLOCK_SIZE);
@@ -2021,7 +1999,7 @@ mod tests {
             let r = d.process_pass(&mut buf, clock);
             clock += r.time;
         }
-        d.host_access_range(
+        clock += d.host_access_range(
             &VaRange {
                 name: "host".into(),
                 start_page: 0,
@@ -2029,7 +2007,7 @@ mod tests {
             },
             clock,
         );
-        d
+        (d, clock)
     }
 
     #[test]
@@ -2050,15 +2028,14 @@ mod tests {
 
     #[test]
     fn lineage_reconciles_and_round_trips() {
-        let mut d = lineage_run();
-        let c = *d.counters();
-        let a = *d.attribution();
+        let (mut d, clock) = lineage_run();
+        d.finalize_timeseries(clock);
+        let last = *d.take_timeseries().last().expect("finalized stream has a tail");
         let log = d.take_lineage();
         assert!(!log.is_empty());
         assert_eq!(log.dropped, 0, "default capacity fits this run");
-        log.reconcile(&c, &a).unwrap_or_else(|(what, lhs, rhs)| {
-            panic!("lineage does not reconcile: {what}: {lhs} != {rhs}")
-        });
+        assert!(log.total(metrics::LineageEventKind::HintPrefetch).pages > 0);
+        log.reconcile(&last).unwrap_or_else(|e| panic!("{e}"));
         // The artefact codec round-trips the real stream.
         let text = log.to_artefact();
         let back = metrics::LineageLog::from_artefact(&text).expect("artefact parses");
@@ -2082,15 +2059,10 @@ mod tests {
                 refault_threshold: 2,
                 pin_duration_batches: 4,
             },
-            timeseries: TimeseriesConfig {
-                enabled: true,
+            timeseries: Some(TimeseriesConfig {
                 interval_ns: 1_000,
                 capacity: 16,
-            },
-            lineage: metrics::LineageConfig {
-                enabled: true,
-                ..metrics::LineageConfig::default()
-            },
+            }),
             ..DriverConfig::default()
         };
         let mut d = driver_with(cfg, 8 * VABLOCK_SIZE);

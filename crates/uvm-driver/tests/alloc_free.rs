@@ -215,13 +215,12 @@ fn steady_state_sampling_does_not_allocate() {
 
     let cfg = DriverConfig {
         gpu_memory_bytes: 4 * VABLOCK_SIZE,
-        timeseries: TimeseriesConfig {
-            enabled: true,
+        timeseries: Some(TimeseriesConfig {
             // A 1 ns grid makes every pass due; capacity 32 forces a
             // compaction every 32 samples — both paths in the window.
             interval_ns: 1,
             capacity: 32,
-        },
+        }),
         ..DriverConfig::default()
     };
     let mut space = ManagedSpace::new();
@@ -284,20 +283,18 @@ fn steady_state_sampling_does_not_allocate() {
 /// flight-recorder ring, and the dump storage are all preallocated at
 /// construction, so a driver emitting lifecycle events on every pass —
 /// first-touches, refaults, migrations, evictions, writebacks — costs
-/// zero heap traffic once warm.
+/// zero heap traffic once warm. Lineage is armed with sampling, whose
+/// buffer is preallocated too.
 #[test]
 fn steady_state_lineage_recording_does_not_allocate() {
-    use metrics::LineageConfig;
+    use metrics::TimeseriesConfig;
     use sim_engine::units::VABLOCK_SIZE;
     use sim_engine::{CostModel, SimRng};
     use uvm_driver::{DriverConfig, UvmDriver};
 
     let cfg = DriverConfig {
         gpu_memory_bytes: 4 * VABLOCK_SIZE,
-        lineage: LineageConfig {
-            enabled: true,
-            ..LineageConfig::default()
-        },
+        timeseries: Some(TimeseriesConfig::default()),
         ..DriverConfig::default()
     };
     let mut space = ManagedSpace::new();
@@ -349,7 +346,12 @@ fn steady_state_lineage_recording_does_not_allocate() {
         "steady-state lineage recording allocated {cleanest} times in every window"
     );
     // The window emitted real events (thrash => refaults and evictions),
-    // and the log it produced reconciles against the ledgers.
+    // and the log it produced reconciles against the final sample.
+    driver.finalize_timeseries(clock);
+    let last = *driver
+        .take_timeseries()
+        .last()
+        .expect("finalized stream has a tail");
     let lineage = driver.take_lineage();
     assert!(!lineage.is_empty(), "the window must have recorded events");
     assert!(
@@ -357,7 +359,7 @@ fn steady_state_lineage_recording_does_not_allocate() {
         "thrash must produce refault events"
     );
     lineage
-        .reconcile(driver.counters(), driver.attribution())
+        .reconcile(&last)
         .expect("lineage reconciles after the allocation-free window");
 }
 

@@ -65,15 +65,15 @@ pub struct SimReport {
     /// Fault-trace events dropped at the recorder's capacity.
     pub trace_dropped: u64,
     /// Captured batch-lifecycle spans (empty unless
-    /// `driver.record_spans`). Sim-time fields are deterministic; the
-    /// `wall_ns` stamps are not.
+    /// `driver.span_capacity` is set). Sim-time fields are deterministic;
+    /// the `wall_ns` stamps are not.
     pub span_trace: SpanTrace,
     /// Per-batch fault-count distribution (paper §III-D).
     pub faults_per_batch: Histogram,
     /// Per-batch VABlock-count distribution (paper §III-D).
     pub vablocks_per_batch: Histogram,
     /// Simulated-time telemetry samples (empty unless
-    /// `driver.timeseries.enabled`). Sampled on the virtual clock, so the
+    /// `driver.timeseries` is set). Sampled on the virtual clock, so the
     /// stream is bit-identical at any thread count; the final
     /// sample is forced at the end of the driver's critical path (its
     /// `t_ns` equals `driver_time`) and carries the exact end-of-run
@@ -92,7 +92,7 @@ pub struct SimReport {
     /// prefetched-evicted pages), descending; block index breaks ties.
     pub top_offenders: Vec<Offender>,
     /// Fault-lineage event log, exact per-kind totals, and any flight
-    /// dumps (empty unless `driver.lineage.enabled`).
+    /// dumps (empty unless `driver.timeseries` is set).
     #[serde(default)]
     pub lineage: metrics::LineageLog,
 }
@@ -163,74 +163,15 @@ pub fn run_prepared(config: &SimConfig, prepared: &PreparedWorkload) -> SimRepor
     let mut engine = GpuEngine::launch(config.gpu.clone(), Arc::clone(&prepared.trace), root.derive(3));
     let mut buffer = FaultBuffer::new(config.fault_buffer.clone());
 
-    let mut clock = SimTime::ZERO + cost.kernel_launch();
-    let mut passes: u64 = 0;
-    let mut stuck_passes: u64 = 0;
-    let mut last_steps: u64 = 0;
-    let mut last_buffer_drops: u64 = 0;
-
-    loop {
-        engine.run(driver.space(), &mut buffer, clock);
-        // Mirror the engine's event-driven retry telemetry so samples
-        // taken during the following driver passes carry it.
-        let ec = *engine.counters();
-        driver.note_engine_retry_stats(ec.retries_skipped, ec.retry_pages_skipped, ec.wakeups);
-        if engine.is_done() {
-            break;
-        }
-        // Hardware fault-buffer overflows happen on the GPU side; surface
-        // them as instants on the driver's span timeline.
-        let buffer_drops = engine.counters().faults_dropped;
-        if buffer_drops > last_buffer_drops {
-            driver.spans_mut().instant(
-                SpanKind::BufferOverflow,
-                clock,
-                buffer_drops - last_buffer_drops,
-                0,
-            );
-            last_buffer_drops = buffer_drops;
-        }
-        if config.gpu.access_counters.enabled {
-            let notifs = engine.drain_access_notifications();
-            clock += driver.note_access_notifications(
-                &notifs,
-                config.gpu.access_counters.granularity_pages,
-                clock,
-            );
-        }
-        // Driver works until it releases the GPU with a replay.
-        loop {
-            let pass = driver.process_pass(&mut buffer, clock);
-            clock += pass.time;
-            passes += 1;
-            assert!(
-                passes <= config.max_passes,
-                "exceeded max_passes = {} — livelock?",
-                config.max_passes
-            );
-            if pass.replays > 0 {
-                break;
-            }
-        }
-        clock += cost.replay_latency();
-        engine.replay();
-
-        // Livelock detection: replays that never complete a step mean the
-        // working set of stalled warps cannot become co-resident.
-        let steps = engine.counters().steps_completed;
-        if steps == last_steps {
-            stuck_passes += 1;
-            assert!(
-                stuck_passes < 10_000,
-                "no GPU progress over {stuck_passes} replays: working set of \
-                 stalled warps cannot fit in {} bytes of GPU memory",
-                config.driver.gpu_memory_bytes
-            );
-        } else {
-            stuck_passes = 0;
-            last_steps = steps;
-        }
-    }
+    let clock = run_kernel(
+        config,
+        &cost,
+        &mut engine,
+        &mut driver,
+        &mut buffer,
+        SimTime::ZERO + cost.kernel_launch(),
+        (0, 0, 0),
+    );
 
     let driver_time = clock - SimTime::ZERO;
     let compute_time = cost.kernel_launch() + engine.compute_time();
@@ -275,6 +216,95 @@ pub fn run_prepared(config: &SimConfig, prepared: &PreparedWorkload) -> SimRepor
         top_offenders: driver.top_offenders(TOP_OFFENDERS_K),
         lineage: driver.take_lineage(),
     }
+}
+
+/// Drive one kernel launch from `clock` until the engine finishes,
+/// returning the clock at completion: GPU phases alternate with driver
+/// passes, each phase ending in a replay. [`run_prepared`] and
+/// [`run_repeated`] share this one loop. `retry_base` offsets the
+/// engine's retry telemetry (which counts from zero per launch) so the
+/// driver-side mirror stays cumulative across launches.
+fn run_kernel(
+    config: &SimConfig,
+    cost: &CostModel,
+    engine: &mut GpuEngine,
+    driver: &mut UvmDriver,
+    buffer: &mut FaultBuffer,
+    mut clock: SimTime,
+    retry_base: (u64, u64, u64),
+) -> SimTime {
+    let mut passes: u64 = 0;
+    let mut stuck_passes: u64 = 0;
+    let mut last_steps: u64 = 0;
+    let mut last_buffer_drops: u64 = 0;
+
+    loop {
+        engine.run(driver.space(), buffer, clock);
+        // Mirror the engine's event-driven retry telemetry so samples
+        // taken during the following driver passes carry it.
+        let ec = *engine.counters();
+        driver.note_engine_retry_stats(
+            retry_base.0 + ec.retries_skipped,
+            retry_base.1 + ec.retry_pages_skipped,
+            retry_base.2 + ec.wakeups,
+        );
+        if engine.is_done() {
+            break;
+        }
+        // Hardware fault-buffer overflows happen on the GPU side; surface
+        // them as instants on the driver's span timeline.
+        let buffer_drops = engine.counters().faults_dropped;
+        if buffer_drops > last_buffer_drops {
+            driver.spans_mut().instant(
+                SpanKind::BufferOverflow,
+                clock,
+                buffer_drops - last_buffer_drops,
+                0,
+            );
+            last_buffer_drops = buffer_drops;
+        }
+        if config.gpu.access_counters.enabled {
+            let notifs = engine.drain_access_notifications();
+            clock += driver.note_access_notifications(
+                &notifs,
+                config.gpu.access_counters.granularity_pages,
+                clock,
+            );
+        }
+        // Driver works until it releases the GPU with a replay.
+        loop {
+            let pass = driver.process_pass(buffer, clock);
+            clock += pass.time;
+            passes += 1;
+            assert!(
+                passes <= config.max_passes,
+                "exceeded max_passes = {} — livelock?",
+                config.max_passes
+            );
+            if pass.replays > 0 {
+                break;
+            }
+        }
+        clock += cost.replay_latency();
+        engine.replay();
+
+        // Livelock detection: replays that never complete a step mean the
+        // working set of stalled warps cannot become co-resident.
+        let steps = engine.counters().steps_completed;
+        if steps == last_steps {
+            stuck_passes += 1;
+            assert!(
+                stuck_passes < 10_000,
+                "no GPU progress over {stuck_passes} replays: working set of \
+                 stalled warps cannot fit in {} bytes of GPU memory",
+                config.driver.gpu_memory_bytes
+            );
+        } else {
+            stuck_passes = 0;
+            last_steps = steps;
+        }
+    }
+    clock
 }
 
 /// How many offending VABlocks a report carries. Enough to render the
@@ -586,33 +616,15 @@ pub fn run_repeated(config: &SimConfig, workload: &Workload, launches: u32) -> V
             Arc::clone(&trace),
             root.derive(10 + launch as u64),
         );
-        let mut passes = 0u64;
-        loop {
-            engine.run(driver.space(), &mut buffer, clock);
-            // Each launch gets a fresh engine (counters restart at zero):
-            // offset by the previous launches' totals so the driver-side
-            // mirror stays cumulative and monotone.
-            let ec = *engine.counters();
-            driver.note_engine_retry_stats(
-                retry_base.0 + ec.retries_skipped,
-                retry_base.1 + ec.retry_pages_skipped,
-                retry_base.2 + ec.wakeups,
-            );
-            if engine.is_done() {
-                break;
-            }
-            loop {
-                let pass = driver.process_pass(&mut buffer, clock);
-                clock += pass.time;
-                passes += 1;
-                assert!(passes <= config.max_passes, "livelock in repeated launch");
-                if pass.replays > 0 {
-                    break;
-                }
-            }
-            clock += cost.replay_latency();
-            engine.replay();
-        }
+        clock = run_kernel(
+            config,
+            &cost,
+            &mut engine,
+            &mut driver,
+            &mut buffer,
+            clock,
+            retry_base,
+        );
         // Kernel boundary: drain any stale entries a non-flushing replay
         // policy left behind, so they don't surface as phantom faults in
         // the next launch's counters.

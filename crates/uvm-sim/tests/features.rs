@@ -6,7 +6,7 @@ use gpu_model::Residency;
 use sim_engine::units::{MIB, VABLOCK_SIZE};
 use sim_engine::{CostModel, SimDuration, SimRng, SimTime};
 use uvm_driver::{DriverConfig, ManagedSpace, PrefetchPolicy, UvmDriver};
-use uvm_sim::{run, run_repeated, SimConfig, Workload, WorkloadKind};
+use uvm_sim::{run, run_repeated, EvictionPolicy, SimConfig, Workload, WorkloadKind};
 use workloads::{RandomParams, RegularParams};
 
 #[test]
@@ -128,6 +128,31 @@ fn repeated_launches_keep_thrashing_when_oversubscribed() {
     let stats = run_repeated(&cfg, &w, 2);
     assert!(stats[1].faults > 0, "oversubscription keeps faulting");
     assert!(stats[1].evictions > 0);
+}
+
+/// `run_repeated` drives the same kernel loop as `run`: under the
+/// access-counter policy each launch delivers (and pays for) the GPU's
+/// access-counter notifications, so their cost shows in launch 0's time.
+#[test]
+fn repeated_launches_deliver_access_counter_notifications() {
+    let mut cfg = SimConfig::default().with_eviction(EvictionPolicy::AccessCounterLru);
+    cfg.driver.gpu_memory_bytes = 16 * MIB;
+    let mut costly = cfg.clone();
+    costly.cost.access_notif_us *= 100.0;
+    let w = Workload::Random(RandomParams {
+        bytes: 24 * MIB,
+        warps_per_block: 8,
+    });
+    assert_ne!(
+        run(&costly, &w).total_time,
+        run(&cfg, &w).total_time,
+        "run delivers notifications in this scenario"
+    );
+    assert_ne!(
+        run_repeated(&costly, &w, 1)[0].time,
+        run_repeated(&cfg, &w, 1)[0].time,
+        "run_repeated must deliver them too"
+    );
 }
 
 #[test]
@@ -371,7 +396,7 @@ fn attribution_is_identical_across_sweep_thread_counts() {
     let points = || {
         let mut a = SimConfig::default();
         a.driver.gpu_memory_bytes = 16 * MIB;
-        a.driver.timeseries.enabled = true;
+        a.driver.timeseries = Some(metrics::TimeseriesConfig::default());
         let mut b = a.clone();
         b.driver.prefetch = PrefetchPolicy::Disabled;
         let w = Workload::Random(RandomParams {

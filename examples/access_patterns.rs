@@ -36,7 +36,7 @@ fn main() {
     };
 
     let mut config = SimConfig::scaled(1.0 / 64.0);
-    config.driver.capture_trace = true;
+    config.driver.trace_capacity = Some(uvm_sim::metrics::DEFAULT_TRACE_CAPACITY);
     if ratio_pct <= 100 {
         // Match the paper's Fig. 7 setup: prefetching disabled so the raw
         // pattern is visible.

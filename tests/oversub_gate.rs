@@ -125,6 +125,53 @@ fn oversub_report_renders_cliff_map_and_bracket_diffs() {
     let explain = repro(&["explain", metrics.to_str().unwrap()]);
     assert!(explain.status.success(), "explain: {}", stderr(&explain));
     assert!(!stdout(&explain).contains("ratio_centi"), "oversub.tsv leaked into explain");
+
+    // Relabel one eviction write-back as a host migration and move the
+    // totals to match: the stream still parses and the device-to-host
+    // byte total still closes, but the page split contradicts the CSV's
+    // counters, so `repro check` must refuse it.
+    let mut lineages: Vec<_> = std::fs::read_dir(metrics.join("oversub"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "lineage"))
+        .collect();
+    lineages.sort();
+    let totals = |text: &str, kind: &str| -> (u64, u64) {
+        let prefix = format!("total,{kind},");
+        let line = text.lines().find(|l| l.starts_with(&prefix)).unwrap();
+        let cells: Vec<u64> = line[prefix.len()..].split(',').map(|c| c.parse().unwrap()).collect();
+        (cells[0], cells[1])
+    };
+    let (path, text) = lineages
+        .iter()
+        .map(|p| (p, std::fs::read_to_string(p).unwrap()))
+        .find(|(_, text)| totals(text, "writeback").1 > 0)
+        .expect("an oversubscribed point writes back dirty pages");
+    let row = text
+        .lines()
+        .find(|l| l.starts_with("event,") && l.contains(",writeback,"))
+        .expect("a stored writeback event");
+    let pages: u64 = row.split(',').nth(5).unwrap().parse().unwrap();
+    let ((wb_events, wb_pages), (host_events, host_pages)) =
+        (totals(&text, "writeback"), totals(&text, "host_writeback"));
+    let doctored = text
+        .replacen(row, &row.replacen(",writeback,", ",host_writeback,", 1), 1)
+        .replacen(
+            &format!("total,writeback,{wb_events},{wb_pages},"),
+            &format!("total,writeback,{},{},", wb_events - 1, wb_pages - pages),
+            1,
+        )
+        .replacen(
+            &format!("total,host_writeback,{host_events},{host_pages},"),
+            &format!("total,host_writeback,{},{},", host_events + 1, host_pages + pages),
+            1,
+        );
+    std::fs::write(path, doctored).unwrap();
+    let check = repro(&["check", metrics.to_str().unwrap()]);
+    let err = stderr(&check);
+    assert_eq!(check.status.code(), Some(1), "relabelled write-back must fail check: {err}");
+    assert!(err.contains("lineage does not reconcile"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

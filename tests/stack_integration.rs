@@ -308,7 +308,7 @@ fn adaptive_prefetch_switches_modes_end_to_end() {
 fn report_serde_roundtrip() {
     let mut cfg = SimConfig::default();
     cfg.driver.gpu_memory_bytes = 32 * MIB;
-    cfg.driver.capture_trace = true;
+    cfg.driver.trace_capacity = Some(metrics::DEFAULT_TRACE_CAPACITY);
     let w = Workload::with_footprint(WorkloadKind::Stream, 8 * MIB);
     let r = run(&cfg, &w);
     let json = serde_json::to_string(&r).unwrap();

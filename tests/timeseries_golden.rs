@@ -6,7 +6,7 @@
 //! sample) must compare equal.
 
 use bench::experiments::Scale;
-use metrics::{LineageConfig, LineageLog, Timeseries, TimeseriesConfig};
+use metrics::{LineageLog, Timeseries, TimeseriesConfig};
 use uvm_sim::{PrefetchPolicy, SimConfig, Workload, WorkloadKind};
 
 /// Figure-1-style points at the `repro --scale 16` platform: streaming
@@ -27,18 +27,13 @@ fn sampled_points() -> Vec<(SimConfig, Workload)> {
         if !prefetch {
             cfg.driver.prefetch = PrefetchPolicy::Disabled;
         }
-        cfg.driver.timeseries = TimeseriesConfig {
-            enabled: true,
+        // Sampling also arms the lineage event stream, emitted from the
+        // same serial commit paths, so it shares the golden surface:
+        // bit-identical at any thread count.
+        cfg.driver.timeseries = Some(TimeseriesConfig {
             interval_ns: 50_000,
             capacity: 256,
-        };
-        // The lineage event stream is emitted from the same serial commit
-        // paths, so it shares the golden surface: bit-identical at any
-        // thread count.
-        cfg.driver.lineage = LineageConfig {
-            enabled: true,
-            ..LineageConfig::default()
-        };
+        });
         points.push((cfg, scale.workload(kind, ratio)));
     }
     points
@@ -62,11 +57,10 @@ fn sample_streams_identical_across_thread_counts() {
             "every sampled point produced lineage events"
         );
         for r in &reports {
+            let last = r.timeseries.last().expect("sampled point has a final sample");
             r.lineage
-                .reconcile(&r.counters, &r.attribution)
-                .unwrap_or_else(|(eq, lhs, rhs)| {
-                    panic!("{}: lineage {eq} violated ({lhs} != {rhs})", r.workload)
-                });
+                .reconcile(last)
+                .unwrap_or_else(|e| panic!("{}: {e}", r.workload));
         }
         let streams: Vec<(Timeseries, LineageLog)> = reports
             .into_iter()

@@ -25,8 +25,7 @@ fn traced_points() -> Vec<(SimConfig, Workload)> {
         if !prefetch {
             cfg.driver.prefetch = PrefetchPolicy::Disabled;
         }
-        cfg.driver.record_spans = true;
-        cfg.driver.span_capacity = DEFAULT_SPAN_CAPACITY;
+        cfg.driver.span_capacity = Some(DEFAULT_SPAN_CAPACITY);
         points.push((cfg, scale.workload(kind, ratio)));
     }
     points

@@ -22,9 +22,8 @@ use common::{repro, scratch, stderr};
 fn traced_report(span_capacity: usize) -> SimReport {
     let scale = Scale::QUICK;
     let mut cfg = scale.config();
-    cfg.driver.record_spans = true;
-    cfg.driver.span_capacity = span_capacity;
-    cfg.driver.capture_trace = true;
+    cfg.driver.span_capacity = Some(span_capacity);
+    cfg.driver.trace_capacity = Some(metrics::DEFAULT_TRACE_CAPACITY);
     uvm_sim::run(&cfg, &scale.workload(WorkloadKind::Random, 1.3))
 }
 
@@ -104,8 +103,7 @@ fn multi_point_export_keeps_processes_separate() {
     let a = traced_report(1 << 20);
     let scale = Scale::QUICK;
     let mut cfg = scale.config();
-    cfg.driver.record_spans = true;
-    cfg.driver.span_capacity = 1 << 20;
+    cfg.driver.span_capacity = Some(1 << 20);
     let b = uvm_sim::run(&cfg, &scale.workload(WorkloadKind::Regular, 0.5));
     let json = chrome::render(&[point(&a), point(&b)]);
     let stats = chrome::validate(&json).expect("two-point export validates");
