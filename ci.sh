@@ -74,6 +74,10 @@ push)
     ./target/release/repro oversub --grid small --scale 128 --no-progress \
         --out ci-out/oversub --metrics-out ci-out/oversub-metrics > ci-out/oversub.txt
     ./target/release/repro report ci-out/oversub-metrics > ci-out/oversub-report.txt
+    # The fig1 and oversub ledgers merged and diffed: runs the checked
+    # Attribution::merge and the JSON path over real artefacts.
+    ./target/release/repro explain --diff ci-out/metrics ci-out/oversub-metrics --json \
+        > ci-out/explain-diff.json
 
     echo "== repro serve lifecycle gate (submit, scrape, --check, clean SIGTERM) =="
     # Daemon on a temp socket; `repro submit` drives a quick fig1 through

@@ -63,13 +63,17 @@
 //! attributed to its root cause (cold first touch, refault of an evicted
 //! page split by whether it had been used, prefetch hit, replay
 //! duplicate), migrated bytes by origin, the evict-before-use rate, and
-//! the top offending VABlocks (`offenders.tsv`). The attribution columns
-//! must partition the counter columns exactly; a ledger that does not
-//! cannot be rendered and exits 1. `repro explain --diff A B` aggregates two
-//! dirs and prints per-cause deltas (e.g. the same sweep with prefetch on
-//! vs off, making the prefetch-eviction antagonism directly visible);
-//! `--json` emits the same per-cause delta table as machine-readable
-//! JSON for downstream tooling.
+//! the top offending VABlocks (`offenders.tsv`). Each sample CSV's final
+//! row (schema v3, 39 columns) carries the whole `metrics::Attribution`
+//! ledger in its eleven `attr_*` columns, and the ledger must reconcile
+//! with the row's counter and byte columns by `Attribution::reconcile`,
+//! the equations the live run is held to; a ledger that does not cannot
+//! be rendered and exits 1. `repro explain --diff A B` merges each dir's
+//! ledgers (checked: a total past u64 exits 1) and prints per-cause
+//! deltas (e.g. the same sweep with prefetch on vs off, making the
+//! prefetch-eviction antagonism directly visible); `--json` emits the
+//! same per-cause delta table as machine-readable JSON for downstream
+//! tooling.
 //!
 //! `repro oversub` is the oversubscription observatory: it sweeps every
 //! workload under every eviction policy (`fault_lru`,

@@ -23,7 +23,7 @@ use metrics::lineage::analyze;
 use metrics::oversub::{parse_table, ratio_label, Cliff, OversubCell};
 use metrics::report::Table;
 use metrics::sched::{SWEEP_MAX_STRAGGLER_MS, SWEEP_POINTS, SWEEP_POINTS_STOLEN, SWEEP_THREADS};
-use metrics::timeseries::{last_sample, validate_csv, SAMPLE_COLUMNS};
+use metrics::timeseries::{parse_csv, Sample};
 use metrics::{
     Attribution, Counters, Exposition, Histogram, LineageEventKind, LineageLog, Offender,
     SweepSchedStats, Timeseries, ATTRIBUTION_REGISTRY, COUNTER_REGISTRY,
@@ -521,16 +521,23 @@ pub fn check_artefacts(set: &Artefacts) -> (Vec<String>, Vec<String>) {
         }
     }
     let mut rows = 0;
+    let mut finals = Vec::new();
     for a in &set.samples {
-        match parse_rows(&a.text).and_then(|r| ledger(&r).map(|_| r.len())) {
-            Ok(n) => rows += n,
-            Err(e) => fail(&a.path, e),
+        let last = parse_csv(&a.text).and_then(|samples| {
+            let last = *samples.last().ok_or("no samples")?;
+            rows += samples.len();
+            Ok(last)
+        });
+        if let Err(e) = last.clone().and_then(|s| s.reconciled_attribution()) {
+            fail(&a.path, e);
         }
+        finals.push((&a.path, last));
     }
     for l in &set.lineages {
         let csv = l.path.with_extension("csv");
-        let checked = match set.samples.iter().find(|a| a.path == csv) {
-            Some(a) => check_lineage(&l.text, l.sibling.as_deref(), &a.text),
+        let checked = match finals.iter().find(|(path, _)| **path == csv) {
+            Some((_, Ok(last))) => check_lineage(&l.text, l.sibling.as_deref(), last),
+            Some((_, Err(e))) => Err(e.clone()),
             None => Err(format!("no sample CSV {} to reconcile against", csv.display())),
         };
         if let Err(e) = checked {
@@ -587,146 +594,18 @@ pub fn check_artefacts(set: &Artefacts) -> (Vec<String>, Vec<String>) {
     (lines, failures)
 }
 
-/// The provenance ledger of one finished point, re-read from its sample
-/// CSV's forced final row (cumulative totals).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct Ledger {
-    faults: u64,
-    duplicates: u64,
-    faulted_in: u64,
-    prefetched: u64,
-    cold: u64,
-    refault_used: u64,
-    refault_unused: u64,
-    prefetch_hit: u64,
-    replay_dup: u64,
-    evicted_used: u64,
-    prefetch_evicted: u64,
-    pages_evicted: u64,
-    h2d_bytes: u64,
-    d2h_bytes: u64,
-}
-
-impl Ledger {
-    fn refaults(&self) -> u64 {
-        self.refault_used + self.refault_unused
-    }
-
-    fn evict_before_use_pct(&self) -> f64 {
-        let total = self.evicted_used + self.prefetch_evicted;
-        if total == 0 {
-            0.0
-        } else {
-            self.prefetch_evicted as f64 * 100.0 / total as f64
-        }
-    }
-
-    /// Evicted-before-use share in integer basis points (the JSON form
-    /// stays integer-valued like every other machine-readable metric).
-    fn evict_before_use_bp(&self) -> u64 {
-        let total = (self.evicted_used as u128 + self.prefetch_evicted as u128).max(1);
-        (self.prefetch_evicted as u128 * 10_000 / total) as u64
-    }
-
-    /// Pages migrated by explicit hints, derivable from the byte total:
-    /// H2D bytes = (faulted + fault-path prefetched + hinted) pages.
-    fn hint_pages(&self) -> u64 {
-        self.h2d_bytes / PAGE_SIZE - self.faulted_in - self.prefetched
-    }
-
-    fn merge(&mut self, o: &Ledger) -> Result<(), String> {
-        fn add(a: &mut u64, b: u64) -> Result<(), String> {
-            *a = a.checked_add(b).ok_or("merged attribution totals overflow u64")?;
-            Ok(())
-        }
-        add(&mut self.faults, o.faults)?;
-        add(&mut self.duplicates, o.duplicates)?;
-        add(&mut self.faulted_in, o.faulted_in)?;
-        add(&mut self.prefetched, o.prefetched)?;
-        add(&mut self.cold, o.cold)?;
-        add(&mut self.refault_used, o.refault_used)?;
-        add(&mut self.refault_unused, o.refault_unused)?;
-        add(&mut self.prefetch_hit, o.prefetch_hit)?;
-        add(&mut self.replay_dup, o.replay_dup)?;
-        add(&mut self.evicted_used, o.evicted_used)?;
-        add(&mut self.prefetch_evicted, o.prefetch_evicted)?;
-        add(&mut self.pages_evicted, o.pages_evicted)?;
-        add(&mut self.h2d_bytes, o.h2d_bytes)?;
-        add(&mut self.d2h_bytes, o.d2h_bytes)
-    }
-}
-
-/// Re-read one point's ledger from its sample CSV rows' final row and
-/// *reconcile* it: the per-cause attribution columns must partition the
-/// counter columns exactly. The sums are taken in u128, so no doctored
-/// cell can wrap them back into balance. A mismatch is a corrupted or
-/// internally-inconsistent artefact — reported as `Err`, never papered
-/// over.
-fn ledger(rows: &[Vec<u64>]) -> Result<Ledger, String> {
-    let last = rows.last().ok_or("no samples")?;
-    let l = Ledger {
-        faults: last[col("faults_fetched")],
-        duplicates: last[col("duplicate_faults")],
-        faulted_in: last[col("pages_faulted_in")],
-        prefetched: last[col("pages_prefetched")],
-        cold: last[col("attr_cold_faults")],
-        refault_used: last[col("attr_refault_used_faults")],
-        refault_unused: last[col("attr_refault_unused_faults")],
-        prefetch_hit: last[col("attr_prefetch_hit_faults")],
-        replay_dup: last[col("attr_replay_dup_faults")],
-        evicted_used: last[col("attr_evicted_used_pages")],
-        prefetch_evicted: last[col("attr_prefetch_evicted_pages")],
-        pages_evicted: last[col("pages_evicted")],
-        h2d_bytes: last[col("migrated_bytes_h2d")],
-        d2h_bytes: last[col("migrated_bytes_d2h")],
-    };
-    let w = |x: u64| x as u128;
-    let checks: [(&str, u128, u128); 4] = [
-        (
-            "cold + refault_used + refault_unused == pages_faulted_in",
-            w(l.cold) + w(l.refault_used) + w(l.refault_unused),
-            w(l.faulted_in),
-        ),
-        (
-            "prefetch_hit + replay_dup == duplicate_faults",
-            w(l.prefetch_hit) + w(l.replay_dup),
-            w(l.duplicates),
-        ),
-        (
-            "sum of per-cause faults == faults_fetched",
-            w(l.cold) + w(l.refault_used) + w(l.refault_unused) + w(l.prefetch_hit)
-                + w(l.replay_dup),
-            w(l.faults),
-        ),
-        (
-            "evicted_used + prefetch_evicted == pages_evicted",
-            w(l.evicted_used) + w(l.prefetch_evicted),
-            w(l.pages_evicted),
-        ),
-    ];
-    for (eq, lhs, rhs) in checks {
-        if lhs != rhs {
-            return Err(format!(
-                "attribution does not reconcile: {eq} violated ({lhs} != {rhs})"
-            ));
-        }
-    }
-    let moved = (w(l.faulted_in) + w(l.prefetched)) * w(PAGE_SIZE);
-    if w(l.h2d_bytes) < moved {
-        return Err(format!(
-            "attribution does not reconcile: H2D bytes {} below \
-             (pages_faulted_in + pages_prefetched) * page size {moved}",
-            l.h2d_bytes,
-        ));
-    }
-    Ok(l)
-}
-
-/// [`ledger`] of one sample CSV, errors prefixed with its name.
-fn read_ledger(a: &Artefact) -> Result<Ledger, String> {
-    parse_rows(&a.text)
-        .and_then(|rows| ledger(&rows))
+/// The attribution ledger in one sample CSV's final row, reconciled by
+/// [`Sample::reconciled_attribution`]; errors are prefixed with the
+/// artefact's name.
+fn final_ledger(a: &Artefact) -> Result<Attribution, String> {
+    parse_csv(&a.text)
+        .and_then(|samples| samples.last().ok_or("no samples")?.reconciled_attribution())
         .map_err(|e| format!("{}: {e}", a.name))
+}
+
+/// Evicted-before-use share in percent, 0 when nothing was evicted.
+fn evict_before_use_pct(l: &Attribution) -> f64 {
+    l.prefetch_evicted_pages as f64 * 100.0 / l.evicted_total().max(1) as f64
 }
 
 /// Percentage cell, `total == 0` rendering as a dash.
@@ -760,25 +639,26 @@ pub fn render_explain(files: &[Artefact], offenders_tsv: Option<&str>) -> Result
     );
     let mib = |b: u64| format!("{:.1}", b as f64 / (1 << 20) as f64);
     for a in files {
-        let l = read_ledger(a)?;
+        let l = final_ledger(a)?;
+        let total = l.fault_total();
         faults.row(vec![
             a.name.clone(),
-            l.faults.to_string(),
-            pct(l.cold, l.faults),
-            pct(l.refault_used, l.faults),
-            pct(l.refault_unused, l.faults),
-            pct(l.prefetch_hit, l.faults),
-            pct(l.replay_dup, l.faults),
+            total.to_string(),
+            pct(l.cold_faults, total),
+            pct(l.refault_used_faults, total),
+            pct(l.refault_unused_faults, total),
+            pct(l.prefetch_hit_faults, total),
+            pct(l.replay_dup_faults, total),
         ]);
         pages.row(vec![
             a.name.clone(),
-            mib(l.h2d_bytes),
-            mib(l.faulted_in * PAGE_SIZE),
-            mib(l.prefetched * PAGE_SIZE),
-            mib(l.hint_pages() * PAGE_SIZE),
-            mib(l.d2h_bytes),
-            l.pages_evicted.to_string(),
-            format!("{:.1}", l.evict_before_use_pct()),
+            mib(l.h2d_bytes()),
+            mib(l.pages_faulted() * PAGE_SIZE),
+            mib(l.prefetch_pages * PAGE_SIZE),
+            mib(l.hint_pages * PAGE_SIZE),
+            mib(l.d2h_bytes()),
+            l.evicted_total().to_string(),
+            format!("{:.1}", evict_before_use_pct(&l)),
         ]);
     }
     out.push_str(&faults.render());
@@ -818,10 +698,10 @@ fn render_offender_table(tsv: &str) -> Result<String, String> {
 }
 
 /// Sum a dir's ledgers into one (each point reconciled on read).
-fn merged_ledger(files: &[Artefact]) -> Result<Ledger, String> {
-    let mut l = Ledger::default();
+fn merged_ledger(files: &[Artefact]) -> Result<Attribution, String> {
+    let mut l = Attribution::default();
     for a in files {
-        l.merge(&read_ledger(a)?)?;
+        l.merge(&final_ledger(a)?)?;
     }
     Ok(l)
 }
@@ -829,18 +709,19 @@ fn merged_ledger(files: &[Artefact]) -> Result<Ledger, String> {
 /// The named (A, B) value pairs of an attribution diff — the single
 /// source of the per-cause delta rows, shared by the text table, the
 /// `--json` form, and the oversub cliff report's bracket diffs.
-fn explain_delta_rows(a: &Ledger, b: &Ledger) -> [(&'static str, u64, u64); 10] {
+fn explain_delta_rows(a: &Attribution, b: &Attribution) -> [(&'static str, u64, u64); 10] {
+    let row = |name, f: fn(&Attribution) -> u64| (name, f(a), f(b));
     [
-        ("faults_total", a.faults, b.faults),
-        ("cold_faults", a.cold, b.cold),
-        ("refault_used_faults", a.refault_used, b.refault_used),
-        ("refault_unused_faults", a.refault_unused, b.refault_unused),
-        ("prefetch_hit_faults", a.prefetch_hit, b.prefetch_hit),
-        ("replay_dup_faults", a.replay_dup, b.replay_dup),
-        ("pages_evicted", a.pages_evicted, b.pages_evicted),
-        ("prefetch_evicted_pages", a.prefetch_evicted, b.prefetch_evicted),
-        ("h2d_bytes", a.h2d_bytes, b.h2d_bytes),
-        ("d2h_bytes", a.d2h_bytes, b.d2h_bytes),
+        row("faults_total", Attribution::fault_total),
+        row("cold_faults", |l| l.cold_faults),
+        row("refault_used_faults", |l| l.refault_used_faults),
+        row("refault_unused_faults", |l| l.refault_unused_faults),
+        row("prefetch_hit_faults", |l| l.prefetch_hit_faults),
+        row("replay_dup_faults", |l| l.replay_dup_faults),
+        row("pages_evicted", Attribution::evicted_total),
+        row("prefetch_evicted_pages", |l| l.prefetch_evicted_pages),
+        row("h2d_bytes", Attribution::h2d_bytes),
+        row("d2h_bytes", Attribution::d2h_bytes),
     ]
 }
 
@@ -868,11 +749,12 @@ pub fn render_explain_diff(
     for (name, x, y) in explain_delta_rows(&a, &b) {
         t.row(vec![name.to_string(), x.to_string(), y.to_string(), delta(x, y)]);
     }
+    let (pa, pb) = (evict_before_use_pct(&a), evict_before_use_pct(&b));
     t.row(vec![
         "evict_before_use_%".to_string(),
-        format!("{:.1}", a.evict_before_use_pct()),
-        format!("{:.1}", b.evict_before_use_pct()),
-        format!("{:+.1}", b.evict_before_use_pct() - a.evict_before_use_pct()),
+        format!("{pa:.1}"),
+        format!("{pb:.1}"),
+        format!("{:+.1}", pb - pa),
     ]);
     let mut out = t.render();
     // The headline reading, so the antagonism doesn't have to be dug out
@@ -881,10 +763,10 @@ pub fn render_explain_diff(
     out.push_str(&format!(
         "\nA: {} refaults, {} pages evicted before use; \
          B: {} refaults, {} pages evicted before use\n",
-        a.refaults(),
-        a.prefetch_evicted,
-        b.refaults(),
-        b.prefetch_evicted,
+        a.refault_used_faults + a.refault_unused_faults,
+        a.prefetch_evicted_pages,
+        b.refault_used_faults + b.refault_unused_faults,
+        b.prefetch_evicted_pages,
     ));
     Ok(out)
 }
@@ -1064,36 +946,17 @@ pub fn render_lineage(
 }
 
 /// Reconcile one point's `.lineage` artefact (plus its `.flight.json`
-/// dumps, when any were captured) against the final row of its sample
-/// CSV (`repro check`), through [`LineageLog::reconcile`] — the same
-/// equations the live run is held to. A mismatch means a corrupted or
-/// internally-inconsistent artefact set — reported as `Err`.
+/// dumps, when any were captured) against `last`, the parsed final row
+/// of its sample CSV (`repro check`), through [`LineageLog::reconcile`]
+/// — the same equations the live run is held to. A mismatch means a
+/// corrupted or internally-inconsistent artefact set — reported as
+/// `Err`.
 pub fn check_lineage(
     lineage_text: &str,
     flight_text: Option<&str>,
-    csv_text: &str,
+    last: &Sample,
 ) -> Result<(), String> {
-    let log = read_lineage_point(lineage_text, flight_text)?;
-    log.reconcile(&last_sample(csv_text)?)
-}
-
-/// Index of a column in the sample CSV schema.
-fn col(name: &str) -> usize {
-    SAMPLE_COLUMNS
-        .iter()
-        .position(|c| c.name == name)
-        .unwrap_or_else(|| panic!("unknown sample column {name}"))
-}
-
-/// Parse a validated sample CSV into rows of u64 cells.
-fn parse_rows(text: &str) -> Result<Vec<Vec<u64>>, String> {
-    validate_csv(text)?;
-    Ok(text
-        .lines()
-        .skip(1)
-        .filter(|l| !l.is_empty())
-        .map(|l| l.split(',').map(|c| c.parse().unwrap()).collect())
-        .collect())
+    read_lineage_point(lineage_text, flight_text)?.reconcile(last)
 }
 
 /// Render the `repro report` decompositions from `(name, csv)` blobs:
@@ -1101,17 +964,6 @@ fn parse_rows(text: &str) -> Result<Vec<Vec<u64>>, String> {
 /// moved, coverage) and a per-point fault-vs-eviction timeline (Fig. 8
 /// shape), down-sampled to at most `max_timeline_rows` rows.
 pub fn render_report(files: &[Artefact], max_timeline_rows: usize) -> Result<String, String> {
-    let t_ns = col("t_ns");
-    let faults = col("faults_fetched");
-    let evictions = col("evictions");
-    let pages_evicted = col("pages_evicted");
-    let refaults = col("refaults");
-    let h2d = col("migrated_bytes_h2d");
-    let d2h = col("migrated_bytes_d2h");
-    let resident = col("resident_pages");
-    let coverage = col("prefetch_coverage_bp");
-    let p95 = col("batch_ns_p95");
-
     let mut out = String::new();
     let mut summary = Table::new(
         "per-run cost decomposition (final totals)",
@@ -1122,20 +974,20 @@ pub fn render_report(files: &[Artefact], max_timeline_rows: usize) -> Result<Str
     );
     let mut parsed = Vec::new();
     for Artefact { name, text, .. } in files {
-        let rows = parse_rows(text).map_err(|e| format!("{name}: {e}"))?;
-        let last = rows.last().ok_or_else(|| format!("{name}: no samples"))?;
+        let samples = parse_csv(text).map_err(|e| format!("{name}: {e}"))?;
+        let last = samples.last().ok_or_else(|| format!("{name}: no samples"))?;
         summary.row(vec![
             name.clone(),
-            format!("{:.3}", last[t_ns] as f64 / 1e6),
-            last[faults].to_string(),
-            last[pages_evicted].to_string(),
-            last[refaults].to_string(),
-            format!("{:.1}", last[h2d] as f64 / (1 << 20) as f64),
-            format!("{:.1}", last[d2h] as f64 / (1 << 20) as f64),
-            format!("{:.2}", last[coverage] as f64 / 100.0),
-            format!("{:.1}", last[p95] as f64 / 1e3),
+            format!("{:.3}", last.t_ns as f64 / 1e6),
+            last.faults_fetched.to_string(),
+            last.pages_evicted.to_string(),
+            last.refaults.to_string(),
+            format!("{:.1}", last.migrated_bytes_h2d as f64 / (1 << 20) as f64),
+            format!("{:.1}", last.migrated_bytes_d2h as f64 / (1 << 20) as f64),
+            format!("{:.2}", last.prefetch_coverage_bp as f64 / 100.0),
+            format!("{:.1}", last.batch_ns_p95 as f64 / 1e3),
         ]);
-        parsed.push((name, rows));
+        parsed.push((name, samples));
     }
     out.push_str(&summary.render());
     out.push('\n');
@@ -1151,21 +1003,22 @@ pub fn render_report(files: &[Artefact], max_timeline_rows: usize) -> Result<Str
         // deltas are taken between the *selected* rows, so the column
         // sums are preserved whatever the stride.
         let stride = rows.len().div_ceil(max_timeline_rows.max(1)).max(1);
-        let mut prev: Option<&Vec<u64>> = None;
-        for (i, row) in rows.iter().enumerate() {
+        let mut prev: Option<&Sample> = None;
+        for (i, s) in rows.iter().enumerate() {
             if i % stride != 0 && i != rows.len() - 1 {
                 continue;
             }
-            let d = |c: usize| row[c] - prev.map_or(0, |p| p[c]);
+            // Cumulative columns never decrease (parse_csv checked).
+            let d = |f: fn(&Sample) -> u64| f(s) - prev.map_or(0, f);
             timeline.row(vec![
-                format!("{:.3}", row[t_ns] as f64 / 1e6),
-                d(faults).to_string(),
-                d(evictions).to_string(),
-                format!("{:.2}", d(h2d) as f64 / (1 << 20) as f64),
-                format!("{:.2}", d(d2h) as f64 / (1 << 20) as f64),
-                row[resident].to_string(),
+                format!("{:.3}", s.t_ns as f64 / 1e6),
+                d(|s| s.faults_fetched).to_string(),
+                d(|s| s.evictions).to_string(),
+                format!("{:.2}", d(|s| s.migrated_bytes_h2d) as f64 / (1 << 20) as f64),
+                format!("{:.2}", d(|s| s.migrated_bytes_d2h) as f64 / (1 << 20) as f64),
+                s.resident_pages.to_string(),
             ]);
-            prev = Some(row);
+            prev = Some(s);
         }
         out.push_str(&timeline.render());
         out.push('\n');
@@ -1587,6 +1440,7 @@ mod tests {
                 resident_pages: 512,
                 prefetch_coverage_bp: 7_500,
                 attr_cold_faults: faults,
+                attr_prefetch_pages: faults * 3,
                 lineage_events: 3,
                 ..Sample::default()
             },
@@ -1720,25 +1574,20 @@ mod tests {
     fn lineage_check_reconciles_and_fails_on_tamper() {
         let p = point("regular", 0.5, 100);
         let art = p.lineage.to_artefact();
-        let csv = p.timeseries.to_csv();
-        check_lineage(&art, None, &csv).expect("consistent pair reconciles");
+        let last = p.timeseries.samples[1];
+        check_lineage(&art, None, &last).expect("consistent pair reconciles");
         // Tamper: the CSV claims one more event than the artefact holds.
-        let mut bad = point("regular", 0.5, 100);
-        bad.timeseries.samples[1].lineage_events = 4;
-        let err = check_lineage(&art, None, &bad.timeseries.to_csv())
-            .expect_err("tampered pair must fail");
+        let bad = Sample { lineage_events: 4, ..last };
+        let err = check_lineage(&art, None, &bad).expect_err("tampered pair must fail");
         assert!(err.contains("lineage does not reconcile"), "{err}");
         assert!(err.contains("lineage_events column"), "{err}");
         // Tamper the partition itself: cold faults disagree.
-        let mut worse = point("regular", 0.5, 100);
-        worse.timeseries.samples[1].attr_cold_faults = 99;
-        let err = check_lineage(&art, None, &worse.timeseries.to_csv())
-            .expect_err("partition mismatch must fail");
+        let worse = Sample { attr_cold_faults: 99, ..last };
+        let err = check_lineage(&art, None, &worse).expect_err("partition mismatch must fail");
         assert!(err.contains("attr_cold_faults"), "{err}");
         // A missing .flight.json while the CSV counted dumps is drift too.
-        let mut dumped = point("regular", 0.5, 100);
-        dumped.timeseries.samples[1].flight_dumps = 2;
-        let err = check_lineage(&art, None, &dumped.timeseries.to_csv())
+        let dumped = Sample { flight_dumps: 2, ..last };
+        let err = check_lineage(&art, None, &dumped)
             .expect_err("missing flight dumps must fail");
         assert!(err.contains("flight dumps"), "{err}");
     }
@@ -1765,7 +1614,15 @@ mod tests {
         let files = vec![blob("bad", p.timeseries.to_csv())];
         let err = render_explain(&files, None).expect_err("mismatch must fail");
         assert!(err.contains("does not reconcile"), "{err}");
-        assert!(err.contains("pages_faulted_in"), "{err}");
+        assert!(err.contains("fault causes vs faults_fetched"), "{err}");
+        // Relabelling a fault-path page as a hint page keeps the byte
+        // total but not the hint-page equation.
+        let mut p = point("regular", 1.5, 100);
+        p.timeseries.samples[1].attr_prefetch_pages -= 1;
+        p.timeseries.samples[1].attr_hint_pages += 1;
+        let files = vec![blob("relabelled", p.timeseries.to_csv())];
+        let err = render_explain(&files, None).expect_err("relabel must fail");
+        assert!(err.contains("prefetch pages vs pages_prefetched"), "{err}");
     }
 
     #[test]
@@ -1811,6 +1668,24 @@ mod tests {
         assert!(out.contains("refault_unused_faults"));
         assert!(out.contains("+40"));
         assert!(out.contains("pages evicted before use"));
+    }
+
+    #[test]
+    fn explain_diff_refuses_fault_totals_past_u64() {
+        // Each CSV reconciles on its own, and even the merged per-cause
+        // fields fit a u64; only the merged fault total does not.
+        let mut p = point("regular", 1.5, 100);
+        let s = &mut p.timeseries.samples[1];
+        let dup = u64::MAX / 2;
+        s.faults_fetched += dup;
+        s.duplicate_faults = dup;
+        s.attr_replay_dup_faults = dup;
+        let files = vec![blob("a", p.timeseries.to_csv()), blob("b", p.timeseries.to_csv())];
+        render_explain(&files, None).expect("each point reconciles");
+        let err = render_explain_diff("x", &files, "y", &files[..1]).expect_err("overflow");
+        assert!(err.contains("overflow u64"), "{err}");
+        let err = render_explain_diff_json("x", &files, "y", &files[..1]).expect_err("overflow");
+        assert!(err.contains("overflow u64"), "{err}");
     }
 
     #[test]

@@ -70,87 +70,110 @@ pub struct Attribution {
 }
 
 impl Attribution {
+    /// The partition sums, in u128 so that no field values can wrap them.
+    fn sums(&self) -> Sums {
+        let w = |x: u64| x as u128;
+        let migrating =
+            w(self.cold_faults) + w(self.refault_used_faults) + w(self.refault_unused_faults);
+        let duplicates = w(self.prefetch_hit_faults) + w(self.replay_dup_faults);
+        Sums {
+            faults: migrating + duplicates,
+            migrating,
+            duplicates,
+            h2d_bytes: (migrating + w(self.prefetch_pages) + w(self.hint_pages)) * w(PAGE_SIZE),
+            d2h_bytes: w(self.writeback_bytes) + w(self.host_migrated_bytes),
+            evicted: w(self.evicted_used_pages) + w(self.prefetch_evicted_pages),
+        }
+    }
+
     /// Sum of the five fault causes — must equal
     /// [`Counters::faults_fetched`].
     pub fn fault_total(&self) -> u64 {
-        self.cold_faults
-            + self.refault_used_faults
-            + self.refault_unused_faults
-            + self.prefetch_hit_faults
-            + self.replay_dup_faults
+        saturate(self.sums().faults)
     }
 
     /// Fault entries that migrated a page (the non-duplicate causes) —
     /// must equal [`Counters::pages_faulted_in`].
     pub fn pages_faulted(&self) -> u64 {
-        self.cold_faults + self.refault_used_faults + self.refault_unused_faults
+        saturate(self.sums().migrating)
     }
 
     /// H2D bytes by cause — must equal the transfer log's H2D total.
     pub fn h2d_bytes(&self) -> u64 {
-        (self.pages_faulted() + self.prefetch_pages + self.hint_pages) * PAGE_SIZE
+        saturate(self.sums().h2d_bytes)
     }
 
     /// D2H bytes by cause — must equal the transfer log's D2H total.
     pub fn d2h_bytes(&self) -> u64 {
-        self.writeback_bytes + self.host_migrated_bytes
+        saturate(self.sums().d2h_bytes)
     }
 
     /// Evicted pages by touched-bit — must equal
     /// [`Counters::pages_evicted_total`].
     pub fn evicted_total(&self) -> u64 {
-        self.evicted_used_pages + self.prefetch_evicted_pages
+        saturate(self.sums().evicted)
     }
 
     /// Share of evicted pages thrown away before any access, in basis
     /// points (0 when nothing was evicted) — the paper's
     /// evict-before-use rate.
     pub fn evict_before_use_bp(&self) -> u64 {
-        let total = self.evicted_total();
-        if total == 0 {
-            0
-        } else {
-            self.prefetch_evicted_pages * 10_000 / total
-        }
+        saturate(self.prefetch_evicted_pages as u128 * 10_000 / self.sums().evicted.max(1))
     }
 
-    /// Merge another ledger into this one.
-    pub fn merge(&mut self, o: &Attribution) {
-        self.cold_faults += o.cold_faults;
-        self.refault_used_faults += o.refault_used_faults;
-        self.refault_unused_faults += o.refault_unused_faults;
-        self.prefetch_hit_faults += o.prefetch_hit_faults;
-        self.replay_dup_faults += o.replay_dup_faults;
-        self.prefetch_pages += o.prefetch_pages;
-        self.hint_pages += o.hint_pages;
-        self.evicted_used_pages += o.evicted_used_pages;
-        self.prefetch_evicted_pages += o.prefetch_evicted_pages;
-        self.writeback_bytes += o.writeback_bytes;
-        self.host_migrated_bytes += o.host_migrated_bytes;
+    /// Merge another ledger into this one. Errs, leaving `self` as it
+    /// was, when a field or a partition sum of the merged ledger would
+    /// overflow u64.
+    pub fn merge(&mut self, o: &Attribution) -> Result<(), &'static str> {
+        const OVERFLOW: &str = "merged attribution totals overflow u64";
+        let mut m = *self;
+        for (a, b) in [
+            (&mut m.cold_faults, o.cold_faults),
+            (&mut m.refault_used_faults, o.refault_used_faults),
+            (&mut m.refault_unused_faults, o.refault_unused_faults),
+            (&mut m.prefetch_hit_faults, o.prefetch_hit_faults),
+            (&mut m.replay_dup_faults, o.replay_dup_faults),
+            (&mut m.prefetch_pages, o.prefetch_pages),
+            (&mut m.hint_pages, o.hint_pages),
+            (&mut m.evicted_used_pages, o.evicted_used_pages),
+            (&mut m.prefetch_evicted_pages, o.prefetch_evicted_pages),
+            (&mut m.writeback_bytes, o.writeback_bytes),
+            (&mut m.host_migrated_bytes, o.host_migrated_bytes),
+        ] {
+            *a = a.checked_add(b).ok_or(OVERFLOW)?;
+        }
+        let s = m.sums();
+        if [s.faults, s.h2d_bytes, s.d2h_bytes, s.evicted].iter().any(|&x| x > u64::MAX as u128) {
+            return Err(OVERFLOW);
+        }
+        *self = m;
+        Ok(())
     }
 
     /// Check every partition equation against a [`Counters`] snapshot
-    /// and the transfer-log byte totals. Returns the first violated
-    /// equation as `(what, attributed, observed)`.
+    /// and the transfer-log byte totals, summing in u128. Returns the
+    /// first violated equation as `(what, attributed, observed)`.
     pub fn reconcile(
         &self,
         c: &Counters,
         h2d_bytes: u64,
         d2h_bytes: u64,
-    ) -> Result<(), (&'static str, u64, u64)> {
+    ) -> Result<(), (&'static str, u128, u128)> {
+        let w = |x: u64| x as u128;
+        let s = self.sums();
         let checks = [
-            ("fault causes vs faults_fetched", self.fault_total(), c.faults_fetched),
-            ("migrating causes vs pages_faulted_in", self.pages_faulted(), c.pages_faulted_in),
+            ("fault causes vs faults_fetched", s.faults, w(c.faults_fetched)),
+            ("migrating causes vs pages_faulted_in", s.migrating, w(c.pages_faulted_in)),
+            ("duplicate causes vs duplicate_faults", s.duplicates, w(c.duplicate_faults)),
+            ("prefetch pages vs pages_prefetched", w(self.prefetch_pages), w(c.pages_prefetched)),
+            ("hint pages vs pages_hint_prefetched", w(self.hint_pages), w(c.pages_hint_prefetched)),
             (
-                "duplicate causes vs duplicate_faults",
-                self.prefetch_hit_faults + self.replay_dup_faults,
-                c.duplicate_faults,
+                "evicted causes vs pages_evicted",
+                s.evicted,
+                w(c.pages_evicted_migrated) + w(c.pages_evicted_clean),
             ),
-            ("prefetch pages vs pages_prefetched", self.prefetch_pages, c.pages_prefetched),
-            ("hint pages vs pages_hint_prefetched", self.hint_pages, c.pages_hint_prefetched),
-            ("evicted causes vs pages_evicted", self.evicted_total(), c.pages_evicted_total()),
-            ("H2D bytes by cause vs transfer log", self.h2d_bytes(), h2d_bytes),
-            ("D2H bytes by cause vs transfer log", self.d2h_bytes(), d2h_bytes),
+            ("H2D bytes by cause vs transfer log", s.h2d_bytes, w(h2d_bytes)),
+            ("D2H bytes by cause vs transfer log", s.d2h_bytes, w(d2h_bytes)),
         ];
         for (what, attributed, observed) in checks {
             if attributed != observed {
@@ -159,6 +182,21 @@ impl Attribution {
         }
         Ok(())
     }
+}
+
+/// The partition sums of one [`Attribution`].
+struct Sums {
+    faults: u128,
+    migrating: u128,
+    duplicates: u128,
+    h2d_bytes: u128,
+    d2h_bytes: u128,
+    evicted: u128,
+}
+
+/// `x` as u64, saturating at `u64::MAX`.
+fn saturate(x: u128) -> u64 {
+    u64::try_from(x).unwrap_or(u64::MAX)
 }
 
 /// One exposition registry entry: metric identity plus the extractor
@@ -355,11 +393,47 @@ mod tests {
             host_migrated_bytes: 3,
             ..Attribution::default()
         };
-        a.merge(&b);
+        a.merge(&b).expect("no overflow");
         assert_eq!(a.cold_faults, 11);
         assert_eq!(a.prefetch_evicted_pages, 7);
         assert_eq!(a.writeback_bytes, 2);
         assert_eq!(a.host_migrated_bytes, 3);
+    }
+
+    #[test]
+    fn merge_refuses_to_overflow_a_field_or_a_sum() {
+        let half = Attribution {
+            replay_dup_faults: u64::MAX / 2 + 1,
+            ..Attribution::default()
+        };
+        let mut a = half;
+        assert!(a.merge(&half).is_err(), "field overflow");
+        assert_eq!(a, half, "a failed merge leaves the ledger as it was");
+        // Every field fits, but the fault total does not.
+        let other = Attribution {
+            prefetch_hit_faults: u64::MAX / 2 + 1,
+            ..Attribution::default()
+        };
+        assert!(a.merge(&other).is_err(), "sum overflow");
+        assert_eq!(a, half);
+    }
+
+    #[test]
+    fn sums_neither_wrap_nor_panic() {
+        let big = u64::MAX / 2;
+        let a = Attribution {
+            prefetch_evicted_pages: big,
+            evicted_used_pages: big,
+            cold_faults: u64::MAX,
+            replay_dup_faults: 1,
+            ..Attribution::default()
+        };
+        assert_eq!(a.evict_before_use_bp(), 5_000);
+        assert_eq!(a.fault_total(), u64::MAX, "saturates");
+        assert_eq!(a.h2d_bytes(), u64::MAX, "saturates");
+        // A wrapping u64 sum would see 0 faults here and pass.
+        let err = a.reconcile(&Counters::default(), 0, 0).expect_err("2^64 faults");
+        assert_eq!(err, ("fault causes vs faults_fetched", 1 << 64, 0));
     }
 
     #[test]

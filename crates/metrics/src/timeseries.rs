@@ -22,7 +22,7 @@
 //!   coverage at a coarser grain instead of truncating its tail, without
 //!   ever reallocating (`uvm-driver/tests/alloc_free.rs` enforces this).
 
-use crate::Histogram;
+use crate::{Attribution, Counters, Histogram};
 use serde::{Deserialize, Serialize};
 use sim_engine::{SimDuration, SimTime};
 use std::fmt::Write;
@@ -131,6 +131,14 @@ pub struct Sample {
     pub pages_evicted_migrated: u64,
     /// Resident pages migrated back to the host by CPU access.
     pub pages_migrated_to_host: u64,
+    /// Provenance: pages migrated H2D by the density prefetcher.
+    pub attr_prefetch_pages: u64,
+    /// Provenance: pages migrated H2D by explicit prefetch hints.
+    pub attr_hint_pages: u64,
+    /// Provenance: D2H bytes written back by evictions.
+    pub attr_writeback_bytes: u64,
+    /// Provenance: D2H bytes migrated on CPU faults.
+    pub attr_host_migrated_bytes: u64,
 }
 
 impl Sample {
@@ -149,12 +157,55 @@ impl Sample {
         self.batch_ns_p95 = pass_ns.p95();
         self.batch_ns_p99 = pass_ns.p99();
     }
+
+    /// The fault-provenance ledger carried in the eleven `attr_*` fields.
+    pub fn attribution(&self) -> Attribution {
+        Attribution {
+            cold_faults: self.attr_cold_faults,
+            refault_used_faults: self.attr_refault_used_faults,
+            refault_unused_faults: self.attr_refault_unused_faults,
+            prefetch_hit_faults: self.attr_prefetch_hit_faults,
+            replay_dup_faults: self.attr_replay_dup_faults,
+            prefetch_pages: self.attr_prefetch_pages,
+            hint_pages: self.attr_hint_pages,
+            evicted_used_pages: self.attr_evicted_used_pages,
+            prefetch_evicted_pages: self.attr_prefetch_evicted_pages,
+            writeback_bytes: self.attr_writeback_bytes,
+            host_migrated_bytes: self.attr_host_migrated_bytes,
+        }
+    }
+
+    /// [`attribution`](Sample::attribution), checked by
+    /// [`Attribution::reconcile`] against this sample's own counter and
+    /// byte fields: the equations the live run is held to. A cumulative
+    /// sample (a sample CSV's final row above all) must pass.
+    pub fn reconciled_attribution(&self) -> Result<Attribution, String> {
+        let fail = |what: &str| format!("attribution does not reconcile: {what}");
+        let clean = (self.pages_evicted.checked_sub(self.pages_evicted_migrated))
+            .ok_or_else(|| fail("pages_evicted_migrated exceeds pages_evicted"))?;
+        let c = Counters {
+            faults_fetched: self.faults_fetched,
+            duplicate_faults: self.duplicate_faults,
+            pages_faulted_in: self.pages_faulted_in,
+            pages_prefetched: self.pages_prefetched,
+            pages_hint_prefetched: self.pages_hint_prefetched,
+            pages_evicted_migrated: self.pages_evicted_migrated,
+            pages_evicted_clean: clean,
+            ..Counters::default()
+        };
+        let a = self.attribution();
+        a.reconcile(&c, self.migrated_bytes_h2d, self.migrated_bytes_d2h)
+            .map_err(|(what, attributed, observed)| {
+                fail(&format!("{what} violated ({attributed} != {observed})"))
+            })?;
+        Ok(a)
+    }
 }
 
 /// One column of the sample CSV schema: name, monotonicity (cumulative
 /// counters never decrease between rows; gauges may), and field
 /// accessors. The registry is the single source of truth for the CSV
-/// header, row rendering, [`validate_csv`] and [`last_sample`].
+/// header, row rendering and [`parse_csv`].
 pub struct SampleColumn {
     /// Column name (also the CSV header token and the [`Sample`] field).
     pub name: &'static str,
@@ -179,9 +230,11 @@ macro_rules! column {
     };
 }
 
-/// The CSV schema, in column order. Schema v2 appended the last three
-/// columns, so every lineage equation can be re-checked against a CSV's
-/// final row.
+/// The CSV schema, in column order. Schema v2 appended
+/// `pages_hint_prefetched`..`pages_migrated_to_host`, so every lineage
+/// equation can be re-checked against a CSV's final row; v3 appended the
+/// last four `attr_*` columns, so the final row carries the whole
+/// [`Attribution`] ledger.
 pub const SAMPLE_COLUMNS: &[SampleColumn] = &[
     column!(t_ns, true),
     column!(faults_fetched, true),
@@ -218,6 +271,10 @@ pub const SAMPLE_COLUMNS: &[SampleColumn] = &[
     column!(pages_hint_prefetched, true),
     column!(pages_evicted_migrated, true),
     column!(pages_migrated_to_host, true),
+    column!(attr_prefetch_pages, true),
+    column!(attr_hint_pages, true),
+    column!(attr_writeback_bytes, true),
+    column!(attr_host_migrated_bytes, true),
 ];
 
 /// A finished sample stream, as carried in a `SimReport`.
@@ -267,17 +324,10 @@ impl Timeseries {
     }
 }
 
-/// Statistics from a successful [`validate_csv`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CsvStats {
-    /// Data rows (excluding the header).
-    pub rows: usize,
-}
-
-/// Validate a sample-CSV blob against the schema: exact header, all-u64
-/// cells, strictly increasing `t_ns`, and non-decreasing cumulative
-/// columns. Powering `repro check` and the format unit tests.
-pub fn validate_csv(text: &str) -> Result<CsvStats, String> {
+/// Parse a sample CSV back into its [`Sample`]s, checking the schema on
+/// the way: exact header, all-u64 cells, strictly increasing `t_ns`, and
+/// non-decreasing cumulative columns.
+pub fn parse_csv(text: &str) -> Result<Vec<Sample>, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty CSV")?;
     let expected = Timeseries::csv_header();
@@ -286,71 +336,44 @@ pub fn validate_csv(text: &str) -> Result<CsvStats, String> {
             "header mismatch: got `{header}`, expected `{expected}`"
         ));
     }
-    let mut prev: Option<Vec<u64>> = None;
-    let mut rows = 0usize;
-    for (lineno, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
+    let mut samples: Vec<Sample> = Vec::new();
+    for (lineno, line) in lines.enumerate().filter(|(_, l)| !l.is_empty()) {
+        let row = lineno + 2;
         let cells: Vec<&str> = line.split(',').collect();
         if cells.len() != SAMPLE_COLUMNS.len() {
             return Err(format!(
-                "row {}: {} cells, expected {}",
-                lineno + 2,
+                "row {row}: {} cells, expected {}",
                 cells.len(),
                 SAMPLE_COLUMNS.len()
             ));
         }
-        let mut vals = Vec::with_capacity(cells.len());
+        let mut s = Sample::default();
         for (cell, col) in cells.iter().zip(SAMPLE_COLUMNS) {
-            let v: u64 = cell.parse().map_err(|_| {
-                format!("row {}: column {} = `{cell}` is not a u64", lineno + 2, col.name)
+            let v = cell.parse().map_err(|_| {
+                format!("row {row}: column {} = `{cell}` is not a u64", col.name)
             })?;
-            vals.push(v);
+            (col.set)(&mut s, v);
         }
-        if let Some(p) = &prev {
-            if vals[0] <= p[0] {
+        if let Some(p) = samples.last() {
+            if s.t_ns <= p.t_ns {
                 return Err(format!(
-                    "row {}: t_ns {} not strictly increasing (prev {})",
-                    lineno + 2,
-                    vals[0],
-                    p[0]
+                    "row {row}: t_ns {} not strictly increasing (prev {})",
+                    s.t_ns, p.t_ns
                 ));
             }
-            for (i, col) in SAMPLE_COLUMNS.iter().enumerate() {
-                if col.monotonic && vals[i] < p[i] {
+            for col in SAMPLE_COLUMNS.iter().filter(|c| c.monotonic) {
+                let (was, now) = ((col.get)(p), (col.get)(&s));
+                if now < was {
                     return Err(format!(
-                        "row {}: counter column {} decreased ({} -> {})",
-                        lineno + 2,
-                        col.name,
-                        p[i],
-                        vals[i]
+                        "row {row}: counter column {} decreased ({was} -> {now})",
+                        col.name
                     ));
                 }
             }
         }
-        prev = Some(vals);
-        rows += 1;
+        samples.push(s);
     }
-    Ok(CsvStats { rows })
-}
-
-/// Validate a sample CSV (as [`validate_csv`] does) and parse its final
-/// row back into a [`Sample`]: the end-of-run totals `repro check`
-/// reconciles a lineage stream against.
-pub fn last_sample(text: &str) -> Result<Sample, String> {
-    validate_csv(text)?;
-    let row = text
-        .lines()
-        .skip(1)
-        .filter(|l| !l.is_empty())
-        .last()
-        .ok_or("no samples")?;
-    let mut s = Sample::default();
-    for (cell, col) in row.split(',').zip(SAMPLE_COLUMNS) {
-        (col.set)(&mut s, cell.parse().expect("validate_csv checked every cell"));
-    }
-    Ok(s)
+    Ok(samples)
 }
 
 /// The sampler the driver owns: a preallocated buffer filled on a
@@ -485,6 +508,7 @@ impl TimeseriesSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_engine::units::PAGE_SIZE;
 
     fn cfg(interval_ns: u64, capacity: usize) -> TimeseriesConfig {
         TimeseriesConfig {
@@ -590,15 +614,13 @@ mod tests {
         };
         let csv = ts.to_csv();
         assert!(csv.starts_with("t_ns,faults_fetched,"));
-        let stats = validate_csv(&csv).expect("valid CSV");
-        assert_eq!(stats.rows, 2);
-        assert_eq!(last_sample(&csv), Ok(at(20, 5)));
+        assert_eq!(parse_csv(&csv), Ok(ts.samples));
         let header_only = format!("{}\n", Timeseries::csv_header());
-        assert_eq!(last_sample(&header_only), Err("no samples".to_string()));
+        assert_eq!(parse_csv(&header_only), Ok(vec![]));
     }
 
     #[test]
-    fn validate_csv_rejects_bad_streams() {
+    fn parse_csv_rejects_bad_streams() {
         let header = Timeseries::csv_header();
         let row = |t: u64, f: u64| {
             let mut cells = vec![t.to_string(), f.to_string()];
@@ -606,16 +628,53 @@ mod tests {
             cells.join(",")
         };
         // Wrong header.
-        assert!(validate_csv("a,b\n1,2\n").is_err());
+        assert!(parse_csv("a,b\n1,2\n").is_err());
         // Non-monotonic time.
         let bad_t = format!("{header}\n{}\n{}\n", row(20, 1), row(10, 2));
-        assert!(validate_csv(&bad_t).unwrap_err().contains("t_ns"));
+        assert!(parse_csv(&bad_t).unwrap_err().contains("t_ns"));
         // Decreasing counter.
         let bad_c = format!("{header}\n{}\n{}\n", row(10, 5), row(20, 4));
-        assert!(validate_csv(&bad_c).unwrap_err().contains("faults_fetched"));
+        assert!(parse_csv(&bad_c).unwrap_err().contains("faults_fetched"));
         // Non-numeric cell.
         let bad_cell = format!("{header}\n{}\n", row(10, 1).replace("10", "x"));
-        assert!(validate_csv(&bad_cell).is_err());
+        assert!(parse_csv(&bad_cell).is_err());
+        // A schema v2 header (35 columns) is refused, not misread.
+        let v2: Vec<&str> = header.split(',').take(35).collect();
+        let err = parse_csv(&format!("{}\n", v2.join(","))).unwrap_err();
+        assert!(err.contains("header mismatch"), "{err}");
+    }
+
+    #[test]
+    fn reconciled_attribution_checks_the_sample_against_itself() {
+        let s = Sample {
+            faults_fetched: 3,
+            duplicate_faults: 1,
+            pages_faulted_in: 2,
+            pages_evicted: 2,
+            pages_evicted_migrated: 1,
+            migrated_bytes_h2d: 2 * PAGE_SIZE,
+            migrated_bytes_d2h: PAGE_SIZE,
+            attr_cold_faults: 2,
+            attr_replay_dup_faults: 1,
+            attr_evicted_used_pages: 2,
+            attr_writeback_bytes: PAGE_SIZE,
+            ..Sample::default()
+        };
+        assert_eq!(s.reconciled_attribution(), Ok(s.attribution()));
+        // One extra page each way: the H2D closure breaks.
+        let moved = Sample {
+            migrated_bytes_h2d: 3 * PAGE_SIZE,
+            migrated_bytes_d2h: 2 * PAGE_SIZE,
+            ..s
+        };
+        let err = moved.reconciled_attribution().unwrap_err();
+        assert!(err.contains("does not reconcile: H2D bytes by cause"), "{err}");
+        let inverted = Sample {
+            pages_evicted_migrated: 3,
+            ..s
+        };
+        let err = inverted.reconciled_attribution().unwrap_err();
+        assert!(err.contains("pages_evicted_migrated exceeds pages_evicted"), "{err}");
     }
 
     #[test]
@@ -627,7 +686,7 @@ mod tests {
 
     #[test]
     fn columns_cover_every_sample_field() {
-        // 35 public fields in Sample; keep the registry in lockstep.
+        // 39 public fields in Sample; keep the registry in lockstep.
         let s = Sample {
             t_ns: 1,
             faults_fetched: 2,
@@ -664,9 +723,13 @@ mod tests {
             pages_hint_prefetched: 33,
             pages_evicted_migrated: 34,
             pages_migrated_to_host: 35,
+            attr_prefetch_pages: 36,
+            attr_hint_pages: 37,
+            attr_writeback_bytes: 38,
+            attr_host_migrated_bytes: 39,
         };
         let vals: Vec<u64> = SAMPLE_COLUMNS.iter().map(|c| (c.get)(&s)).collect();
-        let want: Vec<u64> = (1..=35).collect();
+        let want: Vec<u64> = (1..=39).collect();
         assert_eq!(vals, want, "every field extracted exactly once, in order");
         let mut back = Sample::default();
         for (col, v) in SAMPLE_COLUMNS.iter().zip(want) {

@@ -1237,6 +1237,10 @@ impl UvmDriver {
             pages_hint_prefetched: self.counters.pages_hint_prefetched,
             pages_evicted_migrated: self.counters.pages_evicted_migrated,
             pages_migrated_to_host: self.counters.pages_migrated_to_host,
+            attr_prefetch_pages: self.attribution.prefetch_pages,
+            attr_hint_pages: self.attribution.hint_pages,
+            attr_writeback_bytes: self.attribution.writeback_bytes,
+            attr_host_migrated_bytes: self.attribution.host_migrated_bytes,
             ..Sample::default()
         };
         s.set_batch_latency(&self.pass_ns);
@@ -1794,6 +1798,8 @@ mod tests {
         assert_eq!(last.pages_hint_prefetched, c.pages_hint_prefetched);
         assert_eq!(last.pages_evicted_migrated, c.pages_evicted_migrated);
         assert_eq!(last.pages_migrated_to_host, c.pages_migrated_to_host);
+        assert_eq!(last.attribution(), a, "the final row carries the whole ledger");
+        assert_eq!(last.reconciled_attribution(), Ok(a));
     }
 
     #[test]

@@ -136,23 +136,33 @@ fn check_passes_clean_tree_and_fails_each_doctored_kind() {
     let col = |name: &str| csv.lines().next().unwrap().split(',').position(|c| c == name).unwrap();
     let (cold, used) = (col("attr_cold_faults"), col("attr_refault_used_faults"));
     let last = csv.lines().last().unwrap();
-    let mut row: Vec<u64> = last.split(',').map(|c| c.parse().unwrap()).collect();
+    let row: Vec<u64> = last.split(',').map(|c| c.parse().unwrap()).collect();
+    let render = |row: &[u64]| row.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
     assert_eq!(row[used], 0, "fixture point must have no refaults");
-    row[cold] += 1;
-    row[used] = u64::MAX;
-    let wrapped: Vec<String> = row.iter().map(u64::to_string).collect();
+    let mut wrapped = row.clone();
+    wrapped[cold] += 1;
+    wrapped[used] = u64::MAX;
+    // One page more each way in the byte totals than the ledger's causes
+    // account for. With the `.lineage` gone, only the ledger's H2D and
+    // D2H equations can catch it.
+    let mut moved = row.clone();
+    moved[col("migrated_bytes_h2d")] += 4096;
+    moved[col("migrated_bytes_d2h")] += 4096;
+    let lineage = format!("{point}.lineage");
     let prom = std::fs::read_to_string(arg("metrics/fig1/metrics.prom")).unwrap();
     let faults = prom.lines().find(|l| l.starts_with("uvm_faults_fetched_total{")).unwrap();
     let negative = format!("{} -5", faults.rsplit_once(' ').unwrap().0);
-    // (kind, copied artefact, doctored file, text, replacement, message);
-    // an empty text stands for the whole file.
+    // (kind, copied artefact, doctored file, text, replacement, file
+    // removed, message); an empty text stands for the whole file, an
+    // empty removal for none.
     let cases = [
-        ("csv", "metrics", format!("{point}.csv"), last, wrapped.join(","), "does not reconcile"),
-        ("lineage", "metrics", format!("{point}.lineage"), "total,eviction,0,0,0", "total,eviction,0,1,0".into(), "lineage"),
-        ("trace", "trace.json", "trace.json".into(), "", r#"{"traceEvents":5}"#.into(), "missing traceEvents array"),
-        ("prom", "metrics", "metrics/fig1/metrics.prom".into(), faults, negative, "negative counter"),
+        ("csv", "metrics", format!("{point}.csv"), last, render(&wrapped), "", "does not reconcile"),
+        ("bytes", "metrics", format!("{point}.csv"), last, render(&moved), &lineage, "does not reconcile"),
+        ("lineage", "metrics", lineage.clone(), "total,eviction,0,0,0", "total,eviction,0,1,0".into(), "", "lineage"),
+        ("trace", "trace.json", "trace.json".into(), "", r#"{"traceEvents":5}"#.into(), "", "missing traceEvents array"),
+        ("prom", "metrics", "metrics/fig1/metrics.prom".into(), faults, negative, "", "negative counter"),
     ];
-    for (kind, src, file, from, to, message) in cases {
+    for (kind, src, file, from, to, removed, message) in cases {
         // Each case copies only what it doctors, so the large trace is
         // validated once, on the clean tree.
         let (copy, path) = (dir.join(kind), dir.join(kind).join(&file));
@@ -162,6 +172,9 @@ fn check_passes_clean_tree_and_fails_each_doctored_kind() {
         let doctored = if from.is_empty() { to } else { text.replacen(from, &to, 1) };
         assert_ne!(doctored, text, "{kind}: fixture must actually tamper");
         std::fs::write(&path, doctored).unwrap();
+        if !removed.is_empty() {
+            std::fs::remove_file(copy.join(removed)).unwrap();
+        }
         let bad = repro(&["check", copy.to_str().unwrap()]);
         let err = stderr(&bad);
         assert_eq!(bad.status.code(), Some(1), "{kind}: {err}");

@@ -125,8 +125,8 @@ fn final_sample_and_csv_reconcile_at_default_scale() {
     // counters/transfers, stamped at the end of the driver's critical
     // path (`driver_time`; `total_time` additionally includes the
     // engine's compute time, which the driver clock never sees). The
-    // exported CSV must both validate against the schema and round-trip
-    // those totals in its last row.
+    // exported CSV must parse back into exactly the same samples, and the
+    // ledger in its final row must reconcile with the report's totals.
     for (cfg, w) in sampled_points() {
         let r = uvm_sim::run(&cfg, &w);
         let last = *r.timeseries.last().expect("run produced samples");
@@ -140,13 +140,12 @@ fn final_sample_and_csv_reconcile_at_default_scale() {
         assert_eq!(last.migrated_bytes_h2d, r.transfers.h2d_bytes);
         assert_eq!(last.migrated_bytes_d2h, r.transfers.d2h_bytes);
 
-        let csv = r.timeseries.to_csv();
-        let stats = metrics::timeseries::validate_csv(&csv).expect("CSV validates");
-        assert_eq!(stats.rows, r.timeseries.samples.len());
-        let last_row = csv.lines().last().expect("CSV has rows");
-        let cells: Vec<u64> = last_row.split(',').map(|c| c.parse().unwrap()).collect();
-        assert_eq!(cells[0], r.driver_time.as_nanos());
-        assert_eq!(cells[1], r.counters.faults_fetched);
+        let parsed = metrics::timeseries::parse_csv(&r.timeseries.to_csv()).expect("CSV parses");
+        assert_eq!(parsed, r.timeseries.samples, "{}", r.workload);
+        let ledger = parsed.last().expect("CSV has rows").attribution();
+        assert_eq!(ledger, r.attribution, "{}", r.workload);
+        let (h2d, d2h) = (r.transfers.h2d_bytes, r.transfers.d2h_bytes);
+        ledger.reconcile(&r.counters, h2d, d2h).expect("final row reconciles");
     }
 }
 
