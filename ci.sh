@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI gates.
 #
-#   ./ci.sh            per-push gate: build, full test suite, rustdoc
+#   ./ci.sh            per-push gate: build, full test suite, a
+#                      compile check of the benches, rustdoc
 #                      with warnings denied, the perfbench
 #                      self-tests, quick-scale end-to-end
 #                      repro (~1 min on one core), a traced
@@ -34,6 +35,11 @@ case "$target" in
 push)
     echo "== cargo test =="
     cargo test -q --workspace
+
+    echo "== cargo check --benches =="
+    # `cargo test` never compiles the [[bench]] targets, so an API change
+    # that breaks `cargo bench` would otherwise pass this gate.
+    cargo check --workspace --benches --offline
 
     echo "== cargo doc (warnings are errors) =="
     # A doc link left dangling by a deleted or renamed item fails here.

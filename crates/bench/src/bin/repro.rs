@@ -130,8 +130,9 @@
 //! (the scatter data behind Figures 7 and 8) are written to `--out`
 //! (default `./repro-out`). `--threads N` sizes the rayon pool running
 //! the sweeps; results are deterministic and identical for every N.
-//! The driver's batch-service wall plus the sweep scheduler's
-//! queue/steal stats land in `BENCH_hotpaths.json`.
+//! The driver's batch-service wall plus the sweep scheduler's point
+//! count, thread count and longest-point wall land in
+//! `BENCH_hotpaths.json`.
 //! `--retry-crosscheck` runs every point with the engine's event-driven
 //! replay bookkeeping *and* the reference rescan side by side, asserting
 //! at each skip opportunity that the closed form reproduces the scan's
@@ -774,9 +775,6 @@ struct ExperimentPerf {
     serial_front_ms: f64,
     /// Sweep points executed across the experiment's sweeps.
     sweep_points: u64,
-    /// Points executed by a worker they were not dealt to — the
-    /// work-stealing scheduler's rebalancing volume (0 at one thread).
-    points_stolen: u64,
     /// Wall milliseconds of the single longest sweep point — the
     /// straggler that lower-bounds sweep wall time at any thread count.
     max_straggler_ms: f64,
@@ -809,7 +807,6 @@ impl ExperimentPerf {
             coverage_pct: totals.coverage_pct(),
             serial_front_ms: phase.serial_front_ns as f64 / 1e6,
             sweep_points: sched.points,
-            points_stolen: sched.stolen,
             max_straggler_ms: sched.max_point_wall_ns as f64 / 1e6,
             retries_skipped: totals.retries_skipped,
             retry_pages_skipped: totals.retry_pages_skipped,

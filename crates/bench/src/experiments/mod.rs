@@ -190,7 +190,7 @@ pub fn take_sim_totals() -> SweepTotals {
 }
 
 /// Run a set of (config, workload) points in parallel, preserving order.
-/// Wraps [`uvm_sim::run_sweep_with`] (which dedupes trace generation
+/// Wraps [`uvm_sim::run_sweep_cached_with`] (which dedupes trace generation
 /// across points sharing a `(workload, seed)` pair) with the harness's
 /// observability: when `repro` armed tracing, span/fault capture is
 /// switched on per point and the finished reports are folded into the

@@ -22,7 +22,7 @@ use metrics::exposition::{MetricDef, MetricKind};
 use metrics::lineage::analyze;
 use metrics::oversub::{parse_table, ratio_label, Cliff, OversubCell};
 use metrics::report::Table;
-use metrics::sched::{SWEEP_MAX_STRAGGLER_MS, SWEEP_POINTS, SWEEP_POINTS_STOLEN, SWEEP_THREADS};
+use metrics::sched::{SWEEP_MAX_STRAGGLER_MS, SWEEP_POINTS, SWEEP_THREADS};
 use metrics::timeseries::{parse_csv, Sample};
 use metrics::{
     Attribution, Counters, Exposition, Histogram, LineageEventKind, LineageLog, Offender,
@@ -268,7 +268,6 @@ pub fn push_points(
     }
     if let Some(s) = sched {
         exp.push(&SWEEP_POINTS, extra, s.points as f64);
-        exp.push(&SWEEP_POINTS_STOLEN, extra, s.stolen as f64);
         exp.push(&SWEEP_MAX_STRAGGLER_MS, extra, s.max_point_wall_ns as f64 / 1e6);
         exp.push(&SWEEP_THREADS, extra, s.threads as f64);
     }
@@ -1041,7 +1040,7 @@ const TREND_METRICS: &[(&str, Direction)] = &[
     ("faults_per_sec", Direction::DownIsBad),
     ("evictions_per_fault", Direction::UpIsBad),
     ("coverage_pct", Direction::DownIsBad),
-    // Longest single sweep point (work-stealing scheduler's load-balance
+    // Longest single sweep point (the sweep scheduler's load-balance
     // bound): a growing straggler means the point layout regressed even
     // if total wall hides it behind better overlap.
     ("max_straggler_ms", Direction::UpIsBad),
@@ -1520,7 +1519,7 @@ mod tests {
         let points = [point("regular", 0.5, 100)];
         let sched = SweepSchedStats {
             points: 8,
-            stolen: 3,
+            stolen: 0,
             max_point_wall_ns: 250_000_000,
             threads: 4,
         };
@@ -1532,7 +1531,6 @@ mod tests {
         assert!(text.contains("uvm_lineage_dropped{"));
         assert!(text.contains("uvm_flight_dumps{"));
         assert!(text.contains("uvm_sweep_points 8"));
-        assert!(text.contains("uvm_sweep_points_stolen 3"));
         assert!(text.contains("uvm_sweep_max_straggler_ms 250"));
         assert!(text.contains("uvm_sweep_threads 4"));
         // Without sched stats the experiment-wide gauges are absent.

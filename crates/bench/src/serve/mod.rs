@@ -1,9 +1,9 @@
 //! `repro serve` — a live simulation service on the batch machinery.
 //!
 //! The daemon accepts experiment requests over a Unix socket (NDJSON
-//! protocol, [`protocol`]), executes them serially on the existing
-//! work-stealing sweep scheduler with a cross-request prepared-workload
-//! cache ([`daemon`]), streams per-point progress frames back to the
+//! protocol, [`protocol`]), executes them serially on the batch path's
+//! sweep scheduler with a cross-request prepared-workload cache
+//! ([`daemon`]), streams per-point progress frames back to the
 //! client, and exposes the full Prometheus registry live over HTTP
 //! ([`http`]). [`client`] is the `repro submit` / `serve --check` side.
 //!

@@ -18,8 +18,8 @@
 //!   events per driver pass, bounded recorder, flame-style summaries.
 //! * [`phase`] — host wall-time split of the driver's two-phase batch
 //!   service (serial front vs parallel planning), for Amdahl tracking.
-//! * [`sched`] — host wall-time stats of the sweep's work-stealing point
-//!   scheduler (points stolen, max straggler), for load-balance tracking.
+//! * [`sched`] — host wall-time stats of the sweep's point scheduler
+//!   (points, worker threads, max straggler), for load-balance tracking.
 //! * [`chrome`] — Chrome-trace/Perfetto JSON export of span traces plus a
 //!   validator for the trace-event-format invariants.
 //! * [`timeseries`] — bounded simulated-time sampling of the cumulative

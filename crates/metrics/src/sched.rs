@@ -1,15 +1,13 @@
-//! Host wall-time accounting for the sweep's work-stealing point
-//! scheduler: how many points ran, how many were executed by a thread
-//! other than the one they were dealt to (steals), and the longest
-//! single point (the straggler that bounds sweep wall time).
+//! Host wall-time accounting for the sweep's point scheduler: how many
+//! points ran, on how many worker threads, and the longest single point
+//! (the straggler that bounds sweep wall time).
 //!
 //! Like [`phase`](crate::phase), these are *host* measurements —
 //! deliberately kept out of serialized simulation results so simulated
 //! output stays bit-identical across thread counts and hosts. The sweep
 //! scheduler records one [`SweepSchedStats`] per sweep into the
 //! process-global totals; the `repro` harness drains them per experiment
-//! into `BENCH_hotpaths.json`, which is what makes the static-split vs
-//! work-stealing win measurable.
+//! into `BENCH_hotpaths.json` and the `uvm_sweep_*` gauges.
 
 use crate::exposition::{MetricDef, MetricKind};
 use serde::{Deserialize, Serialize};
@@ -20,13 +18,6 @@ pub const SWEEP_POINTS: MetricDef = MetricDef {
     name: "uvm_sweep_points",
     kind: MetricKind::Gauge,
     help: "Simulation points executed by the sweep scheduler.",
-};
-
-/// Exposition gauge: points executed by a worker they were not dealt to.
-pub const SWEEP_POINTS_STOLEN: MetricDef = MetricDef {
-    name: "uvm_sweep_points_stolen",
-    kind: MetricKind::Gauge,
-    help: "Points executed by a worker other than the one they were dealt to.",
 };
 
 /// Exposition gauge: the sweep's straggler bound in host milliseconds.
@@ -48,14 +39,15 @@ pub const SWEEP_THREADS: MetricDef = MetricDef {
 pub struct SweepSchedStats {
     /// Simulation points executed.
     pub points: u64,
-    /// Points executed by a worker they were not dealt to — each steal is
-    /// a point that would have waited behind a straggler under the static
-    /// split.
+    /// Inert: always 0, since the sweep runs as one parallel map and
+    /// nothing is stolen. Kept only because the benchmark crate under
+    /// `perfbench/` still reads this field; drop it together with that
+    /// use.
     pub stolen: u64,
     /// Wall nanoseconds of the single longest point — the straggler that
     /// lower-bounds the sweep's wall time at any thread count.
     pub max_point_wall_ns: u64,
-    /// Sweep worker threads (1 = serial; deques are not spun up).
+    /// Sweep worker threads (1 = serial).
     pub threads: u64,
 }
 
@@ -64,21 +56,18 @@ impl SweepSchedStats {
     /// the straggler and thread width take the max.
     pub fn merge(&mut self, o: &SweepSchedStats) {
         self.points += o.points;
-        self.stolen += o.stolen;
         self.max_point_wall_ns = self.max_point_wall_ns.max(o.max_point_wall_ns);
         self.threads = self.threads.max(o.threads);
     }
 }
 
 static POINTS: AtomicU64 = AtomicU64::new(0);
-static STOLEN: AtomicU64 = AtomicU64::new(0);
 static MAX_POINT_WALL_NS: AtomicU64 = AtomicU64::new(0);
 static THREADS_MAX: AtomicU64 = AtomicU64::new(0);
 
 /// Add one sweep's stats to the process-global totals (thread-safe).
 pub fn record(s: &SweepSchedStats) {
     POINTS.fetch_add(s.points, Ordering::Relaxed);
-    STOLEN.fetch_add(s.stolen, Ordering::Relaxed);
     MAX_POINT_WALL_NS.fetch_max(s.max_point_wall_ns, Ordering::Relaxed);
     THREADS_MAX.fetch_max(s.threads, Ordering::Relaxed);
 }
@@ -88,7 +77,7 @@ pub fn record(s: &SweepSchedStats) {
 pub fn take() -> SweepSchedStats {
     SweepSchedStats {
         points: POINTS.swap(0, Ordering::Relaxed),
-        stolen: STOLEN.swap(0, Ordering::Relaxed),
+        stolen: 0,
         max_point_wall_ns: MAX_POINT_WALL_NS.swap(0, Ordering::Relaxed),
         threads: THREADS_MAX.swap(0, Ordering::Relaxed),
     }
@@ -102,7 +91,7 @@ mod tests {
     fn merge_adds_counts_and_maxes_straggler() {
         let mut a = SweepSchedStats {
             points: 4,
-            stolen: 1,
+            stolen: 0,
             max_point_wall_ns: 100,
             threads: 2,
         };
@@ -114,7 +103,6 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.points, 10);
-        assert_eq!(a.stolen, 1);
         assert_eq!(a.max_point_wall_ns, 100);
         assert_eq!(a.threads, 8);
     }
@@ -125,14 +113,13 @@ mod tests {
     fn record_take_roundtrip() {
         let s = SweepSchedStats {
             points: 3,
-            stolen: 2,
+            stolen: 0,
             max_point_wall_ns: 77,
             threads: 4,
         };
         record(&s);
         let got = take();
         assert!(got.points >= 3);
-        assert!(got.stolen >= 2);
         assert!(got.max_point_wall_ns >= 77);
         assert!(got.threads >= 4);
     }

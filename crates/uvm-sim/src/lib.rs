@@ -39,7 +39,7 @@ pub mod simulator;
 
 pub use config::SimConfig;
 pub use simulator::{
-    prepare, run, run_prepared, run_repeated, run_sweep, run_sweep_cached_with, run_sweep_with,
+    prepare, run, run_prepared, run_repeated, run_sweep, run_sweep_cached_with,
     LaunchStats, PreparedWorkload, SimReport, SweepCache, SweepCacheStats,
 };
 

@@ -311,6 +311,9 @@ fn run_kernel(
 /// `repro explain` table; small enough to be negligible in JSON output.
 const TOP_OFFENDERS_K: usize = 8;
 
+/// One [`SweepCache`] entry: seed, workload, prepared form.
+type CacheEntry = (u64, Workload, Arc<PreparedWorkload>);
+
 /// Hit/miss/occupancy snapshot of a [`SweepCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SweepCacheStats {
@@ -323,7 +326,7 @@ pub struct SweepCacheStats {
 }
 
 /// A cross-sweep cache of [`prepare`]d workloads, keyed by
-/// `(seed, workload)` — the same dedup key [`run_sweep_with`] uses within
+/// `(seed, workload)` — the same dedup key [`run_sweep`] uses within
 /// one sweep, extended across sweeps so a long-lived service (`repro
 /// serve`) regenerates each trace once, not once per request.
 ///
@@ -335,7 +338,7 @@ pub struct SweepCacheStats {
 /// capacity so a daemon serving many distinct workloads stays bounded.
 #[derive(Debug)]
 pub struct SweepCache {
-    entries: std::sync::Mutex<Vec<(u64, Workload, Arc<PreparedWorkload>)>>,
+    entries: std::sync::Mutex<Vec<CacheEntry>>,
     capacity: usize,
     hits: std::sync::atomic::AtomicU64,
     misses: std::sync::atomic::AtomicU64,
@@ -354,22 +357,24 @@ impl SweepCache {
 
     /// Fetch the prepared form of `workload` under `config`'s seed,
     /// preparing and caching it on miss.
+    ///
+    /// The entry lock is not held while preparing, so [`stats`](Self::stats)
+    /// (the serve daemon's `/metrics` scrape) never waits on trace
+    /// generation. Two callers missing on one key both prepare it; the
+    /// first to insert wins and the other returns the winner's entry.
     pub fn get_or_prepare(&self, config: &SimConfig, workload: &Workload) -> Arc<PreparedWorkload> {
         use std::sync::atomic::Ordering;
-        let mut entries = self.entries.lock().unwrap();
-        if let Some(pos) = entries
-            .iter()
-            .position(|(seed, w, _)| *seed == config.seed && w == workload)
-        {
+        let hit = touch(&mut self.entries(), config.seed, workload);
+        if let Some(prepared) = hit {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            // Move to the back: back = most recently used.
-            let entry = entries.remove(pos);
-            let prepared = Arc::clone(&entry.2);
-            entries.push(entry);
             return prepared;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let prepared = Arc::new(prepare(config, workload));
+        let mut entries = self.entries();
+        if let Some(winner) = touch(&mut entries, config.seed, workload) {
+            return winner;
+        }
         if entries.len() >= self.capacity {
             entries.remove(0); // front = least recently used
         }
@@ -383,14 +388,31 @@ impl SweepCache {
         SweepCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.lock().unwrap().len() as u64,
+            entries: self.entries().len() as u64,
         }
     }
 
-    /// Drop every cached entry (stats are kept).
-    pub fn clear(&self) {
-        self.entries.lock().unwrap().clear();
+    fn entries(&self) -> std::sync::MutexGuard<'_, Vec<CacheEntry>> {
+        self.entries
+            .lock()
+            .expect("no code panics while holding the sweep cache lock")
     }
+}
+
+/// The cached entry for `(seed, workload)`, moved to the back of
+/// `entries` (back = most recently used).
+fn touch(
+    entries: &mut Vec<CacheEntry>,
+    seed: u64,
+    workload: &Workload,
+) -> Option<Arc<PreparedWorkload>> {
+    let pos = entries
+        .iter()
+        .position(|(s, w, _)| *s == seed && w == workload)?;
+    let entry = entries.remove(pos);
+    let prepared = Arc::clone(&entry.2);
+    entries.push(entry);
+    Some(prepared)
 }
 
 /// Run every `(config, workload)` point of a sweep, in parallel when a
@@ -402,38 +424,27 @@ impl SweepCache {
 /// prefetching on and off — are [`prepare`]d once. Results are
 /// bit-identical to calling [`run`] on each point.
 pub fn run_sweep(points: Vec<(SimConfig, Workload)>) -> Vec<SimReport> {
-    run_sweep_with(points, |_, _| {})
+    run_sweep_cached_with(None, points, |_, _| {})
 }
 
-/// [`run_sweep`] with a completion callback: `on_point(index, report)`
-/// fires as each point finishes (from whichever worker thread ran it —
-/// out of input order under parallelism). Used by the `repro` binary for
-/// live progress/ETA telemetry; the returned reports are identical to
-/// [`run_sweep`]'s, still in input order.
-///
-/// Points are scheduled over per-worker work-stealing deques rather than
-/// a static split: each worker is dealt a round-robin share in
-/// longest-expected-first order (a point's wall time tracks its trace's
-/// access count), pops its own deque from the front, and when empty
-/// steals from the back of whichever peer has the most left. Under the
-/// old static split one straggler point serialised the tail of `repro
-/// all`; with stealing, idle workers drain the straggler's queue behind
-/// it. Determinism is unaffected: every point's simulation is
-/// independent and deterministic, and each report is committed to its
-/// input-index slot, so steal order changes wall time only. Queue/steal
-/// stats land in [`metrics::sched`] for the harness to drain.
-pub fn run_sweep_with<F>(points: Vec<(SimConfig, Workload)>, on_point: F) -> Vec<SimReport>
-where
-    F: Fn(usize, &SimReport) + Sync,
-{
-    run_sweep_cached_with(None, points, on_point)
-}
-
-/// [`run_sweep_with`] consulting an optional cross-sweep [`SweepCache`]
-/// for prepared workloads. With `None` this *is* `run_sweep_with`; with a
-/// cache, `(seed, workload)` pairs already prepared by an earlier sweep
-/// skip trace generation entirely. Results are bit-identical either way
+/// [`run_sweep`] consulting an optional cross-sweep [`SweepCache`] for
+/// prepared workloads, with a completion callback. With a cache,
+/// `(seed, workload)` pairs already prepared by an earlier sweep skip
+/// trace generation entirely; the per-sweep dedup holds either way, so
+/// each distinct trace is prepared at most once per sweep whatever the
+/// cache's capacity. Results are bit-identical with or without a cache
 /// ([`prepare`] is deterministic in the key).
+///
+/// `on_point(index, report)` fires as each point finishes, from whichever
+/// worker ran it and so out of input order. The `repro` binary uses it
+/// for live progress/ETA telemetry.
+///
+/// Points run as one rayon parallel map, longest expected first (a
+/// point's wall tracks its trace's access count; ties keep input order),
+/// so the heaviest points start first and the short ones fill in behind
+/// them. Every point's simulation is independent and deterministic, so
+/// the schedule changes wall time only. Point count, worker count and
+/// the longest single point's wall land in [`metrics::sched`].
 pub fn run_sweep_cached_with<F>(
     cache: Option<&SweepCache>,
     points: Vec<(SimConfig, Workload)>,
@@ -442,133 +453,54 @@ pub fn run_sweep_cached_with<F>(
 where
     F: Fn(usize, &SimReport) + Sync,
 {
-    use std::collections::VecDeque;
+    use rayon::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
     use std::time::Instant;
 
-    let mut prepared: Vec<(u64, Workload, Arc<PreparedWorkload>)> = Vec::new();
-    let jobs: Vec<(usize, SimConfig, usize)> = points
+    let mut prepared: Vec<CacheEntry> = Vec::new();
+    let mut jobs: Vec<(usize, SimConfig, Arc<PreparedWorkload>)> = points
         .into_iter()
         .enumerate()
         .map(|(i, (config, workload))| {
-            let idx = prepared
-                .iter()
-                .position(|(seed, w, _)| *seed == config.seed && *w == workload)
-                .unwrap_or_else(|| {
-                    let p = match cache {
-                        Some(c) => c.get_or_prepare(&config, &workload),
-                        None => Arc::new(prepare(&config, &workload)),
-                    };
-                    prepared.push((config.seed, workload.clone(), p));
-                    prepared.len() - 1
-                });
-            (i, config, idx)
+            let p = touch(&mut prepared, config.seed, &workload).unwrap_or_else(|| {
+                let p = match cache {
+                    Some(c) => c.get_or_prepare(&config, &workload),
+                    None => Arc::new(prepare(&config, &workload)),
+                };
+                prepared.push((config.seed, workload, Arc::clone(&p)));
+                p
+            });
+            (i, config, p)
         })
         .collect();
-
-    let n = jobs.len();
-    if n == 0 {
+    // Each trace is freed as soon as the last point using it finishes.
+    drop(prepared);
+    if jobs.is_empty() {
         return Vec::new();
     }
-    let threads = rayon::current_num_threads().min(n).max(1);
+    jobs.sort_by_key(|(i, _, p)| (std::cmp::Reverse(p.trace.total_accesses()), *i));
 
-    if threads <= 1 {
-        // Serial: input order, no deques to maintain.
-        let mut max_wall = 0u64;
-        let reports: Vec<SimReport> = jobs
-            .iter()
-            .map(|(i, config, idx)| {
-                let t0 = Instant::now();
-                let report = run_prepared(config, &prepared[*idx].2);
-                max_wall = max_wall.max(t0.elapsed().as_nanos() as u64);
-                on_point(*i, &report);
-                report
-            })
-            .collect();
-        metrics::sched::record(&metrics::SweepSchedStats {
-            points: n as u64,
-            stolen: 0,
-            max_point_wall_ns: max_wall,
-            threads: 1,
-        });
-        return reports;
-    }
-
-    // Deal in longest-expected-first order (ties broken by input index,
-    // keeping the deal deterministic) so the heaviest points start first
-    // and the short tail is what gets stolen.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&j| {
-        (
-            std::cmp::Reverse(prepared[jobs[j].2].2.trace.total_accesses()),
-            j,
-        )
-    });
-    let deques: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|_| Mutex::new(VecDeque::new()))
-        .collect();
-    for (rank, &job) in order.iter().enumerate() {
-        deques[rank % threads].lock().unwrap().push_back(job);
-    }
-
-    let slots: Vec<Mutex<Option<SimReport>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let stolen = AtomicU64::new(0);
+    let points = jobs.len() as u64;
+    let threads = rayon::current_num_threads().clamp(1, jobs.len()) as u64;
     let max_wall = AtomicU64::new(0);
-    {
-        let (jobs, prepared, deques) = (&jobs, &prepared, &deques);
-        let (slots, stolen, max_wall, on_point) = (&slots, &stolen, &max_wall, &on_point);
-        std::thread::scope(|s| {
-            for me in 0..threads {
-                s.spawn(move || loop {
-                    let popped = deques[me].lock().unwrap().pop_front();
-                    let (job, stole) = match popped {
-                        Some(j) => (j, false),
-                        None => {
-                            // Steal from the back of the fullest peer.
-                            let mut best: Option<(usize, usize)> = None;
-                            for (v, d) in deques.iter().enumerate() {
-                                let len = if v == me { 0 } else { d.lock().unwrap().len() };
-                                if len > 0 && best.is_none_or(|(_, l)| len > l) {
-                                    best = Some((v, len));
-                                }
-                            }
-                            // Jobs are only ever consumed, so an
-                            // all-empty scan means the sweep is drained.
-                            let Some((v, _)) = best else { break };
-                            match deques[v].lock().unwrap().pop_back() {
-                                Some(j) => (j, true),
-                                None => continue, // lost the race; rescan
-                            }
-                        }
-                    };
-                    let (i, config, idx) = &jobs[job];
-                    let t0 = Instant::now();
-                    let report = run_prepared(config, &prepared[*idx].2);
-                    max_wall.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    if stole {
-                        stolen.fetch_add(1, Ordering::Relaxed);
-                    }
-                    on_point(*i, &report);
-                    *slots[*i].lock().unwrap() = Some(report);
-                });
-            }
-        });
-    }
-    metrics::sched::record(&metrics::SweepSchedStats {
-        points: n as u64,
-        stolen: stolen.into_inner(),
-        max_point_wall_ns: max_wall.into_inner(),
-        threads: threads as u64,
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("work-stealing scheduler ran every point")
+    let mut done: Vec<(usize, SimReport)> = jobs
+        .into_par_iter()
+        .map(|(i, config, prepared)| {
+            let t0 = Instant::now();
+            let report = run_prepared(&config, &prepared);
+            max_wall.fetch_max(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            on_point(i, &report);
+            (i, report)
         })
-        .collect()
+        .collect();
+    done.sort_unstable_by_key(|&(i, _)| i);
+    metrics::sched::record(&metrics::SweepSchedStats {
+        points,
+        stolen: 0,
+        max_point_wall_ns: max_wall.into_inner(),
+        threads,
+    });
+    done.into_iter().map(|(_, report)| report).collect()
 }
 
 /// Per-launch summary from [`run_repeated`].
@@ -595,8 +527,7 @@ pub fn run_repeated(config: &SimConfig, workload: &Workload, launches: u32) -> V
     let cost = CostModel::new(config.cost.clone());
     let root = SimRng::from_seed(config.seed);
 
-    let mut space = ManagedSpace::new();
-    let trace = Arc::new(workload.generate(&mut space, &mut root.derive(1)));
+    let PreparedWorkload { space, trace, .. } = prepare(config, workload);
     let mut driver = UvmDriver::new(config.driver.clone(), cost.clone(), space, root.derive(2));
     let mut buffer = FaultBuffer::new(config.fault_buffer.clone());
 
@@ -779,8 +710,6 @@ mod tests {
         // Different seed, same workload: a distinct key.
         cache.get_or_prepare(&cfg.clone().with_seed(99), &a);
         assert_eq!(cache.stats().misses, 5);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]
