@@ -1,7 +1,8 @@
 //! Micro-benches of the fault-pipeline hot paths, isolated from the
 //! experiment harness: batch pre-processing (sort-then-group into a
 //! reusable arena), the engine's post-replay retry scan (reference Scan
-//! mode), the event-driven retry skip and waiter-wakeup paths that
+//! mode, on a 256-block grid and on fig. 1's full-µTLB 1280-block
+//! shape), the event-driven retry skip and waiter-wakeup paths that
 //! replace it, word-at-a-time
 //! `PageMask` operations, the word-parallel mask kernels behind the SoA
 //! driver (`count_span` / `next_set` / `andnot_with`), the batched LRU
@@ -66,15 +67,16 @@ fn bench_batch_preprocess(c: &mut Criterion) {
         });
 }
 
-/// A 256-block stall grid over 256 Ki pages, none resident — the
-/// replay-retry shape that dominates oversubscribed runs. `lo` keeps the
-/// random pages out of residency word 0 so the waiter bench can use that
-/// word as its private change target.
-fn retry_grid(lo: u64) -> (ManagedSpace, WorkloadTrace) {
+/// A `blocks`-block stall grid over 256 Ki pages, 32 random pages per
+/// block, none resident — the replay-retry shape that dominates
+/// oversubscribed runs. `lo` keeps the random pages out of residency
+/// word 0 so the waiter bench can use that word as its private change
+/// target.
+fn retry_grid(lo: u64, blocks: usize) -> (ManagedSpace, WorkloadTrace) {
     let mut space = ManagedSpace::new();
     space.alloc(1 << 30, "bench"); // 256 Ki pages, none resident
     let mut rng = SimRng::from_seed(7);
-    let blocks: Vec<BlockTrace> = (0..256)
+    let blocks: Vec<BlockTrace> = (0..blocks)
         .map(|_| {
             let mut bt = BlockTrace::new(SimDuration::from_nanos(10));
             bt.push_step(
@@ -96,7 +98,7 @@ fn retry_grid(lo: u64) -> (ManagedSpace, WorkloadTrace) {
 /// path so this series stays comparable across PRs — and is the honest
 /// baseline the `retry_skip` series is measured against).
 fn bench_replay_retry(c: &mut Criterion) {
-    let (space, trace) = retry_grid(0);
+    let (space, trace) = retry_grid(0, 256);
     let cfg = GpuConfig {
         retry: RetryMode::Scan,
         ..GpuConfig::default()
@@ -106,6 +108,30 @@ fn bench_replay_retry(c: &mut Criterion) {
     engine.run(&space, &mut buffer, SimTime::ZERO); // initial stall
     c.benchmark_group("hot_paths")
         .bench_function("replay_retry_256_blocks", |b| {
+            b.iter(|| {
+                buffer.flush();
+                engine.replay();
+                black_box(engine.run(&space, &mut buffer, SimTime::ZERO))
+            })
+        });
+}
+
+/// Fig. 1's stall shape under the reference rescan: 1280 blocks on the
+/// default 80 µTLBs × 16 outstanding entries. Each replay the first
+/// block retried on a µTLB fills its set; every later block's retry
+/// can only throttle, so this series is dominated by full-set
+/// retries that only probe the filter and count.
+fn bench_retry_full_set(c: &mut Criterion) {
+    let (space, trace) = retry_grid(0, 1280);
+    let cfg = GpuConfig {
+        retry: RetryMode::Scan,
+        ..GpuConfig::default()
+    };
+    let mut engine = GpuEngine::launch(cfg, trace, SimRng::from_seed(1));
+    let mut buffer = FaultBuffer::new(FaultBufferConfig::default());
+    engine.run(&space, &mut buffer, SimTime::ZERO); // initial stall
+    c.benchmark_group("hot_paths")
+        .bench_function("retry_full_set_1280_blocks", |b| {
             b.iter(|| {
                 buffer.flush();
                 engine.replay();
@@ -196,7 +222,7 @@ fn bench_retry_skip_scan_twin(c: &mut Criterion) {
 /// residency each iteration, so every replay pays one wakeup dispatch and
 /// one real 16-page rescan while the other 255 blocks skip.
 fn bench_waiter_wakeup(c: &mut Criterion) {
-    let (mut space, mut trace) = retry_grid(64);
+    let (mut space, mut trace) = retry_grid(64, 256);
     let mut bt = BlockTrace::new(SimDuration::from_nanos(10));
     bt.push_step((0..16).map(GlobalPage), false);
     trace.blocks[0] = bt;
@@ -338,6 +364,7 @@ criterion_group!(
     hot_paths,
     bench_batch_preprocess,
     bench_replay_retry,
+    bench_retry_full_set,
     bench_retry_skip,
     bench_retry_skip_scan_twin,
     bench_waiter_wakeup,

@@ -222,6 +222,19 @@ fn parse_positive<T: std::str::FromStr + PartialOrd + From<u8>>(arg: Option<&Str
     }
 }
 
+/// Parse a value that must be a finite number > 0 (a wall time, a
+/// threshold fraction), or `error:` and exit 2.
+fn parse_positive_f64(arg: Option<&String>, what: &str) -> f64 {
+    match arg.and_then(|s| s.parse::<f64>().ok()) {
+        Some(v) if v.is_finite() && v > 0.0 => v,
+        _ => {
+            let got = arg.map_or("nothing", String::as_str);
+            eprintln!("error: {what} must be a finite number > 0 (got {got})");
+            std::process::exit(2);
+        }
+    }
+}
+
 /// Size the global rayon pool the sweeps run on.
 fn build_pool(threads: usize) {
     rayon::ThreadPoolBuilder::new()
@@ -297,7 +310,8 @@ fn parse_run_flags(args: &[String], mut other: impl FnMut(&[String], &mut usize)
 /// `repro bench-append <file> <name> <wall_seconds>`: append one
 /// `{name, wall_seconds}` entry to the file's `ci_trend` array (created
 /// if absent), preserving every other key. CI uses this to keep a
-/// wall-time trend in `BENCH_hotpaths.json`.
+/// wall-time trend in `BENCH_hotpaths.json`. `main` has already
+/// rejected a wall time that is not a finite number > 0.
 fn cmd_bench_append(path: &str, name: &str, wall_seconds: f64) -> ! {
     let entry = Value::Map(vec![
         ("name".to_string(), Value::Str(name.to_string())),
@@ -838,7 +852,7 @@ fn main() {
         "bench-append" => {
             let file = args.get(1).unwrap_or_else(|| usage());
             let name = args.get(2).unwrap_or_else(|| usage());
-            cmd_bench_append(file, name, parse_or_usage(args.get(3)));
+            cmd_bench_append(file, name, parse_positive_f64(args.get(3), "wall_seconds"));
         }
         "report" => cmd_report(args.get(1).map(String::as_str).unwrap_or_else(|| usage())),
         "explain" => cmd_explain(&args[1..]),
@@ -852,11 +866,7 @@ fn main() {
                 match args[j].as_str() {
                     "--threshold" => {
                         j += 1;
-                        threshold = args
-                            .get(j)
-                            .and_then(|s| s.parse().ok())
-                            .filter(|t: &f64| t.is_finite() && *t > 0.0)
-                            .unwrap_or_else(|| usage());
+                        threshold = parse_positive_f64(args.get(j), "--threshold");
                     }
                     "--min-runs" => {
                         j += 1;

@@ -1130,10 +1130,24 @@ fn as_f64(v: &Value) -> Option<f64> {
     }
 }
 
-fn entry_field(entry: &Value, key: &str) -> Option<f64> {
-    match entry {
-        Value::Map(m) => m.iter().find(|(k, _)| k == key).and_then(|(_, v)| as_f64(v)),
-        _ => None,
+/// The gated metric `key` of one `ci_trend` entry: `Ok(None)` when the
+/// key is absent, `Err` when it is present but null, non-numeric,
+/// non-finite or negative, or a `wall_seconds` that is not > 0. (Zero
+/// is a real reading elsewhere: no evictions, no cliff found.)
+fn entry_metric(entry: &Value, key: &str) -> Result<Option<f64>, String> {
+    let Value::Map(m) = entry else {
+        return Ok(None);
+    };
+    let Some((_, v)) = m.iter().find(|(k, _)| k == key) else {
+        return Ok(None);
+    };
+    match as_f64(v) {
+        Some(x) if x.is_finite() && (x > 0.0 || (x == 0.0 && key != "wall_seconds")) => Ok(Some(x)),
+        _ => Err(format!(
+            "ci_trend entry {:?}: {key} is not a usable value ({})",
+            entry_name(entry).unwrap_or_default(),
+            serde_json::to_string(v).unwrap_or_default()
+        )),
     }
 }
 
@@ -1163,7 +1177,9 @@ fn median(values: &mut [f64]) -> f64 {
 /// entries, compare the newest entry's headline metrics against the
 /// median of the earlier ones. A change beyond `threshold` (relative, in
 /// the metric's bad direction) is flagged as a regression. Series or
-/// metrics without enough history are skipped, not failed.
+/// metrics without enough history are skipped, not failed; a metric
+/// value that is present but unusable (null, non-finite, negative, or a
+/// wall time that is not > 0) is an `Err`.
 pub fn evaluate_trend(
     root: &Value,
     threshold: f64,
@@ -1177,31 +1193,37 @@ pub fn evaluate_trend(
         Some(_) => return Err("ci_trend is not an array".into()),
         None => return Err("no ci_trend key — nothing to gate on".into()),
     };
+    // Each entry's name and gated values (in `TREND_METRICS` order), read
+    // and validated once.
+    let mut rows: Vec<(String, Vec<Option<f64>>)> = Vec::with_capacity(trend.len());
     let mut names: Vec<String> = Vec::new();
     for e in trend {
         let name = entry_name(e).ok_or("ci_trend entry without a name")?;
+        let values = TREND_METRICS
+            .iter()
+            .map(|(metric, _)| entry_metric(e, metric))
+            .collect::<Result<_, _>>()?;
         if !names.contains(&name) {
-            names.push(name);
+            names.push(name.clone());
         }
+        rows.push((name, values));
     }
     let mut findings = Vec::new();
     for name in names {
-        let series: Vec<&Value> = trend
+        let series: Vec<&[Option<f64>]> = rows
             .iter()
-            .filter(|e| entry_name(e).as_deref() == Some(name.as_str()))
+            .filter(|(n, _)| *n == name)
+            .map(|(_, values)| values.as_slice())
             .collect();
         if series.len() < min_runs.max(2) {
             continue; // no baseline yet
         }
         let (latest, history) = series.split_last().expect("len >= 2");
-        for (metric, direction) in TREND_METRICS {
-            let Some(current) = entry_field(latest, metric) else {
+        for (i, &(metric, direction)) in TREND_METRICS.iter().enumerate() {
+            let Some(current) = latest[i] else {
                 continue;
             };
-            let mut prior: Vec<f64> = history
-                .iter()
-                .filter_map(|e| entry_field(e, metric))
-                .collect();
+            let mut prior: Vec<f64> = history.iter().filter_map(|values| values[i]).collect();
             if prior.is_empty() {
                 continue;
             }
@@ -1916,6 +1938,53 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| f.name == "fig1" && f.metric == "wall_seconds" && !f.regressed));
+    }
+
+    #[test]
+    fn regress_rejects_unusable_metric_values() {
+        let doc = |wall: Value, rate: Value| {
+            let entry = |wall: Value, rate: Value| {
+                Value::Map(vec![
+                    ("name".to_string(), Value::Str("fig1".to_string())),
+                    ("wall_seconds".to_string(), wall),
+                    ("faults_per_sec".to_string(), rate),
+                ])
+            };
+            Value::Map(vec![(
+                "ci_trend".to_string(),
+                Value::Seq(vec![
+                    entry(Value::F64(10.0), Value::F64(1000.0)),
+                    entry(wall, rate),
+                ]),
+            )])
+        };
+        let ok = Value::F64(10.0);
+        for bad in [
+            Value::Null,
+            Value::F64(f64::NAN),
+            Value::F64(f64::INFINITY),
+            Value::F64(-5.0),
+            Value::I64(-5),
+            Value::Str("1.0".to_string()),
+        ] {
+            let err = evaluate_trend(&doc(bad.clone(), ok.clone()), 0.25, 2)
+                .expect_err("an unusable wall time must not be skipped");
+            assert!(err.contains("wall_seconds"), "{err}");
+            assert!(evaluate_trend(&doc(ok.clone(), bad), 0.25, 2).is_err());
+        }
+        // Zero is no wall time, but a real reading of other metrics.
+        assert!(evaluate_trend(&doc(Value::F64(0.0), ok.clone()), 0.25, 2).is_err());
+        assert!(evaluate_trend(&doc(ok.clone(), Value::U64(0)), 0.25, 2).is_ok());
+        // An unusable value in the history is an error too, not a skip.
+        let mut history = doc(ok.clone(), ok.clone());
+        if let Value::Map(keys) = &mut history {
+            if let Value::Seq(entries) = &mut keys[0].1 {
+                if let Value::Map(first) = &mut entries[0] {
+                    first[1].1 = Value::Null;
+                }
+            }
+        }
+        assert!(evaluate_trend(&history, 0.25, 2).is_err());
     }
 
     #[test]

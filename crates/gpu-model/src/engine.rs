@@ -327,14 +327,7 @@ pub struct GpuEngine {
     active: Vec<u32>,
     next_pending: u32,
     /// Outstanding faulted pages per µTLB (dedup + flow-control domain).
-    /// Sorted, at most `max_outstanding_per_utlb` entries — small enough
-    /// that binary-search + ordered insert beats hashing.
-    outstanding: Vec<Vec<GlobalPage>>,
-    /// 64-bit fingerprint of each µTLB's outstanding set (bit
-    /// `page % 64`): a clear bit proves the page is not outstanding,
-    /// short-circuiting the membership probe on the dominant
-    /// full-set/throttled retry path.
-    outstanding_filter: Vec<u64>,
+    outstanding: Vec<Outstanding>,
     counters: EngineCounters,
     compute_work: SimDuration,
     access_counters: AccessCounters,
@@ -347,7 +340,7 @@ pub struct GpuEngine {
     miss_scratch: Vec<u64>,
     /// 64-bit fingerprint of each block's pending list (bit `page % 64`),
     /// computed when the block subscribes. Disjointness against the
-    /// µTLB's `outstanding_filter` proves no pending page can coalesce.
+    /// µTLB's [`Outstanding::filter`] proves no pending page can coalesce.
     pending_fp: Vec<u64>,
     /// Subscription generation per block. Waiter-index entries carry the
     /// generation they were created under; bumping it invalidates every
@@ -399,63 +392,144 @@ const WAITER_COMPACT_LEN: usize = 64;
 /// 2^63 pages is unreachable by construction).
 const WRITE_BIT: u64 = 1 << 63;
 
-/// Raise a far-fault for `page` through one µTLB: coalesce against the
-/// outstanding set, throttle when the set is full, else write a buffer
-/// entry. `filter` is the set's 64-bit fingerprint (bit `page % 64`): a
-/// clear bit proves the page is not outstanding, so the dominant
-/// full-set/throttled retry path exits on one AND instead of a probe.
+/// Word and bit of `page` in [`Outstanding::bits`]. The bit is
+/// `page & 63`, so a 64-page run shares one word. The word folds bits
+/// 12..18 of the page into `(page >> 6) & 63`: a plain `page % 4096`
+/// slot aliases pages 4096·k apart, which is exactly how blocks 80 apart
+/// (one µTLB) of a 256-page-per-block grid line up. Pages `1 << 18`
+/// apart share a slot.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn raise_fault(
-    set: &mut Vec<GlobalPage>,
-    filter: &mut u64,
-    counters: &mut EngineCounters,
-    buffer: &mut FaultBuffer,
-    max_out: usize,
-    page: GlobalPage,
-    write: bool,
-    utlb: u32,
-    now: SimTime,
-) {
-    let bit = 1u64 << (page.0 % 64);
-    let pos = if *filter & bit == 0 {
-        if set.len() >= max_out {
+fn filter_slot(page: GlobalPage) -> (usize, u64) {
+    let word = ((page.0 >> 6) ^ (page.0 >> 12)) & 63;
+    (word as usize, 1u64 << (page.0 & 63))
+}
+
+/// One µTLB's outstanding (unserviced) faults: its dedup and
+/// flow-control domain.
+#[derive(Debug)]
+struct Outstanding {
+    /// Sorted faulted pages, at most `max_outstanding_per_utlb` — small
+    /// enough that binary-search + ordered insert beats hashing.
+    set: Vec<GlobalPage>,
+    /// 64-bit fingerprint of `set` (bit `page % 64`). Only the event
+    /// path's closed form reads it, against a pending list's fingerprint.
+    filter: u64,
+    /// 4096-bit membership filter of `set` (see [`filter_slot`]). A clear
+    /// bit proves the page is not outstanding, so with at most 16 of 4096
+    /// bits set almost every probe skips the binary search.
+    bits: [u64; 64],
+}
+
+impl Outstanding {
+    fn new(capacity: usize) -> Self {
+        Outstanding {
+            set: Vec::with_capacity(capacity),
+            filter: 0,
+            bits: [0; 64],
+        }
+    }
+
+    #[inline(always)]
+    fn contains(&self, page: GlobalPage) -> bool {
+        let (w, bit) = filter_slot(page);
+        self.bits[w] & bit != 0 && self.set.binary_search(&page).is_ok()
+    }
+
+    /// Raise a far-fault for `page`: coalesce against the set, throttle
+    /// when the set is full, else write a buffer entry.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn raise(
+        &mut self,
+        counters: &mut EngineCounters,
+        buffer: &mut FaultBuffer,
+        max_out: usize,
+        page: GlobalPage,
+        write: bool,
+        utlb: u32,
+        now: SimTime,
+    ) {
+        if self.contains(page) {
+            counters.faults_coalesced += 1;
+            return;
+        }
+        if self.set.len() >= max_out {
             counters.faults_throttled += 1;
             return;
         }
-        set.binary_search(&page).unwrap_err()
-    } else {
-        match set.binary_search(&page) {
-            Ok(_) => {
-                counters.faults_coalesced += 1;
-                return;
-            }
-            Err(pos) => {
-                if set.len() >= max_out {
-                    counters.faults_throttled += 1;
-                    return;
-                }
-                pos
-            }
-        }
-    };
-    let entry = FaultEntry {
-        page,
-        access: if write {
-            AccessType::Write
+        let entry = FaultEntry {
+            page,
+            access: if write {
+                AccessType::Write
+            } else {
+                AccessType::Read
+            },
+            timestamp: now,
+            utlb,
+        };
+        if buffer.push(entry) {
+            let pos = self.set.partition_point(|&p| p < page);
+            self.set.insert(pos, page);
+            self.filter |= 1u64 << (page.0 % 64);
+            let (w, bit) = filter_slot(page);
+            self.bits[w] |= bit;
+            counters.faults_raised += 1;
         } else {
-            AccessType::Read
-        },
-        timestamp: now,
-        utlb,
-    };
-    if buffer.push(entry) {
-        set.insert(pos, page);
-        *filter |= bit;
-        counters.faults_raised += 1;
-    } else {
-        counters.faults_dropped += 1;
+            counters.faults_dropped += 1;
+        }
     }
+
+    /// Empty the set (a replay drains every µTLB), clearing only the
+    /// filter words its entries occupy.
+    fn drain(&mut self) {
+        for &page in &self.set {
+            self.bits[filter_slot(page).0] = 0;
+        }
+        self.set.clear(); // capacity retained
+        self.filter = 0;
+    }
+}
+
+/// Retry a stalled block's packed pending list through its µTLB.
+/// `resident` says whether a page became resident (the clean raise-only
+/// path passes `|_| false`); each such hit is counted and handed to
+/// `hit`, in list order. Every miss is re-raised; once the set is full
+/// that only counts (outstanding pages coalesce, the others throttle)
+/// behind the 4096-bit filter. The misses are copied into `misses` only
+/// from the first hit on; returns whether there was one.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn retry_pending(
+    pending: &[u64],
+    out: &mut Outstanding,
+    counters: &mut EngineCounters,
+    buffer: &mut FaultBuffer,
+    max_out: usize,
+    utlb: u32,
+    now: SimTime,
+    misses: &mut Vec<u64>,
+    mut resident: impl FnMut(GlobalPage) -> bool,
+    mut hit: impl FnMut(GlobalPage),
+) -> bool {
+    let mut had_hit = false;
+    for (i, &packed) in pending.iter().enumerate() {
+        let page = GlobalPage(packed & !WRITE_BIT);
+        if resident(page) {
+            counters.resident_accesses += 1;
+            hit(page);
+            if !had_hit {
+                had_hit = true;
+                misses.extend_from_slice(&pending[..i]);
+            }
+            continue;
+        }
+        if had_hit {
+            misses.push(packed);
+        }
+        let write = packed & WRITE_BIT != 0;
+        out.raise(counters, buffer, max_out, page, write, utlb, now);
+    }
+    had_hit
 }
 
 impl GpuEngine {
@@ -479,9 +553,8 @@ impl GpuEngine {
         let access_counters = AccessCounters::new(cfg.access_counters.clone());
         let mut eng = GpuEngine {
             outstanding: (0..cfg.num_utlbs)
-                .map(|_| Vec::with_capacity(cfg.max_outstanding_per_utlb))
+                .map(|_| Outstanding::new(cfg.max_outstanding_per_utlb))
                 .collect(),
-            outstanding_filter: vec![0; cfg.num_utlbs],
             cfg,
             status: vec![BlockStatus::Pending; n],
             cursor: vec![0; n],
@@ -570,11 +643,18 @@ impl GpuEngine {
             // go through the same µTLB, so interleaving the fault-raising
             // with the scan leaves buffer/counter order unchanged.
             let max_out = self.cfg.max_outstanding_per_utlb;
-            let set = &mut self.outstanding[utlb as usize];
-            let filter = &mut self.outstanding_filter[utlb as usize];
+            let out = &mut self.outstanding[utlb as usize];
             let counters = &mut self.counters;
             let access_counters = &mut self.access_counters;
             let accessed = &mut self.accessed;
+            let mut hit = |page: GlobalPage| {
+                if track {
+                    access_counters.record(page.0);
+                }
+                if use_tracking {
+                    accessed[page.0 as usize / 64] |= 1 << (page.0 % 64);
+                }
+            };
 
             // Residency is immutable for the whole engine run, so one
             // dense-index word can answer 64 consecutive pages. Streaming
@@ -583,32 +663,25 @@ impl GpuEngine {
             // pages) while costing random scans a single compare.
             let mut cur_word_of: u64 = u64::MAX;
             let mut cur_word: u64 = 0;
-            macro_rules! resident_cached {
-                ($page:expr) => {{
-                    let w = $page.0 / 64;
-                    if w != cur_word_of {
-                        cur_word_of = w;
-                        cur_word = residency.resident_word($page);
-                    }
-                    cur_word & (1u64 << ($page.0 % 64)) != 0
-                }};
-            }
+            let mut resident = |page: GlobalPage| {
+                let w = page.0 / 64;
+                if w != cur_word_of {
+                    cur_word_of = w;
+                    cur_word = residency.resident_word(page);
+                }
+                cur_word & (1u64 << (page.0 % 64)) != 0
+            };
 
             if pending.is_empty() {
                 // Fresh attempt: walk the trace step.
                 let step = self.cursor[idx] as usize;
                 for (page, write) in self.trace.blocks[idx].step(step) {
-                    if resident_cached!(page) {
+                    if resident(page) {
                         counters.resident_accesses += 1;
-                        if track {
-                            access_counters.record(page.0);
-                        }
-                        if use_tracking {
-                            accessed[page.0 as usize / 64] |= 1 << (page.0 % 64);
-                        }
+                        hit(page);
                     } else {
                         misses.push(page.0 | (write as u64) * WRITE_BIT);
-                        raise_fault(set, filter, counters, buffer, max_out, page, write, utlb, now);
+                        out.raise(counters, buffer, max_out, page, write, utlb, now);
                     }
                 }
             } else if skip {
@@ -617,26 +690,33 @@ impl GpuEngine {
                 // filter, no entry can coalesce or insert: every single one
                 // takes the throttle branch, and the whole retry collapses
                 // to one add — zero loads, zero stores beyond the counter.
-                // Otherwise re-issue the pending list through the identical
-                // `raise_fault` call sequence the scan would emit (same
-                // counter deltas, same buffer writes, still no residency
-                // loads). Either way the pending list is unchanged, so the
-                // waiter subscription and fingerprint stay valid.
+                // Otherwise re-issue the pending list with no hits (same
+                // counter deltas, same buffer writes as the scan, still no
+                // residency loads). Either way the pending list is
+                // unchanged, so the waiter subscription and fingerprint
+                // stay valid.
                 debug_assert!(
                     self.stall_drain[idx] < self.drain_epoch,
                     "retry without an intervening µTLB drain"
                 );
-                if set.len() >= max_out && fp & *filter == 0 {
+                if out.set.len() >= max_out && fp & out.filter == 0 {
                     let pages = pending.len() as u64;
                     counters.faults_throttled += pages;
                     counters.retries_skipped += 1;
                     counters.retry_pages_skipped += pages;
                 } else {
-                    for &packed in pending.iter() {
-                        let page = GlobalPage(packed & !WRITE_BIT);
-                        let write = packed & WRITE_BIT != 0;
-                        raise_fault(set, filter, counters, buffer, max_out, page, write, utlb, now);
-                    }
+                    retry_pending(
+                        &pending,
+                        out,
+                        counters,
+                        buffer,
+                        max_out,
+                        utlb,
+                        now,
+                        &mut misses,
+                        |_| false,
+                        |_| {},
+                    );
                 }
                 self.pending[idx] = pending;
                 self.miss_scratch = misses;
@@ -654,7 +734,7 @@ impl GpuEngine {
                 // so the ci.sh gate bites in release builds too.
                 let chk = if check {
                     Some((
-                        set.len() >= max_out && fp & *filter == 0,
+                        out.set.len() >= max_out && fp & out.filter == 0,
                         counters.faults_throttled,
                         counters.faults_raised + counters.faults_coalesced + counters.faults_dropped,
                         buffer.len(),
@@ -662,30 +742,18 @@ impl GpuEngine {
                 } else {
                     None
                 };
-                let mut had_hit = false;
-                for i in 0..pending.len() {
-                    let packed = pending[i];
-                    let page = GlobalPage(packed & !WRITE_BIT);
-                    let write = packed & WRITE_BIT != 0;
-                    if resident_cached!(page) {
-                        counters.resident_accesses += 1;
-                        if track {
-                            access_counters.record(page.0);
-                        }
-                        if use_tracking {
-                            accessed[page.0 as usize / 64] |= 1 << (page.0 % 64);
-                        }
-                        if !had_hit {
-                            had_hit = true;
-                            misses.extend_from_slice(&pending[..i]);
-                        }
-                    } else {
-                        if had_hit {
-                            misses.push(packed);
-                        }
-                        raise_fault(set, filter, counters, buffer, max_out, page, write, utlb, now);
-                    }
-                }
+                let had_hit = retry_pending(
+                    &pending,
+                    out,
+                    counters,
+                    buffer,
+                    max_out,
+                    utlb,
+                    now,
+                    &mut misses,
+                    resident,
+                    hit,
+                );
                 if !had_hit {
                     if let Some((arith, throttled0, other0, buflen0)) = chk {
                         if arith {
@@ -814,8 +882,8 @@ impl GpuEngine {
             any_done = false;
             let n = self.active.len();
             let rot = if n > 1 { self.rng.index(n) } else { 0 };
-            for i in 0..n {
-                let b = self.active[(i + rot) % n];
+            for i in (rot..n).chain(0..rot) {
+                let b = self.active[i];
                 // Run this block to its next stall (or completion).
                 while matches!(self.status[b as usize], BlockStatus::Runnable) {
                     if self.attempt_step(b, residency, buffer, now) {
@@ -848,15 +916,16 @@ impl GpuEngine {
         // the shared drain epoch before clearing, so a subsequent retry
         // can prove it runs against a drained set.
         self.drain_epoch += 1;
-        for set in &mut self.outstanding {
-            set.clear(); // capacity retained
+        for out in &mut self.outstanding {
+            out.drain();
         }
-        self.outstanding_filter.fill(0);
         // Pass boundary: cap the shared retry scratch (its pending-slot
         // twin is capped on step completion) so a pathological step's
         // allocation cannot outlive the pass that needed it.
         self.miss_scratch.shrink_to(RETRY_SCRATCH_CAP);
-        for s in &mut self.status {
+        // Only blocks on an SM can be stalled.
+        for &b in &self.active {
+            let s = &mut self.status[b as usize];
             if matches!(s, BlockStatus::Stalled) {
                 *s = BlockStatus::Runnable;
             }
@@ -1511,6 +1580,215 @@ mod tests {
         // block re-raises (raise-only closed form), identical to a scan.
         assert_eq!(buf.len(), 8);
         assert_eq!(c.faults_raised, 8);
+    }
+
+    /// An alias of an outstanding page (same filter slot, another page)
+    /// must throttle, never coalesce — on the fresh attempt and on a
+    /// full-set retry alike.
+    #[test]
+    fn aliasing_page_throttles_not_coalesces() {
+        let alias = 7 + (1 << 18);
+        assert_eq!(filter_slot(GlobalPage(7)), filter_slot(GlobalPage(alias)));
+        // The fold keeps a 256-page-per-block grid's µTLB siblings
+        // (80 blocks = 5 · 4096 pages apart) out of each other's slots.
+        assert_ne!(
+            filter_slot(GlobalPage(7)),
+            filter_slot(GlobalPage(7 + 80 * 256))
+        );
+        for retry in [RetryMode::Event, RetryMode::Scan] {
+            let cfg = GpuConfig {
+                max_outstanding_per_utlb: 1,
+                ..retry_cfg(retry)
+            };
+            let trace = multi_block_trace(&[&[7, alias, 7]]);
+            let mut eng = GpuEngine::launch(cfg, trace, SimRng::from_seed(3));
+            let mut buf = FaultBuffer::new(FaultBufferConfig::default());
+            let space = EventSpace::new(1 << 19);
+            for pass in 1..=2u64 {
+                assert_eq!(
+                    eng.run(&space, &mut buf, SimTime::ZERO),
+                    EngineStatus::Stalled
+                );
+                let c = eng.counters();
+                assert_eq!(c.faults_raised, pass, "{retry:?}");
+                assert_eq!(c.faults_throttled, pass, "{retry:?}: the alias throttles");
+                assert_eq!(
+                    c.faults_coalesced, pass,
+                    "{retry:?}: only the true repeat coalesces"
+                );
+                eng.replay();
+            }
+        }
+    }
+
+    #[test]
+    fn outstanding_page_raises_again_after_replay() {
+        for retry in [RetryMode::Event, RetryMode::Scan] {
+            let trace = multi_block_trace(&[&[9, 9]]);
+            let mut eng = GpuEngine::launch(retry_cfg(retry), trace, SimRng::from_seed(3));
+            let mut buf = FaultBuffer::new(FaultBufferConfig::default());
+            let space = EventSpace::new(128);
+            assert_eq!(
+                eng.run(&space, &mut buf, SimTime::ZERO),
+                EngineStatus::Stalled
+            );
+            assert_eq!(eng.counters().faults_raised, 1);
+            assert_eq!(eng.counters().faults_coalesced, 1);
+            eng.replay();
+            let out = &eng.outstanding[0];
+            assert!(
+                out.set.is_empty() && out.filter == 0,
+                "{retry:?}: replay drains the set"
+            );
+            assert_eq!(
+                out.bits, [0; 64],
+                "{retry:?}: replay clears the drained words"
+            );
+            assert_eq!(
+                eng.run(&space, &mut buf, SimTime::ZERO),
+                EngineStatus::Stalled
+            );
+            assert_eq!(
+                eng.counters().faults_raised,
+                2,
+                "{retry:?}: page 9 raises again"
+            );
+            assert_eq!(eng.counters().faults_coalesced, 2);
+            assert_eq!(buf.len(), 2);
+        }
+    }
+
+    /// Reference semantics of one µTLB fault, on a plain sorted set with
+    /// no filters: coalesce if outstanding, else throttle when full, else
+    /// write a buffer entry.
+    fn raise_model(
+        set: &mut Vec<GlobalPage>,
+        counters: &mut EngineCounters,
+        buffer: &mut FaultBuffer,
+        max_out: usize,
+        page: GlobalPage,
+        write: bool,
+    ) {
+        match set.binary_search(&page) {
+            Ok(_) => counters.faults_coalesced += 1,
+            Err(_) if set.len() >= max_out => counters.faults_throttled += 1,
+            Err(pos) => {
+                let access = if write {
+                    AccessType::Write
+                } else {
+                    AccessType::Read
+                };
+                let entry = FaultEntry {
+                    page,
+                    access,
+                    timestamp: SimTime::ZERO,
+                    utlb: 0,
+                };
+                if buffer.push(entry) {
+                    set.insert(pos, page);
+                    counters.faults_raised += 1;
+                } else {
+                    counters.faults_dropped += 1;
+                }
+            }
+        }
+    }
+
+    /// Six distinct pages plus two aliases of each (same filter slot);
+    /// few enough that lists repeat pages.
+    fn aliased_page(k: u64) -> u64 {
+        100 + k % 6 + (k / 6 % 3) * (1 << 18)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn retry_pending_matches_per_page_raise(
+            prefill in proptest::collection::vec(0u64..18, 0..24),
+            pending in proptest::collection::vec(0u64..36, 1..40),
+            resident in proptest::collection::vec(0u64..18, 0..6),
+            max_out in 1usize..=20,
+            capacity in 1usize..12,
+        ) {
+            proptest::prop_assert_eq!(
+                filter_slot(GlobalPage(aliased_page(0))),
+                filter_slot(GlobalPage(aliased_page(6)))
+            );
+            let resident: Vec<u64> = resident.into_iter().map(aliased_page).collect();
+            let pending: Vec<u64> = pending
+                .into_iter()
+                .map(|k| aliased_page(k / 2) | ((k % 2) * WRITE_BIT))
+                .collect();
+            let buffer_cfg = FaultBufferConfig {
+                capacity,
+                ..FaultBufferConfig::default()
+            };
+            for scan in [true, false] {
+                // `scan` checks residency (dirty rescan); otherwise no page
+                // can hit (clean raise-only re-issue).
+                let is_resident = |p: GlobalPage| scan && resident.contains(&p.0);
+                let mut want_set = Vec::new();
+                let mut want = EngineCounters::default();
+                let mut want_buf = FaultBuffer::new(buffer_cfg.clone());
+                let mut got_set = Outstanding::new(max_out);
+                let mut got = EngineCounters::default();
+                let mut got_buf = FaultBuffer::new(buffer_cfg.clone());
+                // Start full or part-full, possibly with a full buffer.
+                for &k in &prefill {
+                    let page = GlobalPage(aliased_page(k));
+                    raise_model(&mut want_set, &mut want, &mut want_buf, max_out, page, false);
+                    got_set.raise(&mut got, &mut got_buf, max_out, page, false, 0, SimTime::ZERO);
+                }
+
+                let mut want_misses = Vec::new();
+                let mut want_hits = Vec::new();
+                let mut want_had_hit = false;
+                for (i, &packed) in pending.iter().enumerate() {
+                    let page = GlobalPage(packed & !WRITE_BIT);
+                    if is_resident(page) {
+                        want.resident_accesses += 1;
+                        want_hits.push(page);
+                        if !want_had_hit {
+                            want_had_hit = true;
+                            want_misses.extend_from_slice(&pending[..i]);
+                        }
+                    } else {
+                        if want_had_hit {
+                            want_misses.push(packed);
+                        }
+                        let write = packed & WRITE_BIT != 0;
+                        raise_model(&mut want_set, &mut want, &mut want_buf, max_out, page, write);
+                    }
+                }
+
+                let mut got_misses = Vec::new();
+                let mut got_hits = Vec::new();
+                let got_had_hit = retry_pending(
+                    &pending, &mut got_set, &mut got, &mut got_buf, max_out, 0, SimTime::ZERO,
+                    &mut got_misses, is_resident, |p| got_hits.push(p),
+                );
+
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(got_had_hit, want_had_hit);
+                proptest::prop_assert_eq!(&got_misses, &want_misses);
+                proptest::prop_assert_eq!(&got_hits, &want_hits);
+                proptest::prop_assert_eq!(&got_set.set, &want_set);
+                let far = SimTime::ZERO + SimDuration::from_secs(1);
+                proptest::prop_assert_eq!(
+                    got_buf.fetch(usize::MAX, far).0,
+                    want_buf.fetch(usize::MAX, far).0
+                );
+                // Both filters describe exactly the set.
+                let mut bits = [0u64; 64];
+                let mut filter = 0u64;
+                for &p in &want_set {
+                    let (w, bit) = filter_slot(p);
+                    bits[w] |= bit;
+                    filter |= 1 << (p.0 % 64);
+                }
+                proptest::prop_assert_eq!(got_set.bits, bits);
+                proptest::prop_assert_eq!(got_set.filter, filter);
+            }
+        }
     }
 
     #[test]

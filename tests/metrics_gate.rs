@@ -273,3 +273,33 @@ fn regress_rejects_unusable_input() {
     assert_eq!(run.status.code(), Some(2), "no ci_trend key is exit 2");
     assert!(stderr(&run).contains("ci_trend"));
 }
+
+#[test]
+fn bench_append_rejects_unusable_wall_times() {
+    let dir = scratch("bench_append_bad_wall");
+    let path = dir.join("BENCH_hotpaths.json");
+    std::fs::write(&path, "{}").unwrap();
+    let file = path.to_str().unwrap();
+    for bad in ["NaN", "inf", "-inf", "-5", "0", "fast"] {
+        let run = repro(&["bench-append", file, "fig1", bad]);
+        assert_eq!(run.status.code(), Some(2), "{bad} must be rejected");
+        let err = stderr(&run);
+        assert!(err.contains("wall_seconds"), "{bad}: {err}");
+        let body = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(body, "{}", "{bad} left the file alone");
+    }
+    for wall in ["1.5", "1.6"] {
+        let run = repro(&["bench-append", file, "fig1", wall]);
+        assert!(run.status.success(), "{wall}: {}", stderr(&run));
+    }
+    let ok = repro(&["regress", file]);
+    assert!(ok.status.success(), "appended trend gates: {}", stderr(&ok));
+
+    // A trend doctored past bench-append (a negative baseline) is
+    // unusable input for the gate, not a "-130% ok" row.
+    let body = std::fs::read_to_string(&path).unwrap();
+    std::fs::write(&path, body.replacen("1.5", "-5", 1)).unwrap();
+    let bad = repro(&["regress", file]);
+    assert_eq!(bad.status.code(), Some(2), "{}", stdout(&bad));
+    assert!(stderr(&bad).contains("wall_seconds"), "{}", stderr(&bad));
+}
