@@ -2,7 +2,7 @@
 # CI gates.
 #
 #   ./ci.sh            per-push gate: build, full test suite, a
-#                      compile check of the benches, rustdoc
+#                      compile check of the benches, clippy and rustdoc
 #                      with warnings denied, the perfbench
 #                      self-tests, quick-scale end-to-end
 #                      repro (~1 min on one core), a traced
@@ -40,6 +40,11 @@ push)
     # `cargo test` never compiles the [[bench]] targets, so an API change
     # that breaks `cargo bench` would otherwise pass this gate.
     cargo check --workspace --benches --offline
+
+    echo "== cargo clippy (warnings are errors) =="
+    # Every target, tests and benches included: a lint slipped into any
+    # of them fails here.
+    cargo clippy --workspace --all-targets --offline -- -D warnings
 
     echo "== cargo doc (warnings are errors) =="
     # A doc link left dangling by a deleted or renamed item fails here.

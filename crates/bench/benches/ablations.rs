@@ -71,36 +71,32 @@ fn bench_density_tree(c: &mut Criterion) {
             }
         })
     });
-    // Incremental maintenance vs full rebuild: the driver now keeps one
-    // persistent tree per VABlock and applies each commit's migrated
-    // pages as leaf-to-root path updates. A typical commit migrates a
-    // handful of pages, so `add_mask` on a sparse delta should beat
-    // rebuilding all 1023 nodes from the 512-page residency mask.
-    let mut delta = PageMask::EMPTY;
-    for i in (1..512).step_by(97) {
-        delta.set(i);
-    }
-    let delta = delta.difference(&mask);
-    let updated = mask.union(&delta);
-    g.bench_function("rebuild_after_commit", |b| {
-        b.iter(|| black_box(DensityTree::from_mask(black_box(&updated))))
-    });
-    g.bench_function("incremental_add_after_commit", |b| {
-        // The clone stands in for setup (the driver mutates in place);
-        // it is included in the measurement, so if incremental still
-        // wins here it wins by more in the driver.
-        b.iter(|| {
-            let mut t = black_box(&tree).clone();
-            t.add_mask(black_box(&delta));
-            black_box(t)
-        })
-    });
     g.bench_function("compute_prefetch_per_vablock", |b| {
         let mut faulted = PageMask::EMPTY;
         for i in (0..512).step_by(37) {
             faulted.set(i);
         }
         let resident = mask.difference(&faulted);
+        b.iter(|| {
+            black_box(compute_prefetch(
+                ResolvedPrefetch::Density {
+                    threshold: 51,
+                    big_pages: true,
+                },
+                black_box(&resident),
+                black_box(&faulted),
+                &PageMask::FULL,
+            ))
+        })
+    });
+    g.bench_function("compute_prefetch_dense_streaming", |b| {
+        // A streaming block: the lower half resident and the next big
+        // page faulted. 272/512 pages tip the root over 51%, so the walk
+        // saturates the whole block and 240 pages are prefetched.
+        let mut resident = PageMask::EMPTY;
+        resident.set_range(0, 256);
+        let mut faulted = PageMask::EMPTY;
+        faulted.set_range(256, 16);
         b.iter(|| {
             black_box(compute_prefetch(
                 ResolvedPrefetch::Density {

@@ -324,7 +324,7 @@ fn bench_eviction_scan(c: &mut Criterion) {
     };
     let mut space = ManagedSpace::new();
     let range = space.alloc(64 * VABLOCK_SIZE, "bench");
-    let pages_per_block = (VABLOCK_SIZE / 4096) as u64;
+    let pages_per_block = VABLOCK_SIZE / 4096;
     let region = |blocks: std::ops::Range<u64>| VaRange {
         name: "sub".into(),
         start_page: range.start_page + blocks.start * pages_per_block,

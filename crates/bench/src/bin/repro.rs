@@ -992,7 +992,7 @@ fn main() {
         for p in &points {
             agg.events.extend_from_slice(&p.spans.events);
             agg.dropped += p.spans.dropped;
-            agg.dropped_time = agg.dropped_time + p.spans.dropped_time;
+            agg.dropped_time += p.spans.dropped_time;
             fault_events += p.faults.len() as u64;
             fault_drops += p.fault_drops;
         }

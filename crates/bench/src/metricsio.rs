@@ -1442,10 +1442,12 @@ mod tests {
     }
 
     fn point(workload: &str, ratio: f64, faults: u64) -> MetricsPoint {
-        let mut c = Counters::default();
-        c.faults_fetched = faults;
-        c.pages_faulted_in = faults;
-        c.pages_prefetched = faults * 3;
+        let c = Counters {
+            faults_fetched: faults,
+            pages_faulted_in: faults,
+            pages_prefetched: faults * 3,
+            ..Counters::default()
+        };
         let samples = vec![
             Sample {
                 t_ns: 1_000,

@@ -131,6 +131,10 @@ struct Job {
     writer: Arc<Mutex<UnixStream>>,
 }
 
+/// A finished request as the live exposition keeps it: id, experiment,
+/// per-point metrics and the sweep's scheduler stats.
+type FinishedRequest = (u64, String, Vec<MetricsPoint>, SweepSchedStats);
+
 /// State shared by every daemon thread.
 pub struct Shared {
     opts: ServeOptions,
@@ -140,7 +144,7 @@ pub struct Shared {
     queue_cv: Condvar,
     events: Mutex<ServeEventLog>,
     /// Finished requests' per-point metrics for the live exposition.
-    recent: Mutex<VecDeque<(u64, String, Vec<MetricsPoint>, SweepSchedStats)>>,
+    recent: Mutex<VecDeque<FinishedRequest>>,
     cache: Arc<SweepCache>,
     shutdown: AtomicBool,
     started: Instant,
@@ -567,17 +571,17 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
         obs::set_progress_sink(Some(Box::new(move |u| {
             shared.bump(|s| s.progress_frames += 1);
             shared.with_record(id, |r| {
-                r.points = u.total as u64;
-                r.points_done = u.done as u64;
+                r.points = u.total;
+                r.points_done = u.done;
                 r.faults = u.faults;
             });
-            shared.note(id, ServeEventKind::PointDone, u.done as u64, u.total as u64);
+            shared.note(id, ServeEventKind::PointDone, u.done, u.total);
             send_line(
                 &writer,
                 &protocol::frame_progress(
                     id,
-                    u.done as u64,
-                    u.total as u64,
+                    u.done,
+                    u.total,
                     u.faults,
                     u.faults_per_sec,
                     u.eta_seconds,

@@ -96,8 +96,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             let scale = match field(&v, "scale") {
                 None => 0.0,
                 Some(_) => match f64_field(&v, "scale") {
-                    Some(s) if s > 0.0 => s,
-                    _ => return Err("run request `scale` must be a positive number".to_string()),
+                    Some(s) if s.is_finite() && s >= 1.0 => s,
+                    _ => {
+                        return Err(
+                            "run request `scale` must be a finite denominator >= 1".to_string()
+                        )
+                    }
                 },
             };
             Ok(Request::Run { experiment, scale })
@@ -295,9 +299,10 @@ mod tests {
             (r#"{"op":"fly"}"#, "unknown op `fly`"),
             (r#"{"op":"run"}"#, "no `experiment`"),
             (r#"{"op":"run","experiment":""}"#, "no `experiment`"),
-            (r#"{"op":"run","experiment":"fig1","scale":"big"}"#, "positive number"),
-            (r#"{"op":"run","experiment":"fig1","scale":-2}"#, "positive number"),
-            (r#"{"op":"run","experiment":"fig1","scale":0}"#, "positive number"),
+            (r#"{"op":"run","experiment":"fig1","scale":"big"}"#, "finite denominator >= 1"),
+            (r#"{"op":"run","experiment":"fig1","scale":-2}"#, "finite denominator >= 1"),
+            (r#"{"op":"run","experiment":"fig1","scale":0}"#, "finite denominator >= 1"),
+            (r#"{"op":"run","experiment":"fig1","scale":0.5}"#, "finite denominator >= 1"),
         ] {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");

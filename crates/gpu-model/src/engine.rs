@@ -680,7 +680,7 @@ impl GpuEngine {
                         counters.resident_accesses += 1;
                         hit(page);
                     } else {
-                        misses.push(page.0 | (write as u64) * WRITE_BIT);
+                        misses.push(page.0 | ((write as u64) * WRITE_BIT));
                         out.raise(counters, buffer, max_out, page, write, utlb, now);
                     }
                 }
@@ -1416,7 +1416,7 @@ mod tests {
     impl EventSpace {
         fn new(num_pages: u64) -> Self {
             EventSpace {
-                words: vec![0; ((num_pages + 63) / 64) as usize],
+                words: vec![0; num_pages.div_ceil(64) as usize],
                 seq: 0,
                 log: Vec::new(),
             }

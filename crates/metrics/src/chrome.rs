@@ -235,7 +235,8 @@ pub fn validate(json: &str) -> Result<TraceStats, String> {
     };
     // Per-(pid,tid) last-seen ns timestamp, and per-track B/E name stack.
     let mut last_ts: Vec<((u64, u64), u64)> = Vec::new();
-    let mut stacks: Vec<((u64, u64), Vec<(String, u64)>)> = Vec::new();
+    type NameStack = Vec<(String, u64)>;
+    let mut stacks: Vec<((u64, u64), NameStack)> = Vec::new();
     // Per-pid leaf ns by category label, and per-pass accounting:
     // (pid, pass_start_ns, leaf_ns_inside) while a pass is open.
     let mut leaf_ns: Vec<(u64, Vec<(String, u64)>)> = Vec::new();

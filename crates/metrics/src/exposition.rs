@@ -311,7 +311,7 @@ pub fn validate(text: &str) -> Result<ExpositionStats, String> {
             if fam.1.is_empty() {
                 return Err(format!("sample for `{name}` before its TYPE"));
             }
-            if fam.1 == "counter" && !(v >= 0.0) {
+            if fam.1 == "counter" && (v.is_nan() || v < 0.0) {
                 return Err(format!("negative counter sample in `{line}`"));
             }
             fam.3 += 1;

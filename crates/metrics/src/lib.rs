@@ -16,8 +16,8 @@
 //!   scatter figures (Fig. 7 and Fig. 8).
 //! * [`span`] — span-level batch-lifecycle tracing: begin/end/leaf/instant
 //!   events per driver pass, bounded recorder, flame-style summaries.
-//! * [`phase`] — host wall-time split of the driver's two-phase batch
-//!   service (serial front vs parallel planning), for Amdahl tracking.
+//! * [`phase`] — host wall time the driver spends in its batch
+//!   service (`process_pass`), kept out of the simulated reports.
 //! * [`sched`] — host wall-time stats of the sweep's point scheduler
 //!   (points, worker threads, max straggler), for load-balance tracking.
 //! * [`chrome`] — Chrome-trace/Perfetto JSON export of span traces plus a

@@ -42,9 +42,10 @@ pub const LINEAGE_KINDS: usize = 9;
 pub const NO_BLOCK: u64 = u64::MAX;
 
 /// What happened to a VABlock (or to the fault pipeline) at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LineageEventKind {
     /// Pages faulted for the first time ever (cold faults).
+    #[default]
     FirstTouch = 0,
     /// Pages faulted again after an eviction (`aux` = how many of them
     /// had been evicted *unused* — the prefetch→evict→refault chain).
@@ -198,12 +199,6 @@ pub struct KindTotal {
     pub pages: u64,
     /// Sum of `aux` across those events.
     pub aux: u64,
-}
-
-impl Default for LineageEventKind {
-    fn default() -> Self {
-        LineageEventKind::FirstTouch
-    }
 }
 
 /// The drained lineage stream of one run, carried on `SimReport`.

@@ -144,11 +144,7 @@ pub struct Sample {
 impl Sample {
     /// Prefetch coverage in basis points from cumulative page counts.
     pub fn coverage_bp(prefetched: u64, migrated_h2d: u64) -> u64 {
-        if migrated_h2d == 0 {
-            0
-        } else {
-            prefetched * 10_000 / migrated_h2d
-        }
+        (prefetched * 10_000).checked_div(migrated_h2d).unwrap_or(0)
     }
 
     /// Record per-pass latency percentiles from the pass histogram.
@@ -441,7 +437,7 @@ impl TimeseriesSampler {
         // Advance past `now`: passes longer than the interval yield one
         // sample, not a burst of stale duplicates.
         while self.next_due <= now {
-            self.next_due = self.next_due + self.interval;
+            self.next_due += self.interval;
         }
     }
 
@@ -624,7 +620,7 @@ mod tests {
         let header = Timeseries::csv_header();
         let row = |t: u64, f: u64| {
             let mut cells = vec![t.to_string(), f.to_string()];
-            cells.extend(std::iter::repeat("0".to_string()).take(SAMPLE_COLUMNS.len() - 2));
+            cells.extend(std::iter::repeat_n("0".to_string(), SAMPLE_COLUMNS.len() - 2));
             cells.join(",")
         };
         // Wrong header.

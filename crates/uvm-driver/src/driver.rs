@@ -9,7 +9,7 @@ use crate::batch::{self, BatchArena, FaultGroup};
 use crate::lru::LruList;
 use crate::pma::Pma;
 use crate::policy::{EvictionPolicy, ReplayPolicy};
-use crate::prefetch::{DensityTree, PrefetchPolicy, ResolvedPrefetch};
+use crate::prefetch::{PrefetchPolicy, ResolvedPrefetch};
 use crate::service::{plan_group, ServicePlan};
 use crate::thrash::{ThrashConfig, ThrashDetector};
 use gpu_model::dma::TransferLog;
@@ -137,15 +137,6 @@ pub struct UvmDriver {
     /// [`EvictionPolicy::AccessFrequency`] ranking; preallocated one
     /// slot per block and bumped only on the serial commit path.
     block_faults: Vec<u64>,
-    /// Persistent per-VABlock density trees mirroring each block's
-    /// `resident` mask, maintained incrementally at commit/evict time so
-    /// the planner never rebuilds a tree from scratch.
-    trees: Vec<DensityTree>,
-    /// Whether the trees are maintained at all: only the density prefetch
-    /// policy reads them, so every other policy skips the bookkeeping.
-    maintain_trees: bool,
-    /// Planning scratch tree, reused across groups and passes.
-    plan_scratch: DensityTree,
     /// Host wall time spent in `process_pass`, flushed to the
     /// process-global [`metrics::phase`] totals when the driver drops.
     phase_wall: ServicePhaseWall,
@@ -160,7 +151,7 @@ pub struct UvmDriver {
     /// already walk the same masks.
     attribution: Attribution,
     /// Per-VABlock offender stats (refaults, prefetch-evicted pages),
-    /// preallocated one slot per block like `trees`/`lru`.
+    /// preallocated one slot per block like `lru`.
     block_stats: Vec<BlockStats>,
     /// Fault-lineage recorder: lifecycle events emitted only from serial
     /// commit paths, plus the anomaly-triggered flight recorder.
@@ -203,11 +194,8 @@ impl UvmDriver {
             pma: Pma::new(cfg.gpu_memory_bytes),
             lru: LruList::new(space.num_blocks()),
             thrash: ThrashDetector::new(cfg.thrash.clone(), space.num_blocks()),
-            trees: vec![DensityTree::new_empty(); space.num_blocks()],
             block_stats: vec![BlockStats::default(); space.num_blocks()],
             block_faults: vec![0; space.num_blocks()],
-            maintain_trees: matches!(resolved_prefetch, ResolvedPrefetch::Density { .. }),
-            plan_scratch: DensityTree::new_empty(),
             phase_wall: ServicePhaseWall::default(),
             space,
             rng,
@@ -339,12 +327,10 @@ impl UvmDriver {
         for group in arena.batch.groups.iter() {
             plan_group(
                 &self.space,
-                &self.trees,
                 self.resolved_prefetch,
                 &self.cost,
                 self.cfg.alloc_granularity_pages,
                 group,
-                &mut self.plan_scratch,
                 &mut plan,
             );
             let (dt, migrated) = self.commit_group(group, &plan, now + t);
@@ -600,24 +586,6 @@ impl UvmDriver {
                 }
             }
         }
-        // The persistent tree mirrors `resident`; the migrated pages are
-        // disjoint from the pre-commit residency by construction. Dense
-        // migrations rebuild flat from the already-updated residency
-        // instead of walking a leaf-to-root path per page. Only the
-        // density policy ever reads the trees, so other policies skip
-        // maintenance entirely.
-        if self.maintain_trees {
-            if plan.pages > DensityTree::DENSE_REBUILD_CUTOFF as u64 {
-                self.trees[vb.0 as usize] = DensityTree::from_mask(self.space.resident(vb));
-            } else {
-                self.trees[vb.0 as usize].add_mask(&plan.to_migrate);
-            }
-            debug_assert_eq!(
-                self.trees[vb.0 as usize],
-                DensityTree::from_mask(self.space.resident(vb)),
-                "persistent density tree diverged from residency"
-            );
-        }
         self.space.sync_block_residency(vb);
         self.lru.touch(vb);
 
@@ -799,9 +767,6 @@ impl UvmDriver {
         eu.andnot_with(&used);
         self.space.clear_block_hot(victim);
         self.space.bump_eviction_count(victim);
-        if self.maintain_trees {
-            self.trees[victim.0 as usize].clear();
-        }
         self.space.sync_block_residency(victim);
 
         let mut cost = self.cost.evict_fixed() + self.cost.unmap_pages(resident_pages);
@@ -943,9 +908,6 @@ impl UvmDriver {
             );
             self.space.resident_mut(vb).or_with(&wanted);
             self.space.prefetched_ever_mut(vb).or_with(&wanted);
-            if self.maintain_trees {
-                self.trees[vb.0 as usize].add_mask(&wanted);
-            }
             self.space.sync_block_residency(vb);
             self.lru.touch(vb);
             self.counters.pages_hint_prefetched += n;
@@ -1033,9 +995,6 @@ impl UvmDriver {
             self.space.evicted_unused_mut(vb).andnot_with(&resident);
             let backed_pages = self.space.backed_pages(vb) as u64;
             *self.space.backed_mut(vb) = PageMask::EMPTY;
-            if self.maintain_trees {
-                self.trees[vb.0 as usize].clear();
-            }
             self.space.sync_block_residency(vb);
             self.pma.free(backed_pages * PAGE_SIZE);
             self.lru.remove(vb);

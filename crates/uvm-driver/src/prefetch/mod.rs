@@ -168,22 +168,10 @@ pub fn compute_prefetch(
         *faulted
     };
 
-    // Stage 2: density tree over everything on the GPU or pending.
-    let occupancy = resident.union(faulted).union(&marked);
-    let mut tree = DensityTree::from_mask(&occupancy);
-    density_stage(&mut tree, &mut marked, faulted, threshold);
-
-    marked
-        .intersect(valid)
-        .difference(resident)
-        .difference(faulted)
-}
-
-/// The density-tree walk shared by [`compute_prefetch`] and
-/// [`compute_prefetch_seeded`]: grow `marked` to each faulted leaf's
-/// qualifying region, saturating the tree so later faults in the batch
-/// observe pending prefetches.
-fn density_stage(tree: &mut DensityTree, marked: &mut PageMask, faulted: &PageMask, threshold: u8) {
+    // Stage 2: density tree over everything on the GPU or pending. Each
+    // fault grows `marked` to its qualifying region, saturating the tree
+    // so later faults in the batch observe pending prefetches.
+    let mut tree = DensityTree::from_mask(&resident.union(faulted).union(&marked));
     for leaf in faulted.iter_set() {
         let (level, idx) = tree.region_for(leaf, threshold);
         if level > 0 {
@@ -192,51 +180,6 @@ fn density_stage(tree: &mut DensityTree, marked: &mut PageMask, faulted: &PageMa
             tree.saturate(level, idx);
         }
     }
-}
-
-/// [`compute_prefetch`] seeded with the block's persistent density tree.
-///
-/// `resident_tree` must hold exactly the counts of `resident` (the driver
-/// maintains one such tree per VABlock across batches). Instead of
-/// rebuilding all 1023 counts from the occupancy mask, the tree is copied
-/// into `scratch` and only the leaf-to-root paths of this batch's pending
-/// pages are added. Output is bit-identical to [`compute_prefetch`].
-pub fn compute_prefetch_seeded(
-    policy: ResolvedPrefetch,
-    resident: &PageMask,
-    faulted: &PageMask,
-    valid: &PageMask,
-    resident_tree: &DensityTree,
-    scratch: &mut DensityTree,
-) -> PageMask {
-    let (threshold, big_pages) = match policy {
-        ResolvedPrefetch::Density {
-            threshold,
-            big_pages,
-        } if !faulted.is_empty() => (threshold, big_pages),
-        // Disabled, Sequential, and the empty-fault early-out never touch
-        // the tree; the plain path already handles them.
-        _ => return compute_prefetch(policy, resident, faulted, valid),
-    };
-
-    let mut marked = if big_pages {
-        upgrade_to_big_pages(faulted).intersect(valid)
-    } else {
-        *faulted
-    };
-
-    // occupancy = resident ∪ faulted ∪ marked, built incrementally: seed
-    // with the resident counts, add the pending (non-resident) pages.
-    // Dense pending sets (streaming batches upgrade whole big pages) skip
-    // the seed-and-walk and rebuild flat from the occupancy mask.
-    let pending = marked.union(faulted).difference(resident);
-    if pending.count() > DensityTree::DENSE_REBUILD_CUTOFF {
-        *scratch = DensityTree::from_mask(&resident.union(&pending));
-    } else {
-        scratch.clone_from(resident_tree);
-        scratch.add_mask(&pending);
-    }
-    density_stage(scratch, &mut marked, faulted, threshold);
 
     marked
         .intersect(valid)
@@ -401,41 +344,5 @@ mod tests {
     fn empty_faults_prefetch_nothing() {
         let out = compute_prefetch(STOCK, &PageMask::EMPTY, &PageMask::EMPTY, &PageMask::FULL);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn seeded_matches_plain_across_policies() {
-        let mut resident = PageMask::EMPTY;
-        resident.set_range(0, 128);
-        let faulted = mask_of(&[130, 140, 200]);
-        let mut valid = PageMask::EMPTY;
-        valid.set_range(0, 256);
-        let resident = resident.intersect(&valid);
-        let tree = DensityTree::from_mask(&resident);
-        let mut scratch = DensityTree::new_empty();
-        for policy in [
-            ResolvedPrefetch::Disabled,
-            STOCK,
-            ResolvedPrefetch::Density {
-                threshold: 1,
-                big_pages: false,
-            },
-            ResolvedPrefetch::Sequential { degree: 8 },
-        ] {
-            let plain = compute_prefetch(policy, &resident, &faulted, &valid);
-            let seeded =
-                compute_prefetch_seeded(policy, &resident, &faulted, &valid, &tree, &mut scratch);
-            assert_eq!(plain, seeded, "policy {policy:?} diverged");
-        }
-        // Empty fault mask takes the early-out path.
-        let seeded = compute_prefetch_seeded(
-            STOCK,
-            &resident,
-            &PageMask::EMPTY,
-            &valid,
-            &tree,
-            &mut scratch,
-        );
-        assert!(seeded.is_empty());
     }
 }

@@ -13,78 +13,26 @@ use gpu_model::PageMask;
 use sim_engine::units::{PAGES_PER_VABLOCK, PREFETCH_TREE_LEVELS};
 use std::ops::Range;
 
-/// Number of nodes across all levels: 512 + 256 + … + 1 = 1023.
-const NUM_NODES: usize = 2 * PAGES_PER_VABLOCK - 1;
-
-/// Flattened per-VABlock density tree.
+/// Per-VABlock density tree, stored as its occupancy mask.
 ///
-/// Storage is inline (~2 KB on the stack): the tree is rebuilt for every
-/// serviced VABlock group, so it must not touch the heap.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DensityTree {
-    // counts[offset(level) + idx] = occupied leaves under node (level, idx).
-    counts: [u16; NUM_NODES],
-}
-
-#[inline]
-fn level_offset(level: usize) -> usize {
-    // Offsets: level 0 -> 0, level 1 -> 512, level 2 -> 768, ...
-    // sum_{l<level} 512 >> l = 1024 - (1024 >> level).
-    2 * PAGES_PER_VABLOCK - ((2 * PAGES_PER_VABLOCK) >> level)
-}
-
-#[inline]
-fn nodes_at(level: usize) -> usize {
-    PAGES_PER_VABLOCK >> level
-}
-
-impl Default for DensityTree {
-    fn default() -> Self {
-        DensityTree::new_empty()
-    }
-}
+/// A node's count is the popcount of the mask over the node's aligned
+/// leaf range, so the 512-bit mask (64 bytes, inline) is the whole tree:
+/// counts are read word-at-a-time and saturation sets bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DensityTree(PageMask);
 
 impl DensityTree {
-    /// Incremental-vs-rebuild crossover for [`Self::add_mask`]: the
-    /// leaf-to-root path walk costs ~(levels+1) dependent increments per
-    /// added page, so past this many pages the flat 1023-count rebuild
-    /// from the occupancy mask (word-popcount leaves, level sums) wins.
-    pub const DENSE_REBUILD_CUTOFF: usize = 64;
-
-    /// The tree of `PageMask::EMPTY`: every count zero.
-    pub fn new_empty() -> Self {
-        DensityTree {
-            counts: [0u16; NUM_NODES],
-        }
-    }
-
     /// Build the tree from an occupancy mask (resident ∪ faulted ∪
     /// prefetch-flagged pages).
     pub fn from_mask(mask: &PageMask) -> Self {
-        let mut counts = [0u16; NUM_NODES];
-        mask.for_each_set_word(|wi, bits| {
-            let mut b = bits;
-            while b != 0 {
-                counts[wi * 64 + b.trailing_zeros() as usize] = 1;
-                b &= b - 1;
-            }
-        });
-        for level in 1..=PREFETCH_TREE_LEVELS {
-            let off = level_offset(level);
-            let child_off = level_offset(level - 1);
-            for i in 0..nodes_at(level) {
-                counts[off + i] = counts[child_off + 2 * i] + counts[child_off + 2 * i + 1];
-            }
-        }
-        DensityTree { counts }
+        DensityTree(*mask)
     }
 
     /// Occupied-leaf count of node (`level`, `idx`).
     #[inline]
     pub fn count(&self, level: usize, idx: usize) -> u16 {
         debug_assert!(level <= PREFETCH_TREE_LEVELS);
-        debug_assert!(idx < nodes_at(level));
-        self.counts[level_offset(level) + idx]
+        self.0.count_range(idx << level, 1 << level) as u16
     }
 
     /// Leaf range covered by node (`level`, `idx`).
@@ -115,83 +63,11 @@ impl DensityTree {
         best
     }
 
-    /// Saturate the subtree at (`level`, `idx`): every node in the region
-    /// is set to its maximum value (all leaves occupied) and ancestor
-    /// counts are increased accordingly, so later faults in the same batch
-    /// observe the pending prefetch.
+    /// Saturate the subtree at (`level`, `idx`): every leaf in the region
+    /// becomes occupied, so the region and all its ancestors count the
+    /// pending prefetch and later faults in the same batch observe it.
     pub fn saturate(&mut self, level: usize, idx: usize) {
-        let size = 1u16 << level;
-        let old = self.count(level, idx);
-        let delta = size - old;
-        if delta == 0 {
-            return;
-        }
-        // Fill the region: all descendants become full.
-        for l in 0..=level {
-            let off = level_offset(l);
-            let first = idx << (level - l);
-            let n = 1usize << (level - l);
-            let full = 1u16 << l;
-            for node in first..first + n {
-                self.counts[off + node] = full;
-            }
-        }
-        // Propagate the increase to ancestors.
-        let mut a = idx >> 1;
-        for l in level + 1..=PREFETCH_TREE_LEVELS {
-            self.counts[level_offset(l) + a] += delta;
-            a >>= 1;
-        }
-    }
-
-    /// Reset every count to zero (the block's pages all left the GPU —
-    /// eviction or migration back to the host).
-    pub fn clear(&mut self) {
-        self.counts = [0u16; NUM_NODES];
-    }
-
-    /// The occupancy mask the leaf counts encode (inverse of
-    /// [`Self::from_mask`]).
-    pub fn to_mask(&self) -> PageMask {
-        let mut mask = PageMask::EMPTY;
-        for (leaf, &c) in self.counts[..PAGES_PER_VABLOCK].iter().enumerate() {
-            if c != 0 {
-                mask.set(leaf);
-            }
-        }
-        mask
-    }
-
-    /// Incrementally mark the leaves of `added` occupied: each newly
-    /// occupied page increments only its leaf-to-root path (10 counts)
-    /// instead of rebuilding all 1023 node counts. Equivalent to
-    /// `from_mask(old ∪ added)` when the tree currently holds
-    /// `from_mask(old)` and `added` is disjoint from `old`.
-    pub fn add_mask(&mut self, added: &PageMask) {
-        if added.count() > Self::DENSE_REBUILD_CUTOFF {
-            let mut occupancy = self.to_mask();
-            occupancy.or_with(added);
-            *self = Self::from_mask(&occupancy);
-            return;
-        }
-        added.for_each_set_word(|wi, bits| {
-            let mut b = bits;
-            while b != 0 {
-                let leaf = wi * 64 + b.trailing_zeros() as usize;
-                b &= b - 1;
-                debug_assert_eq!(self.counts[leaf], 0, "leaf {leaf} already occupied");
-                let mut idx = leaf;
-                for level in 0..=PREFETCH_TREE_LEVELS {
-                    self.counts[level_offset(level) + idx] += 1;
-                    idx >>= 1;
-                }
-            }
-        });
-    }
-
-    /// Root count (total occupied leaves).
-    pub fn total(&self) -> u16 {
-        self.count(PREFETCH_TREE_LEVELS, 0)
+        self.0.set_range(idx << level, 1 << level);
     }
 }
 
@@ -214,15 +90,14 @@ mod tests {
         assert_eq!(t.count(1, 0), 2); // leaves 0,1
         assert_eq!(t.count(2, 0), 4); // leaves 0..4
         assert_eq!(t.count(9, 0), 6);
-        assert_eq!(t.total(), 6);
     }
 
     #[test]
     fn empty_and_full_masks() {
         let empty = DensityTree::from_mask(&PageMask::EMPTY);
-        assert_eq!(empty.total(), 0);
+        assert_eq!(empty.count(9, 0), 0);
         let full = DensityTree::from_mask(&PageMask::FULL);
-        assert_eq!(full.total(), 512);
+        assert_eq!(full.count(9, 0), 512);
         assert_eq!(full.count(4, 7), 16);
     }
 
@@ -286,7 +161,7 @@ mod tests {
         assert_eq!(t.count(9, 0), 16, "root sees the increase");
         assert_eq!(t.count(5, 0), 16);
         // Saturating an already-full region is a no-op.
-        let before = t.clone();
+        let before = t;
         t.saturate(4, 0);
         assert_eq!(t, before);
     }
@@ -311,37 +186,6 @@ mod tests {
         }
         let t = DensityTree::from_mask(&m);
         assert_eq!(t.region_for(261, 51), (9, 0), "262/512 > 51%");
-    }
-
-    #[test]
-    fn incremental_add_matches_rebuild() {
-        let resident = mask_of(&[0, 1, 2, 3, 100, 511]);
-        let mut tree = DensityTree::new_empty();
-        tree.add_mask(&resident);
-        assert_eq!(tree, DensityTree::from_mask(&resident));
-
-        // Add a disjoint batch of pages on top.
-        let added = mask_of(&[4, 5, 63, 64, 200, 300]);
-        tree.add_mask(&added);
-        assert_eq!(tree, DensityTree::from_mask(&resident.union(&added)));
-    }
-
-    #[test]
-    fn clear_resets_to_empty() {
-        let mut tree = DensityTree::from_mask(&mask_of(&[7, 8, 9]));
-        tree.clear();
-        assert_eq!(tree, DensityTree::new_empty());
-        assert_eq!(tree, DensityTree::default());
-        assert_eq!(tree.total(), 0);
-    }
-
-    #[test]
-    fn add_after_clear_rebuilds_exactly() {
-        let mut tree = DensityTree::from_mask(&PageMask::FULL);
-        tree.clear();
-        let m = mask_of(&[10, 20, 30]);
-        tree.add_mask(&m);
-        assert_eq!(tree, DensityTree::from_mask(&m));
     }
 
     #[test]

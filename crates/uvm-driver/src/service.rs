@@ -11,7 +11,7 @@
 
 use crate::address_space::ManagedSpace;
 use crate::batch::FaultGroup;
-use crate::prefetch::{compute_prefetch_seeded, DensityTree, ResolvedPrefetch};
+use crate::prefetch::{compute_prefetch, ResolvedPrefetch};
 use gpu_model::PageMask;
 use sim_engine::units::PAGES_PER_VABLOCK;
 use sim_engine::{CostModel, SimDuration};
@@ -48,16 +48,14 @@ impl ServicePlan {
 }
 
 /// Compute one fault group's service plan from the current state of its
-/// block. Pure with respect to the driver: reads `space` and the block's
-/// persistent density tree, writes only `plan` and `scratch`.
+/// block. Pure with respect to the driver: reads `space`, writes only
+/// `plan`.
 pub(crate) fn plan_group(
     space: &ManagedSpace,
-    trees: &[DensityTree],
     policy: ResolvedPrefetch,
     cost: &CostModel,
     granularity: usize,
     group: &FaultGroup,
-    scratch: &mut DensityTree,
     plan: &mut ServicePlan,
 ) {
     let vb = group.block;
@@ -74,14 +72,7 @@ pub(crate) fn plan_group(
     if plan.faulted.is_empty() {
         return;
     }
-    plan.prefetch = compute_prefetch_seeded(
-        policy,
-        resident,
-        &plan.faulted,
-        valid,
-        &trees[vb.0 as usize],
-        scratch,
-    );
+    plan.prefetch = compute_prefetch(policy, resident, &plan.faulted, valid);
     plan.to_migrate = plan.faulted.union(&plan.prefetch);
     plan.units_to_back = PageMask::EMPTY;
     for (unit, unit_start) in (0..PAGES_PER_VABLOCK).step_by(granularity).enumerate() {
@@ -122,12 +113,10 @@ mod tests {
     fn plan_matches_block_state() {
         let mut space = ManagedSpace::new();
         space.alloc(4 * VABLOCK_SIZE, "plan");
-        let mut trees = vec![DensityTree::new_empty(); space.num_blocks()];
         // Page 5 already resident: only page 6 faults, whole block unbacked.
         space.resident_mut(VaBlockIdx(1)).set(5);
         space.backed_mut(VaBlockIdx(1)).set(5);
         space.sync_block_residency(VaBlockIdx(1));
-        trees[1].add_mask(space.resident(VaBlockIdx(1)));
         let mut fault_mask = PageMask::EMPTY;
         fault_mask.set(5);
         fault_mask.set(6);
@@ -137,16 +126,13 @@ mod tests {
             write_mask: PageMask::EMPTY,
             num_entries: 2,
         };
-        let mut scratch = DensityTree::new_empty();
         let mut plan = ServicePlan::default();
         plan_group(
             &space,
-            &trees,
             ResolvedPrefetch::Disabled,
             &CostModel::default(),
             16,
             &group,
-            &mut scratch,
             &mut plan,
         );
         assert!(plan.faulted.get(6) && !plan.faulted.get(5));

@@ -1,7 +1,8 @@
 //! Property-based tests for the UVM driver's data structures and
-//! algorithms: the density tree against naive popcount recomputation, the
-//! LRU against a reference model, PMA accounting invariants, prefetch
-//! output laws, and batch-gather conservation.
+//! algorithms: the density tree against per-leaf brute-force counts, the
+//! prefetcher against a reference node-count tree walk, the LRU against a
+//! reference model, PMA accounting invariants, prefetch output laws, and
+//! batch-gather conservation.
 
 use gpu_model::{
     AccessType, FaultBuffer, FaultBufferConfig, FaultEntry, GlobalPage, PageMask, VaBlockIdx,
@@ -30,9 +31,10 @@ proptest! {
         for level in 0..=9usize {
             let len = 1usize << level;
             for node in 0..(512 >> level) {
+                let naive = (node * len..(node + 1) * len).filter(|&l| m.get(l)).count();
                 prop_assert_eq!(
                     tree.count(level, node) as usize,
-                    m.count_range(node * len, len),
+                    naive,
                     "level {} node {}", level, node
                 );
             }
@@ -86,48 +88,103 @@ proptest! {
     }
 
     #[test]
-    fn incremental_adds_match_rebuild(
-        chunks in proptest::collection::vec(
-            proptest::collection::vec(0usize..512, 0..64), 0..6),
-    ) {
-        // Feed arbitrary page sets in as disjoint incremental updates
-        // (each chunk minus everything already present), the way the
-        // driver's commit path maintains its persistent trees.
-        let mut tree = DensityTree::new_empty();
-        let mut accumulated = PageMask::EMPTY;
-        for chunk in &chunks {
-            let added = mask_from(chunk).difference(&accumulated);
-            tree.add_mask(&added);
-            accumulated = accumulated.union(&added);
-            prop_assert_eq!(&tree, &DensityTree::from_mask(&accumulated));
-        }
-        tree.clear();
-        prop_assert_eq!(&tree, &DensityTree::new_empty());
-        // Rebuild after clear (the eviction → refault cycle).
-        tree.add_mask(&accumulated);
-        prop_assert_eq!(&tree, &DensityTree::from_mask(&accumulated));
-    }
-
-    #[test]
-    fn seeded_prefetch_matches_plain(
+    fn prefetch_matches_reference_tree_walk(
         resident_idx in proptest::collection::vec(0usize..512, 0..200),
         faulted_idx in proptest::collection::vec(0usize..512, 0..64),
+        valid_idx in proptest::collection::vec(0usize..512, 0..512),
         threshold in 1u8..=100,
         big_pages in any::<bool>(),
     ) {
-        // Model the driver's state relations: faulted is valid and
-        // non-resident; the persistent tree mirrors resident exactly.
-        let valid = PageMask::FULL;
         let resident = mask_from(&resident_idx);
-        let faulted = mask_from(&faulted_idx).difference(&resident);
-        let tree = DensityTree::from_mask(&resident);
-        let mut scratch = DensityTree::new_empty();
+        let faulted = mask_from(&faulted_idx);
+        let valid = mask_from(&valid_idx);
         let policy = ResolvedPrefetch::Density { threshold, big_pages };
-        let plain = compute_prefetch(policy, &resident, &faulted, &valid);
-        let seeded = uvm_driver::prefetch::compute_prefetch_seeded(
-            policy, &resident, &faulted, &valid, &tree, &mut scratch,
+        prop_assert_eq!(
+            compute_prefetch(policy, &resident, &faulted, &valid),
+            reference::compute_prefetch(threshold, big_pages, &resident, &faulted, &valid)
         );
-        prop_assert_eq!(plain, seeded);
+    }
+}
+
+/// The density prefetcher as a flat array of 1023 node counts: built
+/// bottom-up from the occupancy mask, walked leaf to root per fault, and
+/// saturated by filling the region and adding the increase to every
+/// ancestor. Independent of `DensityTree`, so it pins the mask-backed
+/// tree to the paper's count semantics.
+mod reference {
+    use super::*;
+
+    const LEVELS: usize = 9;
+
+    fn offset(level: usize) -> usize {
+        1024 - (1024 >> level)
+    }
+
+    struct Tree([u16; 1023]);
+
+    impl Tree {
+        fn build(m: &PageMask) -> Tree {
+            let mut c = [0u16; 1023];
+            for (leaf, count) in c.iter_mut().take(512).enumerate() {
+                *count = m.get(leaf) as u16;
+            }
+            for level in 1..=LEVELS {
+                for i in 0..(512 >> level) {
+                    c[offset(level) + i] =
+                        c[offset(level - 1) + 2 * i] + c[offset(level - 1) + 2 * i + 1];
+                }
+            }
+            Tree(c)
+        }
+
+        fn region_for(&self, leaf: usize, threshold: u8) -> (usize, usize) {
+            let mut best = (0, leaf);
+            for level in 0..=LEVELS {
+                let idx = leaf >> level;
+                if self.0[offset(level) + idx] as u32 * 100 > threshold as u32 * (1u32 << level) {
+                    best = (level, idx);
+                }
+            }
+            best
+        }
+
+        fn saturate(&mut self, level: usize, idx: usize) {
+            let delta = (1u16 << level) - self.0[offset(level) + idx];
+            for l in 0..=level {
+                let n = 1usize << (level - l);
+                for node in idx * n..(idx + 1) * n {
+                    self.0[offset(l) + node] = 1 << l;
+                }
+            }
+            for l in level + 1..=LEVELS {
+                self.0[offset(l) + (idx >> (l - level))] += delta;
+            }
+        }
+    }
+
+    pub fn compute_prefetch(
+        threshold: u8,
+        big_pages: bool,
+        resident: &PageMask,
+        faulted: &PageMask,
+        valid: &PageMask,
+    ) -> PageMask {
+        let mut marked = if big_pages {
+            upgrade_to_big_pages(faulted).intersect(valid)
+        } else {
+            *faulted
+        };
+        let mut tree = Tree::build(&resident.union(faulted).union(&marked));
+        for leaf in (0..512).filter(|&l| faulted.get(l)) {
+            let (level, idx) = tree.region_for(leaf, threshold);
+            if level > 0 {
+                for l in idx << level..(idx + 1) << level {
+                    marked.set(l);
+                }
+                tree.saturate(level, idx);
+            }
+        }
+        marked.intersect(valid).difference(resident).difference(faulted)
     }
 }
 

@@ -150,14 +150,19 @@ fn protocol_golden_behaviour_and_hostile_lines() {
     assert!(frames[0].contains("unknown op"), "{}", frames[0]);
     let frames = daemon.roundtrip(r#"{"op":"run","experiment":"fig99"}"#, "error");
     assert!(frames[0].contains("unknown experiment"), "{}", frames[0]);
+    // A scale below 1 would ask for more than the paper platform: the
+    // CLI's `--scale` rule applies, so it is refused before `accepted`.
+    let frames = daemon.roundtrip(r#"{"op":"run","experiment":"fig1","scale":0.5}"#, "error");
+    assert_eq!(frames.len(), 1, "{frames:?}");
+    assert!(frames[0].contains("finite denominator >= 1"), "{}", frames[0]);
 
     // Still alive: ping answers, and the stats ledger counted the abuse.
     let frames = daemon.roundtrip(r#"{"op":"ping"}"#, "pong");
     assert_eq!(frame_str(&frames[0], "frame"), Some("pong"));
     let frames = daemon.roundtrip(r#"{"op":"stats"}"#, "stats");
     assert!(
-        frames[0].contains(r#""protocol_errors":3"#),
-        "stats must count 3 protocol errors: {}",
+        frames[0].contains(r#""protocol_errors":4"#),
+        "stats must count 4 protocol errors: {}",
         frames[0]
     );
 
@@ -182,7 +187,7 @@ fn protocol_golden_behaviour_and_hostile_lines() {
     let events = std::fs::read_to_string(daemon.out.join("serve-events.tsv"))
         .expect("serve-events.tsv flushed");
     assert!(events.contains("client_error"), "{events}");
-    assert!(events.contains("# total\tclient_error\t3"), "{events}");
+    assert!(events.contains("# total\tclient_error\t4"), "{events}");
     std::mem::forget(daemon); // child already reaped
 }
 
