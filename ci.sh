@@ -4,7 +4,8 @@
 #   ./ci.sh            per-push gate: build, full test suite, a
 #                      compile check of the benches, clippy and rustdoc
 #                      with warnings denied, the perfbench
-#                      self-tests, quick-scale end-to-end
+#                      self-tests and pinned scale-16 digests,
+#                      quick-scale end-to-end
 #                      repro (~1 min on one core), a traced
 #                      + telemetry-sampled fig1, the small-grid
 #                      oversubscription observatory, the `repro serve`
@@ -50,11 +51,19 @@ push)
     # A doc link left dangling by a deleted or renamed item fails here.
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-    echo "== perfbench self-tests (pinned digests, mirror parity) =="
-    # The benchmark is its own cargo package; its self-tests pin the
-    # point-set digests and check the traced mirror against run_prepared,
-    # so a simulator or writer change that moves either fails here.
+    echo "== perfbench self-tests (mirror parity) =="
+    # The benchmark is its own cargo package; its self-tests check the
+    # traced mirror against run_prepared on small point sets.
     cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
+    echo "== perfbench pinned digests (scale-16 point sets, default seed) =="
+    # At the default seed perfbench checks each workload's point-set
+    # digest against its pinned value and exits 1 on a mismatch or a
+    # failed point, so a change that moves scale-16 simulated output
+    # fails here.
+    for w in fig1_s16 apps_s16 thrash_rec_s16; do
+        python3 perfbench/run.py --workload "$w" --seconds 0
+    done
 
     echo "== repro all --scale 128 (quick-scale end-to-end) =="
     ./target/release/repro all --scale 128 --json --out ci-out

@@ -4,10 +4,9 @@
 //! mode, on a 256-block grid and on fig. 1's full-µTLB 1280-block
 //! shape), the event-driven retry skip and waiter-wakeup paths that
 //! replace it, word-at-a-time
-//! `PageMask` operations, the word-parallel mask kernels behind the SoA
-//! driver (`count_span` / `next_set` / `andnot_with`), the batched LRU
-//! eviction scan, and one end-to-end oversubscribed point at
-//! `Scale::QUICK`.
+//! `PageMask` operations (`set_span`, `andnot_with`/`intersect_count`),
+//! the batched LRU eviction scan, and one end-to-end oversubscribed point
+//! at `Scale::QUICK`.
 //!
 //! These are the loops the `repro` wall time is made of; `cargo bench
 //! -p bench hot_paths` gives a stable regression guard around each one
@@ -229,16 +228,16 @@ fn bench_waiter_wakeup(c: &mut Criterion) {
     let mut engine = GpuEngine::launch(GpuConfig::default(), trace, SimRng::from_seed(1));
     let mut buffer = FaultBuffer::new(FaultBufferConfig::default());
     engine.run(&space, &mut buffer, SimTime::ZERO); // initial stall + subscribe
+    let mut page_63 = PageMask::EMPTY;
+    page_63.set(63);
     c.benchmark_group("hot_paths")
         .bench_function("waiter_wakeup_1_of_256", |b| {
             b.iter(|| {
                 // Page 63 shares word 0 with block 0's pending list but is
                 // not waited on: its toggle wakes the block for a rescan
                 // that finds nothing and leaves the stall in place.
-                space.resident_mut(VaBlockIdx(0)).set(63);
-                space.sync_block_residency(VaBlockIdx(0));
-                space.resident_mut(VaBlockIdx(0)).clear(63);
-                space.sync_block_residency(VaBlockIdx(0));
+                space.set_resident(VaBlockIdx(0), page_63);
+                space.set_resident(VaBlockIdx(0), PageMask::EMPTY);
                 buffer.flush();
                 engine.replay();
                 black_box(engine.run(&space, &mut buffer, SimTime::ZERO))
@@ -261,54 +260,19 @@ fn bench_mask_word_ops(c: &mut Criterion) {
             black_box(m.count())
         })
     });
-    group.bench_function("mask_for_each_set_word", |b| {
-        let mut m = PageMask::default();
-        m.set_span(17, 400);
-        b.iter(|| {
-            let mut total = 0u32;
-            m.for_each_set_word(|_, bits| total += bits.count_ones());
-            black_box(total)
-        })
-    });
-}
-
-/// The word-parallel mask kernels the SoA driver hot paths lean on:
-/// popcount span counts, trailing_zeros set-bit walks, and the
-/// AND-NOT / intersection combinators used by eviction bookkeeping.
-fn bench_mask_kernels(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hot_paths");
-    // A realistic half-populated residency mask with ragged word edges.
+    // A realistic half-populated residency mask with ragged word edges,
+    // AND-NOT against a span the way eviction bookkeeping absorbs masks.
     let mut m = PageMask::default();
     for start in (0..512).step_by(32) {
         m.set_span(start + 5, 17);
     }
     let mut other = PageMask::default();
     other.set_span(100, 300);
-    group.bench_function("mask_count_span", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for start in (0..448).step_by(64) {
-                total += m.count_span(black_box(start + 3), black_box(61));
-            }
-            black_box(total)
-        })
-    });
-    group.bench_function("mask_next_set_walk", |b| {
-        b.iter(|| {
-            let mut n = 0usize;
-            let mut at = m.first_set();
-            while let Some(p) = at {
-                n += 1;
-                at = m.next_set(p + 1);
-            }
-            black_box(n)
-        })
-    });
     group.bench_function("mask_andnot_intersect", |b| {
         b.iter(|| {
             let mut scratch = m;
             scratch.andnot_with(black_box(&other));
-            black_box(scratch.intersect_count(&m) + m.difference_count(&other))
+            black_box(scratch.intersect_count(&m))
         })
     });
 }
@@ -369,7 +333,6 @@ criterion_group!(
     bench_retry_skip_scan_twin,
     bench_waiter_wakeup,
     bench_mask_word_ops,
-    bench_mask_kernels,
     bench_eviction_scan,
     bench_quick_point,
 );

@@ -34,7 +34,8 @@ pub trait Residency {
     /// the residency of page `(page & !63) + p % 64`. The retry scan
     /// caches this word across consecutive accesses, so streaming
     /// workloads pay one load per 64 pages instead of one per page;
-    /// oracles without a dense index inherit this per-bit assembly.
+    /// oracles that store residency per page inherit this per-bit
+    /// assembly.
     fn resident_word(&self, page: GlobalPage) -> u64 {
         let base = page.0 & !63;
         let mut w = 0u64;
@@ -55,7 +56,7 @@ pub trait Residency {
         None
     }
 
-    /// Enumerate the dense word indices (`page / 64`) whose residency
+    /// Enumerate the global word indices (`page / 64`) whose residency
     /// word changed in `(since, change_seq()]`, oldest first, repeats
     /// allowed. Returns `false` when the oracle's change log no longer
     /// reaches back to `since` (the caller must then treat *every* word
@@ -89,8 +90,6 @@ pub enum RetryMode {
 /// GPU hardware configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GpuConfig {
-    /// Number of SMs (Titan V: 80).
-    pub num_sms: usize,
     /// Maximum thread blocks concurrently resident across all SMs.
     pub max_blocks_resident: usize,
     /// Number of µTLBs (fault-dedup domains). Faults for the same page
@@ -118,7 +117,6 @@ pub struct GpuConfig {
 impl Default for GpuConfig {
     fn default() -> Self {
         GpuConfig {
-            num_sms: 80,
             max_blocks_resident: 1280,
             num_utlbs: 80,
             max_outstanding_per_utlb: 16,
@@ -360,7 +358,7 @@ pub struct GpuEngine {
     /// outstanding sets), which is what makes "apply the whole pending
     /// list's effects once" the complete retry outcome.
     stall_drain: Vec<u64>,
-    /// Waiter index: dense residency-word index (`page / 64`) → list of
+    /// Waiter index: global residency-word index (`page / 64`) → list of
     /// `(block, generation)` subscriptions. Change events walk only the
     /// lists of words that actually changed.
     waiters: Vec<Vec<(u32, u32)>>,
@@ -537,7 +535,7 @@ impl GpuEngine {
     /// trace or an `Arc` (repeated launches share one without copying).
     pub fn launch(cfg: GpuConfig, trace: impl Into<Arc<WorkloadTrace>>, rng: SimRng) -> Self {
         let trace = trace.into();
-        assert!(cfg.num_sms > 0 && cfg.max_blocks_resident > 0 && cfg.num_utlbs > 0);
+        assert!(cfg.max_blocks_resident > 0 && cfg.num_utlbs > 0);
         let n = trace.blocks.len();
         let accessed = if cfg.track_page_use {
             let max_page = trace
@@ -657,7 +655,7 @@ impl GpuEngine {
             };
 
             // Residency is immutable for the whole engine run, so one
-            // dense-index word can answer 64 consecutive pages. Streaming
+            // residency word can answer 64 consecutive pages. Streaming
             // workloads walk pages in ascending runs; caching the current
             // word turns their scans word-parallel (one load per 64
             // pages) while costing random scans a single compare.

@@ -72,12 +72,6 @@ impl PageMask {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// True if all 512 bits are set.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.words.iter().all(|&w| w == u64::MAX)
-    }
-
     /// Number of set bits in the aligned range `[start, start + len)`.
     ///
     /// `start` must be a multiple of `len` and `len` a power of two — the
@@ -184,86 +178,11 @@ impl PageMask {
         }
     }
 
-    /// Visit every nonzero 64-bit word as `(word_index, bits)` — page
-    /// `word_index * 64 + b` is set for each set bit `b` of `bits`. The
-    /// word-at-a-time complement of [`iter_set`](Self::iter_set) for
-    /// callers that can process 64 pages per step.
-    #[inline]
-    pub fn for_each_set_word(&self, mut f: impl FnMut(usize, u64)) {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                f(wi, w);
-            }
-        }
-    }
-
     /// The mask's backing words, least-significant page first (8 × 64
-    /// bits). For bulk copies into word-granularity indexes.
+    /// bits): word `w` holds pages `64 * w .. 64 * w + 64`.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Number of set bits in the arbitrary (unaligned) span
-    /// `[start, start + len)`.
-    ///
-    /// The word-parallel counting complement of
-    /// [`set_span`](Self::set_span): partial first/last words are masked,
-    /// everything in between is a straight popcount — no per-bit loop and
-    /// no alignment requirement (unlike [`count_range`](Self::count_range)).
-    #[inline]
-    pub fn count_span(&self, start: usize, len: usize) -> usize {
-        debug_assert!(start + len <= PAGES_PER_VABLOCK);
-        if len == 0 {
-            return 0;
-        }
-        let end = start + len; // exclusive
-        let (w0, w1) = (start / 64, (end - 1) / 64);
-        let first = u64::MAX << (start % 64);
-        let last = u64::MAX >> (63 - (end - 1) % 64);
-        if w0 == w1 {
-            (self.words[w0] & first & last).count_ones() as usize
-        } else {
-            let mut n = (self.words[w0] & first).count_ones() as usize;
-            for w in &self.words[w0 + 1..w1] {
-                n += w.count_ones() as usize;
-            }
-            n + (self.words[w1] & last).count_ones() as usize
-        }
-    }
-
-    /// Index of the lowest set bit, or `None` if the mask is empty.
-    #[inline]
-    pub fn first_set(&self) -> Option<usize> {
-        for (wi, &w) in self.words.iter().enumerate() {
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Index of the lowest set bit at or above `from`, or `None`.
-    ///
-    /// `trailing_zeros`-based: the word holding `from` is masked below
-    /// `from`, then whole zero words are skipped — so a sparse scan costs
-    /// one popcount-class instruction per 64 pages instead of 64 `get`s.
-    #[inline]
-    pub fn next_set(&self, from: usize) -> Option<usize> {
-        if from >= PAGES_PER_VABLOCK {
-            return None;
-        }
-        let w0 = from / 64;
-        let masked = self.words[w0] & (u64::MAX << (from % 64));
-        if masked != 0 {
-            return Some(w0 * 64 + masked.trailing_zeros() as usize);
-        }
-        for (wi, &w) in self.words.iter().enumerate().skip(w0 + 1) {
-            if w != 0 {
-                return Some(wi * 64 + w.trailing_zeros() as usize);
-            }
-        }
-        None
     }
 
     /// In-place AND-NOT: clear every bit of `self` that is set in
@@ -283,16 +202,6 @@ impl PageMask {
             .iter()
             .zip(other.words.iter())
             .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// `self \ other` popcount without materialising the difference.
-    #[inline]
-    pub fn difference_count(&self, other: &PageMask) -> usize {
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a & !b).count_ones() as usize)
             .sum()
     }
 
@@ -334,8 +243,8 @@ mod tests {
     #[test]
     fn full_mask() {
         assert_eq!(PageMask::FULL.count(), 512);
-        assert!(PageMask::FULL.is_full());
-        assert!(!PageMask::EMPTY.is_full());
+        assert_eq!(PageMask::FULL.count_range(448, 64), 64);
+        assert!(!PageMask::FULL.is_empty());
     }
 
     #[test]
@@ -413,28 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_set_word_covers_all_set_bits() {
-        let mut m = PageMask::EMPTY;
-        let idxs = [0usize, 5, 63, 64, 200, 511];
-        for &i in &idxs {
-            m.set(i);
-        }
-        let mut seen = Vec::new();
-        m.for_each_set_word(|wi, bits| {
-            let mut b = bits;
-            while b != 0 {
-                seen.push(wi * 64 + b.trailing_zeros() as usize);
-                b &= b - 1;
-            }
-        });
-        assert_eq!(seen, idxs);
-        // Zero words are skipped entirely.
-        let mut calls = 0;
-        PageMask::EMPTY.for_each_set_word(|_, _| calls += 1);
-        assert_eq!(calls, 0);
-    }
-
-    #[test]
     fn iter_set_ascending() {
         let mut m = PageMask::EMPTY;
         let idxs = [0usize, 5, 63, 64, 200, 511];
@@ -446,57 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn count_span_matches_naive_per_bit_loop() {
-        let mut m = PageMask::EMPTY;
-        for i in (0..512).step_by(3) {
-            m.set(i);
-        }
-        m.set(511);
-        let cases = [
-            (0, 0),
-            (7, 0),
-            (0, 1),
-            (3, 5),
-            (0, 64),
-            (60, 8),
-            (63, 2),
-            (1, 511),
-            (100, 300),
-            (448, 64),
-            (511, 1),
-            (0, 512),
-        ];
-        for &(start, len) in &cases {
-            let naive = (start..start + len).filter(|&i| m.get(i)).count();
-            assert_eq!(m.count_span(start, len), naive, "count_span({start}, {len})");
-        }
-    }
-
-    #[test]
-    fn first_and_next_set_walk_the_mask() {
-        assert_eq!(PageMask::EMPTY.first_set(), None);
-        assert_eq!(PageMask::EMPTY.next_set(0), None);
-        let mut m = PageMask::EMPTY;
-        let idxs = [3usize, 63, 64, 130, 511];
-        for &i in &idxs {
-            m.set(i);
-        }
-        assert_eq!(m.first_set(), Some(3));
-        // Walking with next_set(prev + 1) recovers iter_set exactly.
-        let mut walked = Vec::new();
-        let mut cur = m.first_set();
-        while let Some(i) = cur {
-            walked.push(i);
-            cur = m.next_set(i + 1);
-        }
-        assert_eq!(walked, idxs);
-        // next_set(from) with from already set returns from itself.
-        assert_eq!(m.next_set(64), Some(64));
-        assert_eq!(m.next_set(65), Some(130));
-        assert_eq!(m.next_set(512), None);
-    }
-
-    #[test]
     fn word_kernels_on_final_partial_word_of_odd_block() {
         // An odd-sized allocation's last VABlock is only partially valid:
         // 67 pages leaves word 1 with just 3 valid bits (64..67). Build
@@ -505,26 +341,22 @@ mod tests {
         let mut valid = PageMask::EMPTY;
         valid.set_span(0, 67);
         assert_eq!(valid.count(), 67);
-        assert_eq!(valid.count_span(64, 3), 3);
         assert_eq!(valid.count_range(64, 64), 3, "popcount of the partial word");
-        assert_eq!(valid.next_set(64), Some(64));
-        assert_eq!(valid.next_set(66), Some(66), "last valid page is findable");
-        assert_eq!(valid.next_set(67), None, "nothing beyond the valid region");
+        assert_eq!(valid.words()[1], 0b111, "nothing beyond the valid region");
+        assert_eq!(valid.iter_set().last(), Some(66), "last valid page");
         let mut resident = PageMask::EMPTY;
         resident.set(63); // last bit of the full word
         resident.set(66); // last valid page of the block
         let r = resident.intersect(&valid);
         assert_eq!(r.count(), 2);
-        assert_eq!(r.first_set(), Some(63));
-        assert_eq!(r.next_set(64), Some(66), "next_set crosses into the partial word");
-        assert_eq!(r.count_span(63, 4), 2);
-        assert_eq!(r.count_span(66, 1), 1);
+        let walked: Vec<usize> = r.iter_set().collect();
+        assert_eq!(walked, [63, 66], "the walk crosses into the partial word");
         // An overrun bit just past the boundary is invisible through the
         // valid mask but visible as a difference — the shape the driver's
         // word loops rely on to never touch invalid pages.
         resident.set(67);
         assert_eq!(resident.intersect_count(&valid), 2);
-        assert_eq!(resident.difference_count(&valid), 1);
+        assert_eq!(resident.difference(&valid).count(), 1);
     }
 
     #[test]
@@ -536,16 +368,14 @@ mod tests {
         b.set_range(32, 32);
         b.set(301);
         assert_eq!(a.intersect_count(&b), a.intersect(&b).count());
-        assert_eq!(a.difference_count(&b), a.difference(&b).count());
         let mut c = a;
         c.andnot_with(&b);
         assert_eq!(c, a.difference(&b));
     }
 
     mod kernel_equivalence {
-        //! Proptest equivalence of the word-parallel kernels against a
-        //! naive bit-at-a-time reference (span counts, iteration order,
-        //! absorption) — the ISSUE-6 safety net for the mask rewrite.
+        //! Proptest equivalence of the word-parallel kernels against the
+        //! materialised set operations (absorption, fused counts).
         use super::*;
         use proptest::prelude::*;
 
@@ -567,31 +397,6 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             #[test]
-            fn count_span_equals_bit_loop(m in arb_mask(), start in 0usize..512, len in 0usize..=512) {
-                let len = len.min(512 - start);
-                let naive = (start..start + len).filter(|&i| m.get(i)).count();
-                prop_assert_eq!(m.count_span(start, len), naive);
-            }
-
-            #[test]
-            fn next_set_walk_equals_iter_set(m in arb_mask()) {
-                let via_iter: Vec<usize> = m.iter_set().collect();
-                let mut walked = Vec::new();
-                let mut cur = m.first_set();
-                while let Some(i) = cur {
-                    walked.push(i);
-                    cur = m.next_set(i + 1);
-                }
-                prop_assert_eq!(walked, via_iter);
-            }
-
-            #[test]
-            fn next_set_is_lowest_at_or_above(m in arb_mask(), from in 0usize..=512) {
-                let naive = (from..512).find(|&i| m.get(i));
-                prop_assert_eq!(m.next_set(from), naive);
-            }
-
-            #[test]
             fn andnot_equals_difference(a in arb_mask(), b in arb_mask()) {
                 let mut fused = a;
                 fused.andnot_with(&b);
@@ -604,9 +409,8 @@ mod tests {
             #[test]
             fn fused_counts_equal_materialised(a in arb_mask(), b in arb_mask()) {
                 prop_assert_eq!(a.intersect_count(&b), a.intersect(&b).count());
-                prop_assert_eq!(a.difference_count(&b), a.difference(&b).count());
                 prop_assert_eq!(
-                    a.intersect_count(&b) + a.difference_count(&b),
+                    a.intersect_count(&b) + a.difference(&b).count(),
                     a.count()
                 );
             }

@@ -5,6 +5,8 @@
 //! [`ManagedSpace`] is the single source of truth for page residency: the
 //! GPU engine queries it through the [`Residency`] trait on every access,
 //! and the driver mutates it while servicing faults and evicting blocks.
+//! Every residency write goes through [`ManagedSpace::set_resident`],
+//! which publishes the changed 64-page words to the engine.
 //!
 //! ## Layout: structure-of-arrays
 //!
@@ -47,11 +49,11 @@ impl VaRange {
     }
 }
 
-/// Words of the dense residency index covering one VABlock (512 pages).
+/// 64-page residency words per VABlock (512 pages).
 const WORDS_PER_BLOCK: usize = PAGES_PER_VABLOCK / 64;
 
-/// The managed virtual address space: ranges, per-VABlock state in SoA
-/// form, and the dense residency index.
+/// The managed virtual address space: ranges and per-VABlock state in SoA
+/// form.
 #[derive(Debug, Clone, Default)]
 pub struct ManagedSpace {
     ranges: Vec<VaRange>,
@@ -59,7 +61,10 @@ pub struct ManagedSpace {
     /// Pages of each block that belong to a live allocation (a range's
     /// final block may be partial).
     valid: Vec<PageMask>,
-    /// Pages currently resident (mapped) on the GPU.
+    /// Pages currently resident (mapped) on the GPU. The masks are
+    /// contiguous, so word `w` of block `b` is global residency word
+    /// `b * 8 + w` (`page / 64`) — the word the engine's retry scan reads.
+    /// Written only through [`set_resident`](Self::set_resident).
     resident: Vec<PageMask>,
     /// Pages dirtied by write faults (must be written back on eviction).
     dirty: Vec<PageMask>,
@@ -94,20 +99,14 @@ pub struct ManagedSpace {
     /// generation `eviction_count`, and a fault on a block with a
     /// non-zero count is a refault.
     eviction_count: Vec<u32>,
-    /// Dense residency index: one bit per page of the whole space, kept in
-    /// sync with the per-block `resident` masks by
-    /// [`sync_block_residency`](Self::sync_block_residency). The engine
-    /// queries residency on every page access of every replay retry, and
-    /// this flat array keeps that hot read inside a few cache lines.
-    resident_bits: Vec<u64>,
-    /// Monotone residency change stamp: bumped once per dense residency
-    /// word whose *value* changed in a [`sync_block_residency`] refresh
-    /// (commit, eviction, host migration — every mutation funnels through
-    /// the sync). Published to the engine via [`Residency::change_seq`]
-    /// so replays can skip rescanning pending lists whose covering words
-    /// are provably unchanged.
+    /// Monotone residency change stamp: bumped once per 64-page
+    /// residency word whose *value* changed in a
+    /// [`set_resident`](Self::set_resident) write (commit, eviction, hint
+    /// prefetch, host migration). Published to the engine via
+    /// [`Residency::change_seq`] so replays can skip rescanning pending
+    /// lists whose covering words are provably unchanged.
     change_seq: u64,
-    /// Ring log of the dense word indices behind `change_seq`: the entry
+    /// Ring log of the global word indices behind `change_seq`: the entry
     /// for stamp `s` lives at `(s - 1) % CHANGE_LOG_CAP`. Covers the most
     /// recent `CHANGE_LOG_CAP` changes; consumers that fall further
     /// behind are told the log was truncated and must assume every word
@@ -154,8 +153,6 @@ impl ManagedSpace {
             self.evicted_unused.push(PageMask::EMPTY);
             self.eviction_count.push(0);
         }
-        self.resident_bits
-            .resize(self.num_blocks() * WORDS_PER_BLOCK, 0);
         let range = VaRange {
             name: name.into(),
             start_page,
@@ -192,11 +189,28 @@ impl ManagedSpace {
         &self.resident[idx.0 as usize]
     }
 
-    /// Mutable resident mask. Callers must
-    /// [`sync_block_residency`](Self::sync_block_residency) afterwards.
+    /// Replace the block's resident mask, logging each 64-page word whose
+    /// value changes as a residency change event, in ascending word order
+    /// (value-diffed, so e.g. evicting an already-empty word publishes
+    /// nothing and subscribed blocks stay clean). The only residency
+    /// write: fault service, eviction, hint prefetch and host access all
+    /// go through here.
     #[inline]
-    pub fn resident_mut(&mut self, idx: VaBlockIdx) -> &mut PageMask {
-        &mut self.resident[idx.0 as usize]
+    pub fn set_resident(&mut self, idx: VaBlockIdx, mask: PageMask) {
+        let i = idx.0 as usize;
+        let w0 = i * WORDS_PER_BLOCK;
+        let old = self.resident[i].words().iter();
+        for (w, (o, n)) in old.zip(mask.words()).enumerate() {
+            if o != n {
+                if self.change_log.len() < CHANGE_LOG_CAP {
+                    self.change_log.push((w0 + w) as u32);
+                } else {
+                    self.change_log[self.change_seq as usize % CHANGE_LOG_CAP] = (w0 + w) as u32;
+                }
+                self.change_seq += 1;
+            }
+        }
+        self.resident[i] = mask;
     }
 
     /// A block's dirty-page mask.
@@ -297,12 +311,10 @@ impl ManagedSpace {
 
     /// Clear the block's hot residency state (`resident`, `dirty`,
     /// `touched`, `backed`) in one stride — the eviction/unmap reset.
-    /// Callers must [`sync_block_residency`](Self::sync_block_residency)
-    /// afterwards.
     #[inline]
     pub fn clear_block_hot(&mut self, idx: VaBlockIdx) {
+        self.set_resident(idx, PageMask::EMPTY);
         let i = idx.0 as usize;
-        self.resident[i] = PageMask::EMPTY;
         self.dirty[i] = PageMask::EMPTY;
         self.touched[i] = PageMask::EMPTY;
         self.backed[i] = PageMask::EMPTY;
@@ -311,30 +323,6 @@ impl ManagedSpace {
     /// Count of currently resident pages across the space (diagnostic).
     pub fn resident_pages(&self) -> u64 {
         self.resident.iter().map(|m| m.count() as u64).sum()
-    }
-
-    /// Refresh the dense residency index for `idx` from its block's
-    /// `resident` mask. Must be called after every mutation of a block's
-    /// residency (fault service, eviction, hint prefetch, host access).
-    /// Words whose value differs are logged as residency change events
-    /// (value-diffed, so e.g. evicting an already-empty word publishes
-    /// nothing and subscribed blocks stay clean).
-    #[inline]
-    pub fn sync_block_residency(&mut self, idx: VaBlockIdx) {
-        let w0 = idx.0 as usize * WORDS_PER_BLOCK;
-        let old = &mut self.resident_bits[w0..w0 + WORDS_PER_BLOCK];
-        let new = self.resident[idx.0 as usize].words();
-        for (i, (o, &n)) in old.iter_mut().zip(new).enumerate() {
-            if *o != n {
-                *o = n;
-                if self.change_log.len() < CHANGE_LOG_CAP {
-                    self.change_log.push((w0 + i) as u32);
-                } else {
-                    self.change_log[self.change_seq as usize % CHANGE_LOG_CAP] = (w0 + i) as u32;
-                }
-                self.change_seq += 1;
-            }
-        }
     }
 
     /// True if `page` belongs to some allocation.
@@ -347,25 +335,12 @@ impl ManagedSpace {
 impl Residency for ManagedSpace {
     #[inline]
     fn is_resident(&self, page: GlobalPage) -> bool {
-        let w = page.0 as usize / 64;
-        debug_assert!(w < self.resident_bits.len(), "access outside managed space");
-        let hit = self.resident_bits[w] & (1u64 << (page.0 % 64)) != 0;
-        // The dense index must mirror the per-block masks; a mismatch
-        // means a mutation site forgot to call `sync_block_residency`.
-        debug_assert_eq!(
-            hit,
-            self.resident[page.vablock().0 as usize].get(page.offset_in_vablock()),
-            "dense residency index out of sync for page {}",
-            page.0
-        );
-        hit
+        self.resident[page.vablock().0 as usize].get(page.offset_in_vablock())
     }
 
     #[inline]
     fn resident_word(&self, page: GlobalPage) -> u64 {
-        let w = page.0 as usize / 64;
-        debug_assert!(w < self.resident_bits.len(), "access outside managed space");
-        self.resident_bits[w]
+        self.resident[page.vablock().0 as usize].words()[page.offset_in_vablock() / 64]
     }
 
     #[inline]
@@ -413,7 +388,7 @@ mod tests {
         let mut s = ManagedSpace::new();
         s.alloc(VABLOCK_SIZE + PAGE_SIZE, "a"); // 513 pages
         assert_eq!(s.num_blocks(), 2);
-        assert!(s.valid(VaBlockIdx(0)).is_full());
+        assert_eq!(*s.valid(VaBlockIdx(0)), PageMask::FULL);
         assert_eq!(s.valid(VaBlockIdx(1)).count(), 1);
         assert!(s.is_valid(GlobalPage(512)));
         assert!(!s.is_valid(GlobalPage(513)));
@@ -429,12 +404,12 @@ mod tests {
         let vb = VaBlockIdx(2);
         assert_eq!(s.valid(vb).count(), 67);
         let base = 2 * 512u64;
-        // Mark the last two valid pages resident and refresh the dense
-        // word index the fault-service hot path reads.
-        s.resident_mut(vb).set(65);
-        s.resident_mut(vb).set(66);
-        s.sync_block_residency(vb);
-        // The dense word mirrors exactly those bits: offsets 1 and 2 of
+        // Mark the last two valid pages resident.
+        let mut m = PageMask::EMPTY;
+        m.set(65);
+        m.set(66);
+        s.set_resident(vb, m);
+        // The residency word holds exactly those bits: offsets 1 and 2 of
         // the block's partial word, and nothing at or past the valid end.
         let word = s.resident_word(GlobalPage(base + 64));
         assert_eq!(word, (1 << 1) | (1 << 2));
@@ -443,13 +418,53 @@ mod tests {
         assert!(s.is_resident(GlobalPage(base + 66)));
         assert!(!s.is_valid(GlobalPage(base + 67)));
         assert_eq!(word >> 3, 0, "no phantom residency beyond the valid region");
-        // Every page of the word shares the same dense word (the word
+        // Every page of the word shares the same residency word (the word
         // fetch the per-µTLB dedup loop amortises across 64 pages).
         assert_eq!(s.resident_word(GlobalPage(base + 127)), word);
         // Clearing the block's hot state zeroes the partial word too.
         s.clear_block_hot(vb);
-        s.sync_block_residency(vb);
         assert_eq!(s.resident_word(GlobalPage(base + 64)), 0);
+    }
+
+    /// The global word indices published since `since`, oldest first.
+    fn published_since(s: &ManagedSpace, since: u64) -> Vec<u64> {
+        let mut words = Vec::new();
+        assert!(s.changed_words_since(since, &mut |w| words.push(w)));
+        words
+    }
+
+    #[test]
+    fn set_resident_publishes_exactly_the_changed_words() {
+        let mut s = ManagedSpace::new();
+        // 2 full blocks + 67 pages, as in the partial-word test above.
+        s.alloc(2 * VABLOCK_SIZE + 67 * PAGE_SIZE, "odd");
+        let vb = VaBlockIdx(1);
+        let mut m = PageMask::EMPTY;
+        m.set(70); // word 1
+        m.set(400); // word 6
+        let seq = s.change_seq().unwrap();
+        s.set_resident(vb, m);
+        assert_eq!(published_since(&s, seq), [8 + 1, 8 + 6], "ascending words");
+        // Rewriting the identical mask publishes nothing.
+        let seq = s.change_seq().unwrap();
+        s.set_resident(vb, m);
+        assert_eq!(s.change_seq(), Some(seq));
+        // Flipping one bit back in each of words 1 and 6 publishes both.
+        let mut flipped = m;
+        flipped.clear(70);
+        flipped.set(401);
+        s.set_resident(vb, flipped);
+        assert_eq!(published_since(&s, seq), [8 + 1, 8 + 6]);
+        // Clearing the partial final block publishes only its non-zero
+        // words 0 and 1 (pages 64..67), never the six empty ones.
+        let last = VaBlockIdx(2);
+        let mut m = PageMask::EMPTY;
+        m.set(3);
+        m.set(66);
+        s.set_resident(last, m);
+        let seq = s.change_seq().unwrap();
+        s.clear_block_hot(last);
+        assert_eq!(published_since(&s, seq), [2 * 8, 2 * 8 + 1]);
     }
 
     #[test]
@@ -458,8 +473,9 @@ mod tests {
         s.alloc(VABLOCK_SIZE, "a");
         let p = GlobalPage(37);
         assert!(!s.is_resident(p));
-        s.resident_mut(VaBlockIdx(0)).set(37);
-        s.sync_block_residency(VaBlockIdx(0));
+        let mut m = PageMask::EMPTY;
+        m.set(37);
+        s.set_resident(VaBlockIdx(0), m);
         assert!(s.is_resident(p));
         assert_eq!(s.resident_pages(), 1);
     }
@@ -469,7 +485,9 @@ mod tests {
         let mut s = ManagedSpace::new();
         s.alloc(VABLOCK_SIZE, "a");
         let vb = VaBlockIdx(0);
-        s.resident_mut(vb).set(1);
+        let mut m = PageMask::EMPTY;
+        m.set(1);
+        s.set_resident(vb, m);
         s.dirty_mut(vb).set(1);
         s.touched_mut(vb).set(1);
         s.backed_mut(vb).set_range(0, 16);
@@ -484,7 +502,6 @@ mod tests {
         assert!(s.evicted_ever(vb).get(3) && s.evicted_unused(vb).get(3));
         assert_eq!(s.eviction_count(vb), 1);
         s.clear_block_hot(vb);
-        s.sync_block_residency(vb);
         assert!(s.resident(vb).is_empty() && s.dirty(vb).is_empty());
         assert!(s.touched(vb).is_empty() && s.is_unbacked(vb));
         // Cold provenance arrays survive the hot-state reset.

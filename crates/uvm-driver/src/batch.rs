@@ -113,7 +113,7 @@ pub fn gather_into(
             // Batch/Block policies leave such entries behind) — or, if the
             // page arrived via prefetch and was never accessed, the
             // prefetcher beat the fault: a PrefetchHit. `touched` is not
-            // part of the dense residency index, so no sync is needed.
+            // residency, so marking it publishes no change event.
             batch.duplicates += 1;
             if !space.touched(vb).get(off) {
                 batch.prefetch_hits += 1;
@@ -180,6 +180,12 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs(1)
     }
 
+    fn page_7() -> PageMask {
+        let mut m = PageMask::EMPTY;
+        m.set(7);
+        m
+    }
+
     #[test]
     fn groups_sorted_by_vablock() {
         let (mut buf, mut space) = setup(&[
@@ -207,7 +213,7 @@ mod tests {
     #[test]
     fn resident_pages_are_stale_duplicates() {
         let (mut buf, mut space) = setup(&[(7, AccessType::Read), (9, AccessType::Read)]);
-        space.resident_mut(VaBlockIdx(0)).set(7);
+        space.set_resident(VaBlockIdx(0), page_7());
         let b = gather(&mut buf, 256, late(), &mut space);
         assert_eq!(b.duplicates, 1);
         assert_eq!(b.new_fault_pages(), 1);
@@ -221,7 +227,7 @@ mod tests {
         // the GPU's fault raced the migration — a PrefetchHit, after which
         // the page counts as touched.
         let (mut buf, mut space) = setup(&[(7, AccessType::Read)]);
-        space.resident_mut(VaBlockIdx(0)).set(7);
+        space.set_resident(VaBlockIdx(0), page_7());
         let b = gather(&mut buf, 256, late(), &mut space);
         assert_eq!(b.duplicates, 1);
         assert_eq!(b.prefetch_hits, 1);
@@ -231,7 +237,7 @@ mod tests {
     #[test]
     fn stale_entry_on_touched_page_is_a_replay_duplicate() {
         let (mut buf, mut space) = setup(&[(7, AccessType::Read)]);
-        space.resident_mut(VaBlockIdx(0)).set(7);
+        space.set_resident(VaBlockIdx(0), page_7());
         space.touched_mut(VaBlockIdx(0)).set(7);
         let b = gather(&mut buf, 256, late(), &mut space);
         assert_eq!(b.duplicates, 1);

@@ -550,7 +550,8 @@ impl UvmDriver {
             self.block_stats[vb.0 as usize].refault_faults += n_refault;
             self.block_faults[vb.0 as usize] += n_faulted;
             self.space.touched_mut(vb).or_with(&plan.faulted);
-            self.space.resident_mut(vb).or_with(&plan.to_migrate);
+            let resident = self.space.resident(vb).union(&plan.to_migrate);
+            self.space.set_resident(vb, resident);
             self.space.prefetched_ever_mut(vb).or_with(&plan.prefetch);
             let dirty_new = group.write_mask.intersect(&plan.faulted);
             self.space.dirty_mut(vb).or_with(&dirty_new);
@@ -586,7 +587,6 @@ impl UvmDriver {
                 }
             }
         }
-        self.space.sync_block_residency(vb);
         self.lru.touch(vb);
 
         self.counters.pages_faulted_in += plan.faulted.count() as u64;
@@ -663,7 +663,6 @@ impl UvmDriver {
                 continue;
             }
             if self.thrash.is_pinned(v) {
-                self.thrash.note_skip();
                 self.spans.instant(SpanKind::ThrashSkip, now, v.0, 0);
                 skipped_pinned.push(v);
                 continue;
@@ -767,7 +766,6 @@ impl UvmDriver {
         eu.andnot_with(&used);
         self.space.clear_block_hot(victim);
         self.space.bump_eviction_count(victim);
-        self.space.sync_block_residency(victim);
 
         let mut cost = self.cost.evict_fixed() + self.cost.unmap_pages(resident_pages);
         if dirty_pages > 0 {
@@ -906,9 +904,9 @@ impl UvmDriver {
                 vb.0,
                 n,
             );
-            self.space.resident_mut(vb).or_with(&wanted);
+            let resident = self.space.resident(vb).union(&wanted);
+            self.space.set_resident(vb, resident);
             self.space.prefetched_ever_mut(vb).or_with(&wanted);
-            self.space.sync_block_residency(vb);
             self.lru.touch(vb);
             self.counters.pages_hint_prefetched += n;
             // Provenance: hint-prefetched pages arrive untouched (the
@@ -981,7 +979,7 @@ impl UvmDriver {
             );
             self.xfer.record_d2h(n * PAGE_SIZE);
             self.attribution.host_migrated_bytes += n * PAGE_SIZE;
-            *self.space.resident_mut(vb) = PageMask::EMPTY;
+            self.space.set_resident(vb, PageMask::EMPTY);
             *self.space.dirty_mut(vb) = PageMask::EMPTY;
             // Provenance: migrating back to the host is paged
             // bidirectional migration, not eviction thrash — reset
@@ -995,7 +993,6 @@ impl UvmDriver {
             self.space.evicted_unused_mut(vb).andnot_with(&resident);
             let backed_pages = self.space.backed_pages(vb) as u64;
             *self.space.backed_mut(vb) = PageMask::EMPTY;
-            self.space.sync_block_residency(vb);
             self.pma.free(backed_pages * PAGE_SIZE);
             self.lru.remove(vb);
             self.counters.pages_migrated_to_host += n;
@@ -1039,11 +1036,6 @@ impl UvmDriver {
                 .iter_set()
                 .map(move |off| gpu_model::GlobalPage(base + off as u64))
         })
-    }
-
-    /// The thrashing detector (pin statistics).
-    pub fn thrash_detector(&self) -> &ThrashDetector {
-        &self.thrash
     }
 
     /// Per-batch fault-count distribution (paper §III-D analysis).

@@ -49,11 +49,21 @@ impl DensityTree {
     pub fn region_for(&self, leaf: usize, threshold: u8) -> (usize, usize) {
         debug_assert!(leaf < PAGES_PER_VABLOCK);
         debug_assert!((1..=100).contains(&threshold));
+        // The level whose nodes are one whole 64-page mask word.
+        const WORD_LEVEL: usize = 6;
         let mut best = (0usize, leaf);
         let mut idx = leaf;
+        let mut count = 0u32;
         for level in 0..=PREFETCH_TREE_LEVELS {
             let size = 1u32 << level;
-            let count = self.count(level, idx) as u32;
+            count = if level <= WORD_LEVEL {
+                self.count(level, idx) as u32
+            } else {
+                // Above a word, the node is the previous level's node on
+                // the leaf's path plus that node's sibling: only the
+                // sibling half needs a popcount.
+                count + self.count(level - 1, (leaf >> (level - 1)) ^ 1) as u32
+            };
             // density > threshold%  <=>  count * 100 > threshold * size
             if count * 100 > threshold as u32 * size {
                 best = (level, idx);

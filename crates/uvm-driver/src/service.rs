@@ -114,9 +114,10 @@ mod tests {
         let mut space = ManagedSpace::new();
         space.alloc(4 * VABLOCK_SIZE, "plan");
         // Page 5 already resident: only page 6 faults, whole block unbacked.
-        space.resident_mut(VaBlockIdx(1)).set(5);
+        let mut page_5 = PageMask::EMPTY;
+        page_5.set(5);
+        space.set_resident(VaBlockIdx(1), page_5);
         space.backed_mut(VaBlockIdx(1)).set(5);
-        space.sync_block_residency(VaBlockIdx(1));
         let mut fault_mask = PageMask::EMPTY;
         fault_mask.set(5);
         fault_mask.set(6);

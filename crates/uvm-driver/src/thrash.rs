@@ -40,8 +40,6 @@ pub struct ThrashDetector {
     scores: Vec<u32>,
     pinned_until: Vec<u64>,
     batch_no: u64,
-    pins: u64,
-    skips: u64,
     refaults: u64,
 }
 
@@ -54,8 +52,6 @@ impl ThrashDetector {
             scores: vec![0; num_blocks],
             pinned_until: vec![0; num_blocks],
             batch_no: 0,
-            pins: 0,
-            skips: 0,
             refaults: 0,
         }
     }
@@ -86,7 +82,6 @@ impl ThrashDetector {
         if self.scores[i] >= self.cfg.refault_threshold && !self.is_pinned(block) {
             self.pinned_until[i] = self.batch_no + self.cfg.pin_duration_batches;
             self.scores[i] = 0;
-            self.pins += 1;
             return true;
         }
         false
@@ -95,21 +90,6 @@ impl ThrashDetector {
     /// True if `block` is currently pinned against eviction.
     pub fn is_pinned(&self, block: VaBlockIdx) -> bool {
         self.cfg.enabled && self.pinned_until[block.0 as usize] > self.batch_no
-    }
-
-    /// Total pins ever applied.
-    pub fn pins(&self) -> u64 {
-        self.pins
-    }
-
-    /// Record that the eviction path skipped a pinned victim.
-    pub fn note_skip(&mut self) {
-        self.skips += 1;
-    }
-
-    /// Eviction victims skipped thanks to pins.
-    pub fn skips(&self) -> u64 {
-        self.skips
     }
 
     /// Total refaults observed (faults on previously-evicted blocks),
@@ -145,7 +125,6 @@ mod tests {
             assert!(!d.note_refault(b(0)));
         }
         assert!(!d.is_pinned(b(0)));
-        assert_eq!(d.pins(), 0);
         assert_eq!(d.refaults(), 10, "refaults counted even when disabled");
     }
 
@@ -157,7 +136,6 @@ mod tests {
         assert!(d.note_refault(b(3)), "second refault pins");
         assert!(d.is_pinned(b(3)));
         assert!(!d.is_pinned(b(4)));
-        assert_eq!(d.pins(), 1);
     }
 
     #[test]
@@ -171,21 +149,19 @@ mod tests {
         }
         assert!(!d.is_pinned(b(0)), "pin expired");
         // A fresh pair of refaults re-pins.
-        d.note_refault(b(0));
-        d.note_refault(b(0));
+        assert!(!d.note_refault(b(0)));
+        assert!(d.note_refault(b(0)), "second refault after expiry re-pins");
         assert!(d.is_pinned(b(0)));
-        assert_eq!(d.pins(), 2);
     }
 
     #[test]
     fn refaults_while_pinned_do_not_repin() {
         let mut d = enabled();
         d.note_refault(b(1));
-        d.note_refault(b(1));
-        assert_eq!(d.pins(), 1);
+        assert!(d.note_refault(b(1)));
         assert!(!d.note_refault(b(1)), "already pinned");
         assert!(!d.note_refault(b(1)));
-        assert_eq!(d.pins(), 1);
+        assert!(d.is_pinned(b(1)));
     }
 
     #[test]

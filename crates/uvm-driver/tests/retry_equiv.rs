@@ -10,7 +10,7 @@
 
 use gpu_model::{
     BlockTrace, EngineCounters, FaultBuffer, FaultBufferConfig, GlobalPage, GpuConfig, GpuEngine,
-    RetryMode, VaBlockIdx, WorkloadTrace,
+    PageMask, RetryMode, VaBlockIdx, WorkloadTrace,
 };
 use proptest::prelude::*;
 use sim_engine::units::VABLOCK_SIZE;
@@ -52,8 +52,8 @@ fn build_trace(block_steps: &[Vec<u64>]) -> WorkloadTrace {
 type EngineOutput = (Vec<Vec<(u64, u32)>>, EngineCounters, Vec<Vec<u64>>);
 
 /// Drive the engine to completion with a deterministic mini-driver:
-/// each round fetches the buffered faults, services the first few
-/// (resident + sync), and every third round evicts one block wholesale —
+/// each round fetches the buffered faults, services the first few (one
+/// `set_resident` each), and every third round evicts one block wholesale —
 /// so pending lists are repeatedly invalidated both by commits and by
 /// evictions while other blocks' lists stay clean and skippable.
 fn run_engine(block_steps: &[Vec<u64>], retry: RetryMode) -> EngineOutput {
@@ -82,15 +82,12 @@ fn run_engine(block_steps: &[Vec<u64>], retry: RetryMode) -> EngineOutput {
         for e in entries.iter().take(5) {
             let page = e.page.0;
             let idx = VaBlockIdx(page / 512);
-            space.resident_mut(idx).set((page % 512) as usize);
-            space.sync_block_residency(idx);
+            let mut resident = *space.resident(idx);
+            resident.set((page % 512) as usize);
+            space.set_resident(idx, resident);
         }
         if round % 3 == 2 {
-            let idx = VaBlockIdx((round / 3) % BLOCKS);
-            for p in 0..512 {
-                space.resident_mut(idx).clear(p);
-            }
-            space.sync_block_residency(idx);
+            space.set_resident(VaBlockIdx((round / 3) % BLOCKS), PageMask::EMPTY);
         }
         eng.replay();
         round += 1;
@@ -130,10 +127,9 @@ fn eviction_invalidates_subscribed_word() {
     for retry in [RetryMode::Event, RetryMode::CrossCheck] {
         let mut space = ManagedSpace::new();
         space.alloc(VABLOCK_SIZE, "evict-wake");
-        for p in 0..4 {
-            space.resident_mut(VaBlockIdx(0)).set(p);
-        }
-        space.sync_block_residency(VaBlockIdx(0));
+        let mut pages_0_to_3 = PageMask::EMPTY;
+        pages_0_to_3.set_span(0, 4);
+        space.set_resident(VaBlockIdx(0), pages_0_to_3);
 
         // Step 1 hits resident pages 0..4; step 2 stalls on page 10,
         // subscribing the block to residency word 0.
@@ -160,10 +156,7 @@ fn eviction_invalidates_subscribed_word() {
         // Evict the resident pages: word 0's value changes, so the
         // subscriber must be dirtied and forced through a real rescan
         // (page 10 is still missing, so it re-raises — no closed form).
-        for p in 0..4 {
-            space.resident_mut(VaBlockIdx(0)).clear(p);
-        }
-        space.sync_block_residency(VaBlockIdx(0));
+        space.set_resident(VaBlockIdx(0), PageMask::EMPTY);
         eng.replay();
         assert_eq!(
             eng.run(&space, &mut buf, SimTime::ZERO),
@@ -177,8 +170,9 @@ fn eviction_invalidates_subscribed_word() {
 
         // Service the miss: the commit changes word 0 again, waking the
         // block; the rescan sees the page resident and completes.
-        space.resident_mut(VaBlockIdx(0)).set(10);
-        space.sync_block_residency(VaBlockIdx(0));
+        let mut page_10 = PageMask::EMPTY;
+        page_10.set(10);
+        space.set_resident(VaBlockIdx(0), page_10);
         eng.replay();
         assert_eq!(
             eng.run(&space, &mut buf, SimTime::ZERO),

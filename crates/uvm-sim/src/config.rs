@@ -90,7 +90,7 @@ mod tests {
     #[test]
     fn titan_v_matches_paper_platform() {
         let c = SimConfig::titan_v();
-        assert_eq!(c.gpu.num_sms, 80);
+        assert_eq!(c.gpu.max_blocks_resident, 1280);
         assert_eq!(c.driver.gpu_memory_bytes, 12 * GIB);
         assert_eq!(c.driver.batch_size, 256);
     }
@@ -99,7 +99,7 @@ mod tests {
     fn scaled_preserves_ratio_machinery() {
         let c = SimConfig::scaled(1.0 / 16.0);
         assert_eq!(c.driver.gpu_memory_bytes, 12 * GIB / 16);
-        assert_eq!(c.gpu.num_sms, 80, "compute model unchanged");
+        assert_eq!(c.gpu.max_blocks_resident, 1280, "compute model unchanged");
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! failure-injection scenarios that span module boundaries.
 
 use gpu_model::{
-    BlockTrace, FaultBuffer, FaultBufferConfig, GlobalPage, GpuConfig, GpuEngine, Residency,
-    VaBlockIdx, WorkloadTrace,
+    BlockTrace, FaultBuffer, FaultBufferConfig, GlobalPage, GpuConfig, GpuEngine, PageMask,
+    Residency, VaBlockIdx, WorkloadTrace,
 };
 use sim_engine::units::{MIB, VABLOCK_SIZE};
 use sim_engine::{CostModel, SimDuration, SimRng, SimTime};
@@ -261,7 +261,7 @@ fn thrash_pinning_protects_faultless_hot_data() {
         }
         (
             driver.space().eviction_count(VaBlockIdx(0)),
-            driver.thrash_detector().pins(),
+            driver.counters().thrash_pins,
         )
     };
     let (stock_evictions, stock_pins) = run_with(uvm_driver::ThrashConfig::default());
@@ -351,10 +351,9 @@ fn managed_space_is_the_single_residency_oracle() {
     // same object: what the driver marks resident, the engine hits.
     let mut space = ManagedSpace::new();
     let range = space.alloc(VABLOCK_SIZE, "x");
-    space
-        .resident_mut(VaBlockIdx(0))
-        .set(range.page(17).offset_in_vablock());
-    space.sync_block_residency(VaBlockIdx(0));
+    let mut mask = PageMask::EMPTY;
+    mask.set(range.page(17).offset_in_vablock());
+    space.set_resident(VaBlockIdx(0), mask);
     assert!(space.is_resident(range.page(17)));
     assert!(!space.is_resident(range.page(18)));
 }
