@@ -213,7 +213,11 @@ fn bench_retry_skip_scan_twin(c: &mut Criterion) {
                 black_box(engine.run(&space, &mut buffer, SimTime::ZERO))
             })
         });
-    assert_eq!(engine.counters().retries_skipped, 0, "scan mode must never skip");
+    assert_eq!(
+        engine.counters().retries_skipped,
+        0,
+        "scan mode must never skip"
+    );
 }
 
 /// Event-driven path with one residency word changing per replay: block 0

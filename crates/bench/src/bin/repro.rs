@@ -212,7 +212,10 @@ fn parse_or_usage<T: std::str::FromStr>(arg: Option<&String>) -> T {
 
 /// Parse a count flag's value, which must be an integer >= 1, or
 /// `error:` and exit 2.
-fn parse_positive<T: std::str::FromStr + PartialOrd + From<u8>>(arg: Option<&String>, flag: &str) -> T {
+fn parse_positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    arg: Option<&String>,
+    flag: &str,
+) -> T {
     match arg.and_then(|s| s.parse::<T>().ok()) {
         Some(n) if n >= T::from(1) => n,
         _ => {
@@ -256,7 +259,10 @@ struct RunFlags {
 /// consume a value), which returns false for one it does not know.
 /// Then size the thread pool, arm metrics sampling and set the progress
 /// line.
-fn parse_run_flags(args: &[String], mut other: impl FnMut(&[String], &mut usize) -> bool) -> RunFlags {
+fn parse_run_flags(
+    args: &[String],
+    mut other: impl FnMut(&[String], &mut usize) -> bool,
+) -> RunFlags {
     let mut flags = RunFlags {
         scale_den: 16.0,
         out_dir: PathBuf::from("repro-out"),
@@ -318,7 +324,9 @@ fn cmd_bench_append(path: &str, name: &str, wall_seconds: f64) -> ! {
         ("wall_seconds".to_string(), Value::F64(wall_seconds)),
     ]);
     append_trend_or_exit(path, read_json_or_exit(path, 1), entry);
-    out(&format!("{path}: ci_trend += {{{name}, {wall_seconds:.3}s}}"));
+    out(&format!(
+        "{path}: ci_trend += {{{name}, {wall_seconds:.3}s}}"
+    ));
     std::process::exit(0);
 }
 
@@ -419,7 +427,9 @@ fn cmd_check(paths: &[String]) -> ! {
 /// map is appended — with a root-cause delta diff across each cliff's
 /// bracketing cells when their sample CSVs are on hand.
 fn cmd_report(dir: &str) -> ! {
-    let set = load_or_exit(dir, "sample CSVs", |s| !s.samples.is_empty() || !s.oversubs.is_empty());
+    let set = load_or_exit(dir, "sample CSVs", |s| {
+        !s.samples.is_empty() || !s.oversubs.is_empty()
+    });
     let mut sections = Vec::new();
     if !set.samples.is_empty() {
         sections.push(bench::metricsio::render_report(&set.samples, 20));
@@ -430,7 +440,12 @@ fn cmd_report(dir: &str) -> ! {
                 .map_err(|e| format!("{}: {e}", o.path.display())),
         );
     }
-    out_or_exit(sections.into_iter().collect::<Result<Vec<_>, _>>().map(|s| s.join("\n")));
+    out_or_exit(
+        sections
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+            .map(|s| s.join("\n")),
+    );
 }
 
 /// `repro explain <metrics-dir>`: render the per-fault root-cause
@@ -650,7 +665,10 @@ fn cmd_submit(args: &[String]) -> ! {
     if args.get(1).map(String::as_str) == Some("--shutdown") {
         std::process::exit(client::shutdown(socket));
     }
-    let experiment = args.get(1).filter(|a| !a.starts_with('-')).unwrap_or_else(|| usage());
+    let experiment = args
+        .get(1)
+        .filter(|a| !a.starts_with('-'))
+        .unwrap_or_else(|| usage());
     let mut scale: Option<f64> = None;
     let mut ndjson = false;
     let mut i = 2;
@@ -719,12 +737,18 @@ fn cmd_oversub(args: &[String]) -> ! {
 
     let write_oversub = |dir: &std::path::Path| {
         bench::metricsio::write_oversub(dir, &outcome.cells, &outcome.cliffs).unwrap_or_else(|e| {
-            eprintln!("error: write oversub artefacts under {}: {e}", dir.display());
+            eprintln!(
+                "error: write oversub artefacts under {}: {e}",
+                dir.display()
+            );
             std::process::exit(1)
         })
     };
     let written = write_oversub(&out_dir);
-    out(&bench::metricsio::render_cliff_map(&outcome.cells, &outcome.cliffs));
+    out(&bench::metricsio::render_cliff_map(
+        &outcome.cells,
+        &outcome.cliffs,
+    ));
     for path in &written {
         out(&format!("  wrote {}", path.display()));
     }
@@ -754,8 +778,13 @@ fn cmd_oversub(args: &[String]) -> ! {
         } else {
             found.iter().map(|&r| r as f64).sum::<f64>() / found.len() as f64 / 100.0
         };
-        let perf = [ExperimentPerf::new("oversub", wall, &totals, &phase, &sched)];
-        let cliffs = [("cliff_min_ratio", cliff_min), ("cliff_mean_ratio", cliff_mean)];
+        let perf = [ExperimentPerf::new(
+            "oversub", wall, &totals, &phase, &sched,
+        )];
+        let cliffs = [
+            ("cliff_min_ratio", cliff_min),
+            ("cliff_mean_ratio", cliff_mean),
+        ];
         let path = write_perf_report(&out_dir, scale_den, &perf, total_wall, &cliffs);
         out(&format!("  wrote {}", path.display()));
     }
@@ -1071,7 +1100,11 @@ fn write_perf_report(
 /// Write one experiment's metrics artefacts under `dir` (see
 /// [`bench::metricsio::write_experiment`]), or report the error and
 /// exit 1.
-fn write_metrics_or_exit(dir: &std::path::Path, experiment: &str, sched: &metrics::SweepSchedStats) {
+fn write_metrics_or_exit(
+    dir: &std::path::Path,
+    experiment: &str,
+    sched: &metrics::SweepSchedStats,
+) {
     let points = obs::take_metrics_points();
     match bench::metricsio::write_experiment(dir, experiment, &points, Some(sched)) {
         Ok(written) => out(&format!(

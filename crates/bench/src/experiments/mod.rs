@@ -109,7 +109,10 @@ pub const EXPERIMENTS: &[(&str, ExperimentFn)] = &[
 
 /// Look up an experiment by CLI name.
 pub fn find_experiment(name: &str) -> Option<ExperimentFn> {
-    EXPERIMENTS.iter().find(|(n, _)| *n == name).map(|(_, f)| *f)
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, f)| *f)
 }
 
 /// Simulated faults observed by every sweep since the last
@@ -227,9 +230,15 @@ pub fn run_sweep_labelled(
     obs::collect_metrics(&policies, &reports);
     let faults: u64 = reports.iter().map(|r| r.total_faults()).sum();
     let steps: u64 = reports.iter().map(|r| r.engine.steps_completed).sum();
-    let evicted: u64 = reports.iter().map(|r| r.counters.pages_evicted_total()).sum();
+    let evicted: u64 = reports
+        .iter()
+        .map(|r| r.counters.pages_evicted_total())
+        .sum();
     let prefetched: u64 = reports.iter().map(|r| r.counters.pages_prefetched).sum();
-    let h2d: u64 = reports.iter().map(|r| r.counters.pages_migrated_h2d()).sum();
+    let h2d: u64 = reports
+        .iter()
+        .map(|r| r.counters.pages_migrated_h2d())
+        .sum();
     let skipped: u64 = reports.iter().map(|r| r.engine.retries_skipped).sum();
     let pages_skipped: u64 = reports.iter().map(|r| r.engine.retry_pages_skipped).sum();
     let wakeups: u64 = reports.iter().map(|r| r.engine.wakeups).sum();
@@ -261,7 +270,9 @@ mod tests {
         assert_eq!(cfg.driver.gpu_memory_bytes, 12 * GIB / 16);
         // Past 12 GiB / 1536 the device floor holds, and workloads are
         // sized against it.
-        let tiny = Scale { fraction: 1.0 / 4096.0 };
+        let tiny = Scale {
+            fraction: 1.0 / 4096.0,
+        };
         assert_eq!(tiny.gpu_bytes(), tiny.config().driver.gpu_memory_bytes);
         assert_eq!(tiny.gpu_bytes(), 8 << 20);
     }

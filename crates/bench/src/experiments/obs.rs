@@ -209,8 +209,7 @@ pub fn sweep_begin(n: usize) {
 /// and ordering-independent). Emits a throttled progress line when armed.
 pub fn on_point_done(report: &SimReport) {
     let done = DONE.fetch_add(1, Ordering::Relaxed) + 1;
-    let faults = FAULTS.fetch_add(report.total_faults(), Ordering::Relaxed)
-        + report.total_faults();
+    let faults = FAULTS.fetch_add(report.total_faults(), Ordering::Relaxed) + report.total_faults();
     let sinking = PROGRESS_SINK.lock().unwrap().is_some();
     if !PROGRESS.load(Ordering::Relaxed) && !sinking {
         return;
@@ -351,7 +350,10 @@ mod tests {
         enable_tracing(1 << 14);
         instrument_points(&mut points);
         assert_eq!(points[0].0.driver.span_capacity, Some(1 << 14));
-        assert_eq!(points[0].0.driver.trace_capacity, Some(FAULT_EVENT_CAPACITY));
+        assert_eq!(
+            points[0].0.driver.trace_capacity,
+            Some(FAULT_EVENT_CAPACITY)
+        );
 
         let reports = uvm_sim::run_sweep(points);
         collect_reports(&reports);
@@ -400,10 +402,23 @@ mod tests {
         assert!(!collected.is_empty());
         for p in &collected {
             let last = p.timeseries.last().expect("armed run produced samples");
-            assert_eq!(last.faults_fetched, p.counters.faults_fetched, "{}", p.workload);
+            assert_eq!(
+                last.faults_fetched, p.counters.faults_fetched,
+                "{}",
+                p.workload
+            );
             assert_eq!(last.migrated_bytes_h2d, p.h2d_bytes, "{}", p.workload);
-            assert!(!p.lineage.is_empty(), "metrics arming also arms lineage ({})", p.workload);
-            assert_eq!(last.lineage_events, p.lineage.events_total(), "{}", p.workload);
+            assert!(
+                !p.lineage.is_empty(),
+                "metrics arming also arms lineage ({})",
+                p.workload
+            );
+            assert_eq!(
+                last.lineage_events,
+                p.lineage.events_total(),
+                "{}",
+                p.workload
+            );
             p.lineage
                 .reconcile(last)
                 .unwrap_or_else(|e| panic!("{}: {e}", p.workload));

@@ -127,7 +127,10 @@ mod tests {
             assert!(g.ratios_centi.last().copied().unwrap() >= 150);
             assert!(g.ratios_centi.windows(2).all(|w| w[0] < w[1]));
         }
-        assert!(Grid::full().ratios_centi.len() >= 8, "tentpole: >= 8 grid points");
+        assert!(
+            Grid::full().ratios_centi.len() >= 8,
+            "tentpole: >= 8 grid points"
+        );
         assert_eq!(Grid::full().workloads.len(), WorkloadKind::ALL.len());
     }
 
@@ -139,12 +142,21 @@ mod tests {
         };
         let outcome = run(Scale::QUICK, &grid);
         assert_eq!(outcome.cells.len(), 8);
-        assert_eq!(outcome.cliffs.len(), 4, "one row per policy even with no cliff");
+        assert_eq!(
+            outcome.cliffs.len(),
+            4,
+            "one row per policy even with no cliff"
+        );
         for c in &outcome.cells {
             assert!(c.faults > 0);
             assert!(c.footprint_bytes > 0);
             if c.ratio_centi > 100 {
-                assert!(c.evictions > 0, "{}/{} oversubscribed cell must evict", c.policy, c.ratio_centi);
+                assert!(
+                    c.evictions > 0,
+                    "{}/{} oversubscribed cell must evict",
+                    c.policy,
+                    c.ratio_centi
+                );
             }
         }
         // Deterministic: the same sweep reduces to identical cells.

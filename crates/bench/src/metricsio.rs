@@ -214,10 +214,7 @@ pub fn push_points(
         base.push(("workload", p.workload.as_str()));
         base.push(("ratio", ratio.as_str()));
         base.push(("policy", p.policy));
-        fn with<'a>(
-            base: &[(&'a str, &'a str)],
-            l: (&'a str, &'a str),
-        ) -> Vec<(&'a str, &'a str)> {
+        fn with<'a>(base: &[(&'a str, &'a str)], l: (&'a str, &'a str)) -> Vec<(&'a str, &'a str)> {
             let mut labels = base.to_vec();
             labels.push(l);
             labels
@@ -242,7 +239,11 @@ pub fn push_points(
             );
         }
         for (dir, bytes) in [("h2d", p.h2d_bytes), ("d2h", p.d2h_bytes)] {
-            exp.push(&MIGRATED_BYTES, &with(&base, ("direction", dir)), bytes as f64);
+            exp.push(
+                &MIGRATED_BYTES,
+                &with(&base, ("direction", dir)),
+                bytes as f64,
+            );
         }
         let last = p.timeseries.last().copied().unwrap_or_default();
         exp.push(&REFAULTS, &base, last.refaults as f64);
@@ -268,7 +269,11 @@ pub fn push_points(
     }
     if let Some(s) = sched {
         exp.push(&SWEEP_POINTS, extra, s.points as f64);
-        exp.push(&SWEEP_MAX_STRAGGLER_MS, extra, s.max_point_wall_ns as f64 / 1e6);
+        exp.push(
+            &SWEEP_MAX_STRAGGLER_MS,
+            extra,
+            s.max_point_wall_ns as f64 / 1e6,
+        );
         exp.push(&SWEEP_THREADS, extra, s.threads as f64);
     }
 }
@@ -308,8 +313,8 @@ pub fn write_experiment(
         written.push(lineage);
         if !p.lineage.dumps.is_empty() {
             let flight = exp_dir.join(format!("{}.flight.json", p.file_stem(i)));
-            let body = serde_json::to_string_pretty(&p.lineage.dumps)
-                .expect("flight dumps serialize");
+            let body =
+                serde_json::to_string_pretty(&p.lineage.dumps).expect("flight dumps serialize");
             std::fs::write(&flight, body)?;
             written.push(flight);
         }
@@ -324,7 +329,8 @@ pub fn write_experiment(
 }
 
 /// Header of the per-experiment offender table artefact.
-const OFFENDERS_HEADER: &str = "point\tblock\trefault_faults\tprefetch_evicted_pages\tevictions\tbadness";
+const OFFENDERS_HEADER: &str =
+    "point\tblock\trefault_faults\tprefetch_evicted_pages\tevictions\tbadness";
 
 /// Render the per-experiment offender table (`offenders.tsv`): one row
 /// per (point, offending VABlock), points in sweep order, blocks in
@@ -434,7 +440,10 @@ impl Artefacts {
             _ if file == OVERSUB_FILE => self.read(&path.with_file_name(OVERSUB_PROM), true),
             _ => None,
         };
-        let rel = path.strip_prefix(root).ok().filter(|r| !r.as_os_str().is_empty());
+        let rel = path
+            .strip_prefix(root)
+            .ok()
+            .filter(|r| !r.as_os_str().is_empty());
         let a = Artefact {
             path: path.to_path_buf(),
             name: rel.unwrap_or(path).with_extension("").display().to_string(),
@@ -477,7 +486,11 @@ pub fn load_artefacts<P: AsRef<Path>>(paths: &[P]) -> Artefacts {
             match std::fs::read_dir(&dir).and_then(|d| d.collect::<std::io::Result<Vec<_>>>()) {
                 Ok(entries) => {
                     for path in entries.into_iter().map(|e| e.path()) {
-                        if path.is_dir() { dirs.push(path) } else { files.push(path) }
+                        if path.is_dir() {
+                            dirs.push(path)
+                        } else {
+                            files.push(path)
+                        }
                     }
                 }
                 Err(e) => set.errors.push(format!("{}: {e}", dir.display())),
@@ -537,7 +550,10 @@ pub fn check_artefacts(set: &Artefacts) -> (Vec<String>, Vec<String>) {
         let checked = match finals.iter().find(|(path, _)| **path == csv) {
             Some((_, Ok(last))) => check_lineage(&l.text, l.sibling.as_deref(), last),
             Some((_, Err(e))) => Err(e.clone()),
-            None => Err(format!("no sample CSV {} to reconcile against", csv.display())),
+            None => Err(format!(
+                "no sample CSV {} to reconcile against",
+                csv.display()
+            )),
         };
         if let Err(e) = checked {
             fail(&l.path, e);
@@ -551,9 +567,18 @@ pub fn check_artefacts(set: &Artefacts) -> (Vec<String>, Vec<String>) {
         }
     }
     for (n, what) in [
-        (set.samples.len(), format!("sample CSV(s) ({rows} samples) match the schema and ledger")),
-        (set.lineages.len(), "lineage artefact(s) reconciled against sample CSVs".into()),
-        (set.expositions.len(), format!("exposition(s) ({series} series) well-formed")),
+        (
+            set.samples.len(),
+            format!("sample CSV(s) ({rows} samples) match the schema and ledger"),
+        ),
+        (
+            set.lineages.len(),
+            "lineage artefact(s) reconciled against sample CSVs".into(),
+        ),
+        (
+            set.expositions.len(),
+            format!("exposition(s) ({series} series) well-formed"),
+        ),
     ] {
         if n > 0 {
             lines.push(format!("{n} {what}"));
@@ -585,9 +610,15 @@ pub fn check_artefacts(set: &Artefacts) -> (Vec<String>, Vec<String>) {
         let prom_path = o.path.with_file_name(OVERSUB_PROM);
         if keep(prom) == keep(&render_oversub_exposition(&cells, &cliffs)) {
             let n = keep(prom).len();
-            lines.push(format!("{}: OK — {n} uvm_oversub series match the tsv", prom_path.display()));
+            lines.push(format!(
+                "{}: OK — {n} uvm_oversub series match the tsv",
+                prom_path.display()
+            ));
         } else {
-            fail(&prom_path, "uvm_oversub_* exposition drifts from oversub.tsv".into());
+            fail(
+                &prom_path,
+                "uvm_oversub_* exposition drifts from oversub.tsv".into(),
+            );
         }
     }
     (lines, failures)
@@ -625,15 +656,26 @@ pub fn render_explain(files: &[Artefact], offenders_tsv: Option<&str>) -> Result
     let mut faults = Table::new(
         "fault decomposition by root cause (% of driver-observed faults)",
         &[
-            "point", "faults", "cold_%", "refault_used_%", "refault_unused_%",
-            "prefetch_hit_%", "replay_dup_%",
+            "point",
+            "faults",
+            "cold_%",
+            "refault_used_%",
+            "refault_unused_%",
+            "prefetch_hit_%",
+            "replay_dup_%",
         ],
     );
     let mut pages = Table::new(
         "migration and eviction provenance",
         &[
-            "point", "h2d_MiB", "faulted_MiB", "prefetch_MiB", "hint_MiB", "d2h_MiB",
-            "evicted_pages", "evict_before_use_%",
+            "point",
+            "h2d_MiB",
+            "faulted_MiB",
+            "prefetch_MiB",
+            "hint_MiB",
+            "d2h_MiB",
+            "evicted_pages",
+            "evict_before_use_%",
         ],
     );
     let mib = |b: u64| format!("{:.1}", b as f64 / (1 << 20) as f64);
@@ -679,7 +721,14 @@ fn render_offender_table(tsv: &str) -> Result<String, String> {
     }
     let mut t = Table::new(
         "top offending VABlocks (badness = refaults + prefetched-evicted pages)",
-        &["point", "block", "refault_faults", "prefetch_evicted", "evictions", "badness"],
+        &[
+            "point",
+            "block",
+            "refault_faults",
+            "prefetch_evicted",
+            "evictions",
+            "badness",
+        ],
     );
     let mut rows = 0usize;
     for line in lines.filter(|l| !l.is_empty()) {
@@ -746,7 +795,12 @@ pub fn render_explain_diff(
     );
     let delta = |x: u64, y: u64| format!("{:+}", y as i128 - x as i128);
     for (name, x, y) in explain_delta_rows(&a, &b) {
-        t.row(vec![name.to_string(), x.to_string(), y.to_string(), delta(x, y)]);
+        t.row(vec![
+            name.to_string(),
+            x.to_string(),
+            y.to_string(),
+            delta(x, y),
+        ]);
     }
     let (pa, pb) = (evict_before_use_pct(&a), evict_before_use_pct(&b));
     t.row(vec![
@@ -788,7 +842,11 @@ pub fn render_explain_diff_json(
             ("points".to_string(), Value::U64(points as u64)),
         ])
     };
-    let bp = ("evict_before_use_bp", a.evict_before_use_bp(), b.evict_before_use_bp());
+    let bp = (
+        "evict_before_use_bp",
+        a.evict_before_use_bp(),
+        b.evict_before_use_bp(),
+    );
     let rows: Vec<Value> = explain_delta_rows(&a, &b)
         .into_iter()
         .chain([bp])
@@ -835,24 +893,37 @@ fn read_lineage_point(lineage_text: &str, flight_text: Option<&str>) -> Result<L
 /// refault/reuse-distance histograms, and the prefetch→eviction
 /// antagonism chains, entirely from `.lineage` run artefacts. `block`
 /// narrows the output to one VABlock's lifecycle timeline per point.
-pub fn render_lineage(
-    files: &[Artefact],
-    block: Option<u64>,
-) -> Result<String, String> {
+pub fn render_lineage(files: &[Artefact], block: Option<u64>) -> Result<String, String> {
     use LineageEventKind as K;
     let mut out = String::new();
     let mut totals = Table::new(
         "lineage event totals (pages per kind)",
         &[
-            "point", "first_touch", "refault", "prefetch_in", "hint", "evicted", "writeback",
-            "host_wb", "replays", "events", "dropped", "dumps",
+            "point",
+            "first_touch",
+            "refault",
+            "prefetch_in",
+            "hint",
+            "evicted",
+            "writeback",
+            "host_wb",
+            "replays",
+            "events",
+            "dropped",
+            "dumps",
         ],
     );
     let mut analytics = Table::new(
         "refault / reuse distance analytics (pass-distance percentiles from the stored stream)",
         &[
-            "point", "blocks", "refault_p50", "refault_p95", "reuse_p50", "reuse_p95",
-            "antagonism_chains", "chain_refaults",
+            "point",
+            "blocks",
+            "refault_p50",
+            "refault_p95",
+            "reuse_p50",
+            "reuse_p95",
+            "antagonism_chains",
+            "chain_refaults",
         ],
     );
     let mut parsed = Vec::new();
@@ -967,14 +1038,23 @@ pub fn render_report(files: &[Artefact], max_timeline_rows: usize) -> Result<Str
     let mut summary = Table::new(
         "per-run cost decomposition (final totals)",
         &[
-            "point", "sim_ms", "faults", "evict_pages", "refaults", "h2d_MiB", "d2h_MiB",
-            "coverage_%", "batch_p95_us",
+            "point",
+            "sim_ms",
+            "faults",
+            "evict_pages",
+            "refaults",
+            "h2d_MiB",
+            "d2h_MiB",
+            "coverage_%",
+            "batch_p95_us",
         ],
     );
     let mut parsed = Vec::new();
     for Artefact { name, text, .. } in files {
         let samples = parse_csv(text).map_err(|e| format!("{name}: {e}"))?;
-        let last = samples.last().ok_or_else(|| format!("{name}: no samples"))?;
+        let last = samples
+            .last()
+            .ok_or_else(|| format!("{name}: no samples"))?;
         summary.row(vec![
             name.clone(),
             format!("{:.3}", last.t_ns as f64 / 1e6),
@@ -995,7 +1075,12 @@ pub fn render_report(files: &[Artefact], max_timeline_rows: usize) -> Result<Str
         let mut timeline = Table::new(
             format!("{name}: fault/eviction timeline"),
             &[
-                "t_ms", "d_faults", "d_evictions", "d_h2d_MiB", "d_d2h_MiB", "resident_pages",
+                "t_ms",
+                "d_faults",
+                "d_evictions",
+                "d_h2d_MiB",
+                "d_d2h_MiB",
+                "resident_pages",
             ],
         );
         // Down-sample by stride so long runs still print compactly; the
@@ -1013,8 +1098,14 @@ pub fn render_report(files: &[Artefact], max_timeline_rows: usize) -> Result<Str
                 format!("{:.3}", s.t_ns as f64 / 1e6),
                 d(|s| s.faults_fetched).to_string(),
                 d(|s| s.evictions).to_string(),
-                format!("{:.2}", d(|s| s.migrated_bytes_h2d) as f64 / (1 << 20) as f64),
-                format!("{:.2}", d(|s| s.migrated_bytes_d2h) as f64 / (1 << 20) as f64),
+                format!(
+                    "{:.2}",
+                    d(|s| s.migrated_bytes_h2d) as f64 / (1 << 20) as f64
+                ),
+                format!(
+                    "{:.2}",
+                    d(|s| s.migrated_bytes_d2h) as f64 / (1 << 20) as f64
+                ),
                 s.resident_pages.to_string(),
             ]);
             prev = Some(s);
@@ -1153,10 +1244,13 @@ fn entry_metric(entry: &Value, key: &str) -> Result<Option<f64>, String> {
 
 fn entry_name(entry: &Value) -> Option<String> {
     match entry {
-        Value::Map(m) => m.iter().find(|(k, _)| k == "name").and_then(|(_, v)| match v {
-            Value::Str(s) => Some(s.clone()),
-            _ => None,
-        }),
+        Value::Map(m) => m
+            .iter()
+            .find(|(k, _)| k == "name")
+            .and_then(|(_, v)| match v {
+                Value::Str(s) => Some(s.clone()),
+                _ => None,
+            }),
         _ => None,
     }
 }
@@ -1266,8 +1360,13 @@ pub fn render_findings(findings: &[Finding], threshold: f64) -> String {
         return "no series with enough history to compare — gate passes vacuously\n".into();
     }
     let mut t = Table::new(
-        format!("perf trend vs median baseline (threshold {:.0}%)", threshold * 100.0),
-        &["series", "metric", "baseline", "current", "delta", "runs", "verdict"],
+        format!(
+            "perf trend vs median baseline (threshold {:.0}%)",
+            threshold * 100.0
+        ),
+        &[
+            "series", "metric", "baseline", "current", "delta", "runs", "verdict",
+        ],
     );
     let mut ordered: Vec<&Finding> = findings.iter().collect();
     ordered.sort_by(|a, b| {
@@ -1349,7 +1448,11 @@ pub fn render_oversub_exposition(cells: &[OversubCell], cliffs: &[Cliff]) -> Str
 
 /// Write the oversub heatmap and its exposition into `dir` as
 /// `oversub.tsv` and `oversub.prom`, returning both paths.
-pub fn write_oversub(dir: &Path, cells: &[OversubCell], cliffs: &[Cliff]) -> std::io::Result<[PathBuf; 2]> {
+pub fn write_oversub(
+    dir: &Path,
+    cells: &[OversubCell],
+    cliffs: &[Cliff],
+) -> std::io::Result<[PathBuf; 2]> {
     std::fs::create_dir_all(dir)?;
     let (tsv, prom) = (dir.join(OVERSUB_FILE), dir.join(OVERSUB_PROM));
     std::fs::write(&tsv, metrics::oversub::render_table(cells, cliffs))?;
@@ -1377,7 +1480,9 @@ pub fn render_oversub(heatmap: &Artefact, samples: &[Artefact]) -> Result<String
             .filter(|(_, c)| c.workload == cliff.workload && c.policy == cliff.policy)
             .map(|(i, _)| i)
             .collect();
-        let Some(pos) = curve.iter().position(|&i| cells[i].ratio_centi == cliff.ratio_centi)
+        let Some(pos) = curve
+            .iter()
+            .position(|&i| cells[i].ratio_centi == cliff.ratio_centi)
         else {
             continue;
         };
@@ -1388,7 +1493,9 @@ pub fn render_oversub(heatmap: &Artefact, samples: &[Artefact]) -> Result<String
             let prefix = format!("{idx:02}_");
             samples.iter().find(|a| {
                 a.path.parent() == heatmap.path.parent()
-                    && a.path.file_name().is_some_and(|n| n.to_string_lossy().starts_with(&prefix))
+                    && a.path
+                        .file_name()
+                        .is_some_and(|n| n.to_string_lossy().starts_with(&prefix))
             })
         };
         let (Some(fa), Some(fb)) = (find(curve[pos - 1]), find(curve[pos])) else {
@@ -1516,7 +1623,7 @@ mod tests {
             "uvm_migrated_bytes_total{workload=\"random\",ratio=\"1.25\",policy=\"density\",direction=\"h2d\"} 1024000"
         ));
         // Satellite: recorder drops are visible without opening the trace.
-        assert!(text.contains("uvm_trace_dropped_total{workload=\"regular\"") );
+        assert!(text.contains("uvm_trace_dropped_total{workload=\"regular\""));
         assert!(text.contains("uvm_span_dropped_total"));
         // Quantile-labelled latency family declared once, sampled 6 times.
         assert_eq!(text.matches("# TYPE uvm_batch_latency_ns gauge").count(), 1);
@@ -1599,18 +1706,26 @@ mod tests {
         let last = p.timeseries.samples[1];
         check_lineage(&art, None, &last).expect("consistent pair reconciles");
         // Tamper: the CSV claims one more event than the artefact holds.
-        let bad = Sample { lineage_events: 4, ..last };
+        let bad = Sample {
+            lineage_events: 4,
+            ..last
+        };
         let err = check_lineage(&art, None, &bad).expect_err("tampered pair must fail");
         assert!(err.contains("lineage does not reconcile"), "{err}");
         assert!(err.contains("lineage_events column"), "{err}");
         // Tamper the partition itself: cold faults disagree.
-        let worse = Sample { attr_cold_faults: 99, ..last };
+        let worse = Sample {
+            attr_cold_faults: 99,
+            ..last
+        };
         let err = check_lineage(&art, None, &worse).expect_err("partition mismatch must fail");
         assert!(err.contains("attr_cold_faults"), "{err}");
         // A missing .flight.json while the CSV counted dumps is drift too.
-        let dumped = Sample { flight_dumps: 2, ..last };
-        let err = check_lineage(&art, None, &dumped)
-            .expect_err("missing flight dumps must fail");
+        let dumped = Sample {
+            flight_dumps: 2,
+            ..last
+        };
+        let err = check_lineage(&art, None, &dumped).expect_err("missing flight dumps must fail");
         assert!(err.contains("flight dumps"), "{err}");
     }
 
@@ -1659,11 +1774,20 @@ mod tests {
         let trace = format!("{}[]}}", metrics::chrome::TRACE_PREFIX);
         std::fs::write(dir.join("trace.json"), trace).unwrap();
         let set = load_artefacts(&[&dir]);
-        let kinds = [&set.samples, &set.lineages, &set.expositions, &set.offenders, &set.traces];
+        let kinds = [
+            &set.samples,
+            &set.lineages,
+            &set.expositions,
+            &set.offenders,
+            &set.traces,
+        ];
         assert_eq!(kinds.map(Vec::len), [1, 1, 1, 1, 1], "{set:?}");
         assert_eq!(set.samples[0].name, "fig1/00_regular_r0.50_density");
         let (lines, failures) = check_artefacts(&set);
-        assert!(failures.is_empty() && lines.len() == 4, "{lines:?} {failures:?}");
+        assert!(
+            failures.is_empty() && lines.len() == 4,
+            "{lines:?} {failures:?}"
+        );
         // Named explicitly, any JSON is a trace; a missing path is an
         // error, not an empty set.
         let set = load_artefacts(&[dir.join("fig1.json"), dir.join("absent")]);
@@ -1702,7 +1826,10 @@ mod tests {
         s.faults_fetched += dup;
         s.duplicate_faults = dup;
         s.attr_replay_dup_faults = dup;
-        let files = vec![blob("a", p.timeseries.to_csv()), blob("b", p.timeseries.to_csv())];
+        let files = vec![
+            blob("a", p.timeseries.to_csv()),
+            blob("b", p.timeseries.to_csv()),
+        ];
         render_explain(&files, None).expect("each point reconciles");
         let err = render_explain_diff("x", &files, "y", &files[..1]).expect_err("overflow");
         assert!(err.contains("overflow u64"), "{err}");
@@ -1787,7 +1914,11 @@ mod tests {
         };
         let doc = Value::Map(vec![(
             "ci_trend".to_string(),
-            Value::Seq(vec![entry(10.0, 400.0), entry(10.0, 410.0), entry(10.1, 900.0)]),
+            Value::Seq(vec![
+                entry(10.0, 400.0),
+                entry(10.0, 410.0),
+                entry(10.1, 900.0),
+            ]),
         )]);
         let findings = evaluate_trend(&doc, 0.25, 2).expect("trend evaluates");
         let straggler = findings
@@ -1802,12 +1933,11 @@ mod tests {
 
     #[test]
     fn regress_flags_throughput_drop() {
-        let doc = trend_doc(&[
-            ("fig1", 10.0, Some(1000.0)),
-            ("fig1", 10.0, Some(600.0)),
-        ]);
+        let doc = trend_doc(&[("fig1", 10.0, Some(1000.0)), ("fig1", 10.0, Some(600.0))]);
         let findings = evaluate_trend(&doc, 0.25, 2).expect("trend evaluates");
-        assert!(findings.iter().any(|f| f.metric == "faults_per_sec" && f.regressed));
+        assert!(findings
+            .iter()
+            .any(|f| f.metric == "faults_per_sec" && f.regressed));
     }
 
     #[test]
@@ -1824,9 +1954,16 @@ mod tests {
         // Every gated metric must survive import; nothing else (plus the
         // series name) may.
         for (metric, _) in TREND_METRICS {
-            assert!(TREND_KEEP.contains(metric), "{metric} would be stripped at import");
+            assert!(
+                TREND_KEEP.contains(metric),
+                "{metric} would be stripped at import"
+            );
         }
-        assert_eq!(TREND_KEEP.len(), TREND_METRICS.len() + 1, "only name + gated metrics");
+        assert_eq!(
+            TREND_KEEP.len(),
+            TREND_METRICS.len() + 1,
+            "only name + gated metrics"
+        );
         assert!(TREND_KEEP.contains(&"name"));
     }
 
@@ -1837,19 +1974,35 @@ mod tests {
             ("wall_seconds".to_string(), Value::F64(10.0)),
             ("faults_per_sec".to_string(), Value::F64(1000.0)),
             // Serve-only telemetry that must never reach the baseline:
-            ("build".to_string(), Value::Str("0.1.0+gdeadbeef".to_string())),
-            ("uvm_serve_requests_accepted_total".to_string(), Value::U64(3)),
+            (
+                "build".to_string(),
+                Value::Str("0.1.0+gdeadbeef".to_string()),
+            ),
+            (
+                "uvm_serve_requests_accepted_total".to_string(),
+                Value::U64(3),
+            ),
             ("serve_queue_depth".to_string(), Value::U64(2)),
             ("cache_hits".to_string(), Value::U64(7)),
         ];
         let entry = trend_entry(&record, None);
-        let Value::Map(m) = &entry else { panic!("entry is a map") };
+        let Value::Map(m) = &entry else {
+            panic!("entry is a map")
+        };
         let keys: Vec<&str> = m.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["name", "wall_seconds", "faults_per_sec"]);
         // Renaming only touches the series name.
         let aliased = trend_entry(&record, Some("fig1_scale1_traced"));
-        let Value::Map(m) = &aliased else { panic!("aliased entry is a map") };
-        assert_eq!(m[0], ("name".to_string(), Value::Str("fig1_scale1_traced".to_string())));
+        let Value::Map(m) = &aliased else {
+            panic!("aliased entry is a map")
+        };
+        assert_eq!(
+            m[0],
+            (
+                "name".to_string(),
+                Value::Str("fig1_scale1_traced".to_string())
+            )
+        );
         assert_eq!(m[1].0, "wall_seconds");
     }
 
@@ -1878,7 +2031,10 @@ mod tests {
         let a = evaluate_trend(&clean, 0.25, 2).expect("clean evaluates");
         let b = evaluate_trend(&dirty, 0.25, 2).expect("dirty evaluates");
         assert_eq!(a, b, "serve-only keys changed the gate's findings");
-        assert!(a.iter().any(|f| f.regressed), "the wall regression is still caught");
+        assert!(
+            a.iter().any(|f| f.regressed),
+            "the wall regression is still caught"
+        );
     }
 
     #[test]

@@ -228,7 +228,9 @@ pub fn reconcile(before: &Value, scrape: &str, after: &Value) -> Vec<String> {
         // The scrape happened between the two stats frames, so every
         // monotone counter must land in [before, after].
         if v < a || v > b {
-            drift.push(format!("{family} = {v} outside its stats bracket [{a}, {b}]"));
+            drift.push(format!(
+                "{family} = {v} outside its stats bracket [{a}, {b}]"
+            ));
         }
     }
     match prom_value_with(scrape, "uvm_build_info", "") {
@@ -253,9 +255,9 @@ pub fn reconcile(before: &Value, scrape: &str, after: &Value) -> Vec<String> {
                 let want = u64_field(r, key).unwrap_or(0) as f64;
                 match prom_value_with(scrape, family, &needle) {
                     Some(v) if v == want => {}
-                    Some(v) => drift.push(format!(
-                        "{family}{{{needle}}} = {v}, ledger says {want}"
-                    )),
+                    Some(v) => {
+                        drift.push(format!("{family}{{{needle}}} = {v}, ledger says {want}"))
+                    }
                     None => drift.push(format!("scrape has no {family}{{{needle}}}")),
                 }
             }

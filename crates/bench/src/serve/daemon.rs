@@ -22,8 +22,8 @@ use crate::serve::protocol::{self, Request};
 use metrics::exposition::Exposition;
 use metrics::sched::SweepSchedStats;
 use metrics::serve::{
-    ServeEventKind, ServeEventLog, ServeStats, REQUEST_FAULTS, REQUEST_POINTS,
-    REQUEST_POINTS_DONE, REQUEST_STATE, REQUEST_WALL_SECONDS, SERVE_REGISTRY,
+    ServeEventKind, ServeEventLog, ServeStats, REQUEST_FAULTS, REQUEST_POINTS, REQUEST_POINTS_DONE,
+    REQUEST_STATE, REQUEST_WALL_SECONDS, SERVE_REGISTRY,
 };
 use serde::Value;
 use std::collections::VecDeque;
@@ -158,7 +158,10 @@ impl Shared {
     }
 
     fn note(&self, request: u64, kind: ServeEventKind, a: u64, b: u64) {
-        self.events.lock().unwrap().record(self.t_ms(), request, kind, a, b);
+        self.events
+            .lock()
+            .unwrap()
+            .record(self.t_ms(), request, kind, a, b);
     }
 
     /// Ask every loop to wind down.
@@ -206,7 +209,10 @@ impl Shared {
         }
         for r in self.records.lock().unwrap().iter() {
             let id = r.id.to_string();
-            let base = [("request", id.as_str()), ("experiment", r.experiment.as_str())];
+            let base = [
+                ("request", id.as_str()),
+                ("experiment", r.experiment.as_str()),
+            ];
             exp.push(&REQUEST_POINTS, &base, r.points as f64);
             exp.push(&REQUEST_POINTS_DONE, &base, r.points_done as f64);
             exp.push(&REQUEST_FAULTS, &base, r.faults as f64);
@@ -216,7 +222,10 @@ impl Shared {
         }
         for (id, experiment, points, sched) in self.recent.lock().unwrap().iter() {
             let id = id.to_string();
-            let extra = [("request", id.as_str()), ("experiment", experiment.as_str())];
+            let extra = [
+                ("request", id.as_str()),
+                ("experiment", experiment.as_str()),
+            ];
             metricsio::push_points(&mut exp, points, Some(sched), &extra);
         }
         exp.render()
@@ -251,9 +260,18 @@ impl Shared {
             ("frame".to_string(), Value::Str("stats".to_string())),
             ("build".to_string(), Value::Str(metricsio::build_info())),
             ("http".to_string(), Value::Str(self.http_addr())),
-            ("out".to_string(), Value::Str(self.opts.out.display().to_string())),
-            ("requests_accepted".to_string(), Value::U64(s.requests_accepted)),
-            ("requests_completed".to_string(), Value::U64(s.requests_completed)),
+            (
+                "out".to_string(),
+                Value::Str(self.opts.out.display().to_string()),
+            ),
+            (
+                "requests_accepted".to_string(),
+                Value::U64(s.requests_accepted),
+            ),
+            (
+                "requests_completed".to_string(),
+                Value::U64(s.requests_completed),
+            ),
             ("requests_failed".to_string(), Value::U64(s.requests_failed)),
             ("requests_active".to_string(), Value::U64(s.requests_active)),
             ("queue_depth".to_string(), Value::U64(s.queue_depth)),
@@ -311,7 +329,10 @@ impl Daemon {
         // per-request exposition series both come from the drained
         // MetricsPoints. Sim-clock driven, so simulated output stays
         // bit-identical to an unsampled batch run.
-        obs::enable_metrics(metrics::DEFAULT_SAMPLE_INTERVAL_NS, metrics::DEFAULT_SAMPLE_CAPACITY);
+        obs::enable_metrics(
+            metrics::DEFAULT_SAMPLE_INTERVAL_NS,
+            metrics::DEFAULT_SAMPLE_CAPACITY,
+        );
         // A stale socket file from a crashed daemon would make bind fail.
         if opts.socket.exists() {
             std::fs::remove_file(&opts.socket)?;
@@ -348,13 +369,19 @@ impl Daemon {
         }
         {
             let shared = Arc::clone(&shared);
-            threads.push(std::thread::spawn(move || super::http::http_loop(http, shared)));
+            threads.push(std::thread::spawn(move || {
+                super::http::http_loop(http, shared)
+            }));
         }
         {
             let shared = Arc::clone(&shared);
             threads.push(std::thread::spawn(move || executor_loop(shared)));
         }
-        Ok(Daemon { shared, threads, conns })
+        Ok(Daemon {
+            shared,
+            threads,
+            conns,
+        })
     }
 
     /// Wind everything down: stop the loops, drain the queue with error
@@ -375,7 +402,10 @@ impl Daemon {
         obs::set_sweep_cache(None);
         self.shared.note(0, ServeEventKind::Shutdown, 0, 0);
         let out = &self.shared.opts.out;
-        std::fs::write(out.join("serve-events.tsv"), self.shared.events.lock().unwrap().to_tsv())?;
+        std::fs::write(
+            out.join("serve-events.tsv"),
+            self.shared.events.lock().unwrap().to_tsv(),
+        )?;
         std::fs::write(out.join("serve.prom"), self.shared.render_metrics())?;
         let _ = std::fs::remove_file(&self.shared.opts.socket);
         Ok(())
@@ -482,7 +512,11 @@ fn handle_line(line: &str, writer: &Arc<Mutex<UnixStream>>, shared: &Arc<Shared>
                 );
                 return false;
             }
-            let scale = if scale > 0.0 { scale } else { shared.opts.default_scale };
+            let scale = if scale > 0.0 {
+                scale
+            } else {
+                shared.opts.default_scale
+            };
             let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
             shared.bump(|s| s.requests_accepted += 1);
             shared.records.lock().unwrap().push(RequestRecord {
@@ -500,7 +534,12 @@ fn handle_line(line: &str, writer: &Arc<Mutex<UnixStream>>, shared: &Arc<Shared>
             send_line(writer, &protocol::frame_accepted(id, &experiment, scale));
             {
                 let mut queue = shared.queue.lock().unwrap();
-                queue.push_back(Job { id, experiment, scale, writer: Arc::clone(writer) });
+                queue.push_back(Job {
+                    id,
+                    experiment,
+                    scale,
+                    writer: Arc::clone(writer),
+                });
                 let depth = queue.len() as u64;
                 drop(queue);
                 shared.bump(|s| s.queue_depth = depth);
@@ -548,7 +587,10 @@ fn executor_loop(shared: Arc<Shared>) {
         });
         shared.with_record(job.id, |r| r.state = RequestState::Failed);
         shared.note(job.id, ServeEventKind::Failed, 0, 0);
-        send_line(&job.writer, &protocol::frame_error(Some(job.id), "daemon shutting down"));
+        send_line(
+            &job.writer,
+            &protocol::frame_error(Some(job.id), "daemon shutting down"),
+        );
     }
 }
 
@@ -556,7 +598,12 @@ fn executor_loop(shared: Arc<Shared>) {
 /// experiment on the shared cache, flush artefacts, answer with the
 /// rendered table. Panics are contained to the request.
 fn run_job(shared: &Arc<Shared>, job: Job) {
-    let Job { id, experiment, scale, writer } = job;
+    let Job {
+        id,
+        experiment,
+        scale,
+        writer,
+    } = job;
     shared.bump(|s| s.requests_active = 1);
     shared.with_record(id, |r| r.state = RequestState::Running);
     let f = match experiments::find_experiment(&experiment) {
@@ -596,7 +643,9 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
     obs::take_metrics_points();
     let t0 = Instant::now();
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        f(Scale { fraction: 1.0 / scale })
+        f(Scale {
+            fraction: 1.0 / scale,
+        })
     }));
     let wall = t0.elapsed().as_secs_f64();
     obs::set_progress_sink(None);
@@ -629,7 +678,12 @@ fn run_job(shared: &Arc<Shared>, job: Job) {
                     return;
                 }
             };
-            shared.note(id, ServeEventKind::ArtefactsWritten, artefacts.len() as u64, 0);
+            shared.note(
+                id,
+                ServeEventKind::ArtefactsWritten,
+                artefacts.len() as u64,
+                0,
+            );
             {
                 let mut recent = shared.recent.lock().unwrap();
                 if recent.len() == RECENT_REQUESTS {

@@ -233,7 +233,10 @@ mod tests {
             request_run("fig1", Some(128.0)),
             r#"{"op":"run","experiment":"fig1","scale":128.0}"#
         );
-        assert_eq!(request_run("table2", None), r#"{"op":"run","experiment":"table2"}"#);
+        assert_eq!(
+            request_run("table2", None),
+            r#"{"op":"run","experiment":"table2"}"#
+        );
         assert_eq!(request_op("ping"), r#"{"op":"ping"}"#);
         assert_eq!(request_op("shutdown"), r#"{"op":"shutdown"}"#);
     }
@@ -266,7 +269,10 @@ mod tests {
             frame_error(None, "bad line"),
             r#"{"frame":"error","message":"bad line"}"#
         );
-        assert_eq!(frame_pong("0.1.0+gabc"), r#"{"frame":"pong","build":"0.1.0+gabc"}"#);
+        assert_eq!(
+            frame_pong("0.1.0+gabc"),
+            r#"{"frame":"pong","build":"0.1.0+gabc"}"#
+        );
         assert_eq!(frame_bye(), r#"{"frame":"bye"}"#);
     }
 
@@ -274,20 +280,32 @@ mod tests {
     fn requests_roundtrip_through_parse() {
         assert_eq!(
             parse_request(&request_run("fig1", Some(128.0))),
-            Ok(Request::Run { experiment: "fig1".to_string(), scale: 128.0 })
+            Ok(Request::Run {
+                experiment: "fig1".to_string(),
+                scale: 128.0
+            })
         );
         assert_eq!(
             parse_request(&request_run("fig1", None)),
-            Ok(Request::Run { experiment: "fig1".to_string(), scale: 0.0 })
+            Ok(Request::Run {
+                experiment: "fig1".to_string(),
+                scale: 0.0
+            })
         );
         // Integer scale widens.
         assert_eq!(
             parse_request(r#"{"op":"run","experiment":"fig1","scale":64}"#),
-            Ok(Request::Run { experiment: "fig1".to_string(), scale: 64.0 })
+            Ok(Request::Run {
+                experiment: "fig1".to_string(),
+                scale: 64.0
+            })
         );
         assert_eq!(parse_request(&request_op("stats")), Ok(Request::Stats));
         assert_eq!(parse_request(&request_op("ping")), Ok(Request::Ping));
-        assert_eq!(parse_request(&request_op("shutdown")), Ok(Request::Shutdown));
+        assert_eq!(
+            parse_request(&request_op("shutdown")),
+            Ok(Request::Shutdown)
+        );
     }
 
     #[test]
@@ -299,10 +317,22 @@ mod tests {
             (r#"{"op":"fly"}"#, "unknown op `fly`"),
             (r#"{"op":"run"}"#, "no `experiment`"),
             (r#"{"op":"run","experiment":""}"#, "no `experiment`"),
-            (r#"{"op":"run","experiment":"fig1","scale":"big"}"#, "finite denominator >= 1"),
-            (r#"{"op":"run","experiment":"fig1","scale":-2}"#, "finite denominator >= 1"),
-            (r#"{"op":"run","experiment":"fig1","scale":0}"#, "finite denominator >= 1"),
-            (r#"{"op":"run","experiment":"fig1","scale":0.5}"#, "finite denominator >= 1"),
+            (
+                r#"{"op":"run","experiment":"fig1","scale":"big"}"#,
+                "finite denominator >= 1",
+            ),
+            (
+                r#"{"op":"run","experiment":"fig1","scale":-2}"#,
+                "finite denominator >= 1",
+            ),
+            (
+                r#"{"op":"run","experiment":"fig1","scale":0}"#,
+                "finite denominator >= 1",
+            ),
+            (
+                r#"{"op":"run","experiment":"fig1","scale":0.5}"#,
+                "finite denominator >= 1",
+            ),
         ] {
             let err = parse_request(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
@@ -313,7 +343,10 @@ mod tests {
     fn table_text_with_newlines_survives_framing() {
         let table = "col_a  col_b\n1.000  2.000\n";
         let frame = frame_done(7, "fig3", 0.1, 10, 2, &[], table);
-        assert!(!frame.contains('\n'), "frames must be single lines: {frame}");
+        assert!(
+            !frame.contains('\n'),
+            "frames must be single lines: {frame}"
+        );
         let v: Value = serde_json::from_str(&frame).unwrap();
         assert_eq!(str_field(&v, "table"), Some(table));
         assert_eq!(u64_field(&v, "request"), Some(7));

@@ -734,7 +734,9 @@ impl GpuEngine {
                     Some((
                         out.set.len() >= max_out && fp & out.filter == 0,
                         counters.faults_throttled,
-                        counters.faults_raised + counters.faults_coalesced + counters.faults_dropped,
+                        counters.faults_raised
+                            + counters.faults_coalesced
+                            + counters.faults_dropped,
                         buffer.len(),
                     ))
                 } else {
@@ -1444,10 +1446,7 @@ mod tests {
             w < self.words.len() && self.words[w] >> (page.0 % 64) & 1 == 1
         }
         fn resident_word(&self, page: GlobalPage) -> u64 {
-            self.words
-                .get((page.0 / 64) as usize)
-                .copied()
-                .unwrap_or(0)
+            self.words.get((page.0 / 64) as usize).copied().unwrap_or(0)
         }
         fn change_seq(&self) -> Option<u64> {
             Some(self.seq)
@@ -1496,14 +1495,20 @@ mod tests {
         let space = EventSpace::new(128);
         // Pass 1: first-visited block raises 4 faults (set full), the
         // other throttles all 4 of its pages.
-        assert_eq!(eng.run(&space, &mut buf, SimTime::ZERO), EngineStatus::Stalled);
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
         assert_eq!(buf.len(), 4);
         assert_eq!(eng.counters().faults_raised, 4);
         assert_eq!(eng.counters().faults_throttled, 4);
         // Replay without any residency change: both pending lists are
         // clean, so pass 2 must reproduce pass 1 exactly.
         eng.replay();
-        assert_eq!(eng.run(&space, &mut buf, SimTime::ZERO), EngineStatus::Stalled);
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
         (eng, buf)
     }
 
@@ -1514,7 +1519,10 @@ mod tests {
         assert_eq!(buf.len(), 8, "raise-only path re-raised the same 4 entries");
         assert_eq!(c.faults_raised, 8);
         assert_eq!(c.faults_throttled, 8);
-        assert_eq!(c.retries_skipped, 1, "exactly one block took the closed form");
+        assert_eq!(
+            c.retries_skipped, 1,
+            "exactly one block took the closed form"
+        );
         assert_eq!(c.retry_pages_skipped, 4);
         assert_eq!(c.wakeups, 0, "no residency word changed");
     }
@@ -1529,7 +1537,10 @@ mod tests {
         assert_eq!(ck.counters().semantic(), sc.counters().semantic());
         let pages = |b: &mut FaultBuffer| {
             let (entries, _) = b.fetch(usize::MAX, SimTime::ZERO + SimDuration::from_secs(1));
-            entries.iter().map(|e| (e.page.0, e.utlb)).collect::<Vec<_>>()
+            entries
+                .iter()
+                .map(|e| (e.page.0, e.utlb))
+                .collect::<Vec<_>>()
         };
         let want = pages(&mut sc_buf);
         assert_eq!(pages(&mut ev_buf), want, "bit-identical fault stream");
@@ -1542,16 +1553,25 @@ mod tests {
         let mut eng = GpuEngine::launch(retry_cfg(RetryMode::Event), trace, SimRng::from_seed(3));
         let mut buf = FaultBuffer::new(FaultBufferConfig::default());
         let mut space = EventSpace::new(128);
-        assert_eq!(eng.run(&space, &mut buf, SimTime::ZERO), EngineStatus::Stalled);
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
         // Eviction-style invalidation on the subscribed word: flipping
         // any bit of word 0 changes its value, so the stalled block must
         // be woken and rescanned even though its own pages are untouched.
         space.set_page(63, true);
         space.set_page(63, false);
         eng.replay();
-        assert_eq!(eng.run(&space, &mut buf, SimTime::ZERO), EngineStatus::Stalled);
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
         let c = eng.counters();
-        assert!(c.wakeups >= 1, "word-value change must dirty the subscriber");
+        assert!(
+            c.wakeups >= 1,
+            "word-value change must dirty the subscriber"
+        );
         assert_eq!(c.retries_skipped, 0, "dirty block must rescan, not skip");
         assert_eq!(buf.len(), 8, "rescan re-raised the real refaults");
         // Service the faults: the wake leads to forward progress.
@@ -1566,14 +1586,23 @@ mod tests {
         let mut eng = GpuEngine::launch(retry_cfg(RetryMode::Event), trace, SimRng::from_seed(3));
         let mut buf = FaultBuffer::new(FaultBufferConfig::default());
         let mut space = EventSpace::new(512);
-        assert_eq!(eng.run(&space, &mut buf, SimTime::ZERO), EngineStatus::Stalled);
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
         // Change a word the block is not subscribed to (page 400 lives in
         // word 6; the block's pending pages all live in word 0).
         space.set_page(400, true);
         eng.replay();
-        assert_eq!(eng.run(&space, &mut buf, SimTime::ZERO), EngineStatus::Stalled);
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
         let c = eng.counters();
-        assert_eq!(c.wakeups, 0, "change to an unsubscribed word is not a wakeup");
+        assert_eq!(
+            c.wakeups, 0,
+            "change to an unsubscribed word is not a wakeup"
+        );
         // The set drained at replay and the filter cleared, so the clean
         // block re-raises (raise-only closed form), identical to a scan.
         assert_eq!(buf.len(), 8);
@@ -1810,7 +1839,10 @@ mod tests {
             ..FaultBufferConfig::default()
         });
         let mut space = EventSpace::new(100_000);
-        assert_eq!(eng.run(&space, &mut buf, SimTime::ZERO), EngineStatus::Stalled);
+        assert_eq!(
+            eng.run(&space, &mut buf, SimTime::ZERO),
+            EngineStatus::Stalled
+        );
         assert!(
             eng.max_pending_capacity() > RETRY_SCRATCH_CAP,
             "pathological step must first balloon the pending list"

@@ -34,6 +34,9 @@ pub mod mask;
 
 pub use access_counters::{AccessCounterConfig, AccessCounters, AccessNotification};
 pub use addr::{AccessType, GlobalPage, VaBlockIdx};
-pub use engine::{BlockTrace, EngineCounters, EngineStatus, GpuConfig, GpuEngine, Residency, RetryMode, WorkloadTrace};
+pub use engine::{
+    BlockTrace, EngineCounters, EngineStatus, GpuConfig, GpuEngine, Residency, RetryMode,
+    WorkloadTrace,
+};
 pub use fault::{FaultBuffer, FaultBufferConfig, FaultEntry};
 pub use mask::PageMask;

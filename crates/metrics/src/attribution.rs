@@ -143,7 +143,10 @@ impl Attribution {
             *a = a.checked_add(b).ok_or(OVERFLOW)?;
         }
         let s = m.sums();
-        if [s.faults, s.h2d_bytes, s.d2h_bytes, s.evicted].iter().any(|&x| x > u64::MAX as u128) {
+        if [s.faults, s.h2d_bytes, s.d2h_bytes, s.evicted]
+            .iter()
+            .any(|&x| x > u64::MAX as u128)
+        {
             return Err(OVERFLOW);
         }
         *self = m;
@@ -162,18 +165,46 @@ impl Attribution {
         let w = |x: u64| x as u128;
         let s = self.sums();
         let checks = [
-            ("fault causes vs faults_fetched", s.faults, w(c.faults_fetched)),
-            ("migrating causes vs pages_faulted_in", s.migrating, w(c.pages_faulted_in)),
-            ("duplicate causes vs duplicate_faults", s.duplicates, w(c.duplicate_faults)),
-            ("prefetch pages vs pages_prefetched", w(self.prefetch_pages), w(c.pages_prefetched)),
-            ("hint pages vs pages_hint_prefetched", w(self.hint_pages), w(c.pages_hint_prefetched)),
+            (
+                "fault causes vs faults_fetched",
+                s.faults,
+                w(c.faults_fetched),
+            ),
+            (
+                "migrating causes vs pages_faulted_in",
+                s.migrating,
+                w(c.pages_faulted_in),
+            ),
+            (
+                "duplicate causes vs duplicate_faults",
+                s.duplicates,
+                w(c.duplicate_faults),
+            ),
+            (
+                "prefetch pages vs pages_prefetched",
+                w(self.prefetch_pages),
+                w(c.pages_prefetched),
+            ),
+            (
+                "hint pages vs pages_hint_prefetched",
+                w(self.hint_pages),
+                w(c.pages_hint_prefetched),
+            ),
             (
                 "evicted causes vs pages_evicted",
                 s.evicted,
                 w(c.pages_evicted_migrated) + w(c.pages_evicted_clean),
             ),
-            ("H2D bytes by cause vs transfer log", s.h2d_bytes, w(h2d_bytes)),
-            ("D2H bytes by cause vs transfer log", s.d2h_bytes, w(d2h_bytes)),
+            (
+                "H2D bytes by cause vs transfer log",
+                s.h2d_bytes,
+                w(h2d_bytes),
+            ),
+            (
+                "D2H bytes by cause vs transfer log",
+                s.d2h_bytes,
+                w(d2h_bytes),
+            ),
         ];
         for (what, attributed, observed) in checks {
             if attributed != observed {
@@ -366,7 +397,8 @@ mod tests {
         assert_eq!(a.h2d_bytes(), 29 * PAGE_SIZE);
         assert_eq!(a.d2h_bytes(), 4 * PAGE_SIZE);
         assert_eq!(a.evict_before_use_bp(), 2_500);
-        a.reconcile(&c, 29 * PAGE_SIZE, 4 * PAGE_SIZE).expect("consistent");
+        a.reconcile(&c, 29 * PAGE_SIZE, 4 * PAGE_SIZE)
+            .expect("consistent");
     }
 
     #[test]
@@ -432,7 +464,9 @@ mod tests {
         assert_eq!(a.fault_total(), u64::MAX, "saturates");
         assert_eq!(a.h2d_bytes(), u64::MAX, "saturates");
         // A wrapping u64 sum would see 0 faults here and pass.
-        let err = a.reconcile(&Counters::default(), 0, 0).expect_err("2^64 faults");
+        let err = a
+            .reconcile(&Counters::default(), 0, 0)
+            .expect_err("2^64 faults");
         assert_eq!(err, ("fault causes vs faults_fetched", 1 << 64, 0));
     }
 
@@ -445,8 +479,16 @@ mod tests {
                 "illegal name {}",
                 m.def.name
             );
-            assert!(m.def.name.starts_with("uvm_attr_"), "unprefixed {}", m.def.name);
-            assert!(m.def.name.ends_with("_total"), "counter without _total: {}", m.def.name);
+            assert!(
+                m.def.name.starts_with("uvm_attr_"),
+                "unprefixed {}",
+                m.def.name
+            );
+            assert!(
+                m.def.name.ends_with("_total"),
+                "counter without _total: {}",
+                m.def.name
+            );
             assert_eq!(m.def.kind, MetricKind::Counter);
             assert!(!m.def.help.is_empty());
             assert!(!seen.contains(&m.def.name), "duplicate {}", m.def.name);

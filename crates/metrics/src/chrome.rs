@@ -82,7 +82,10 @@ pub const TRACE_PREFIX: &str = r#"{"traceEvents":"#;
 /// same key order, `{:?}` floats, and the run label escaped by
 /// `serde_json` (every other string is a plain identifier).
 pub fn render(points: &[ChromePoint]) -> String {
-    let events: usize = points.iter().map(|p| p.spans.events.len() + p.faults.len()).sum();
+    let events: usize = points
+        .iter()
+        .map(|p| p.spans.events.len() + p.faults.len())
+        .sum();
     // Events average ~150 bytes; over-reserving only maps untouched pages.
     let mut out = String::with_capacity(1024 * points.len() + 176 * events);
     out.push_str(TRACE_PREFIX);
@@ -97,7 +100,10 @@ pub fn render(points: &[ChromePoint]) -> String {
         ];
         let threads = if p.faults.is_empty() { 2 } else { 3 };
         for (tid, name, value) in &meta[..threads] {
-            let _ = write!(out, r#"{{"name":"{name}","ph":"M","pid":{pid},"tid":{tid},"#);
+            let _ = write!(
+                out,
+                r#"{{"name":"{name}","ph":"M","pid":{pid},"tid":{tid},"#
+            );
             let _ = write!(out, r#""args":{{"name":{value}}}}},"#);
         }
 
@@ -117,7 +123,10 @@ pub fn render(points: &[ChromePoint]) -> String {
                 SpanPhase::Instant => "i",
             };
             let (name, cat, ts) = (e.kind.label(), e.cat.label(), e.ts.as_micros_f64());
-            let _ = write!(out, r#"{{"name":"{name}","cat":"{cat}","ph":"{ph}","ts":{ts:?},"#);
+            let _ = write!(
+                out,
+                r#"{{"name":"{name}","cat":"{cat}","ph":"{ph}","ts":{ts:?},"#
+            );
             let _ = write!(out, r#""pid":{pid},"tid":{TID_DRIVER},"#);
             match e.phase {
                 SpanPhase::Leaf => {
@@ -127,7 +136,10 @@ pub fn render(points: &[ChromePoint]) -> String {
                 _ => {}
             }
             let (ns, wall_ns, a, b) = (e.ts.as_nanos(), e.wall_ns, e.a, e.b);
-            let _ = write!(out, r#""args":{{"ns":{ns},"wall_ns":{wall_ns},"a":{a},"b":{b}"#);
+            let _ = write!(
+                out,
+                r#""args":{{"ns":{ns},"wall_ns":{wall_ns},"a":{a},"b":{b}"#
+            );
             if e.phase == SpanPhase::Leaf {
                 let _ = write!(out, r#","dns":{}"#, e.dur.as_nanos());
             }
@@ -141,10 +153,16 @@ pub fn render(points: &[ChromePoint]) -> String {
                 EventKind::Eviction => "eviction",
             };
             let ts = f.time.as_micros_f64();
-            let _ = write!(out, r#"{{"name":"{name}","cat":"page","ph":"i","ts":{ts:?},"#);
+            let _ = write!(
+                out,
+                r#"{{"name":"{name}","cat":"page","ph":"i","ts":{ts:?},"#
+            );
             let _ = write!(out, r#""pid":{pid},"tid":{TID_PAGES},"s":"t","#);
             let (ns, page, order) = (f.time.as_nanos(), f.page, f.order);
-            let _ = write!(out, r#""args":{{"ns":{ns},"page":{page},"order":{order}}}}},"#);
+            let _ = write!(
+                out,
+                r#""args":{{"ns":{ns},"page":{page},"order":{order}}}}},"#
+            );
         }
     }
     close(&mut out, r#"],"displayTimeUnit":"ms","uvmSim":{"points":["#);
@@ -153,10 +171,16 @@ pub fn render(points: &[ChromePoint]) -> String {
         let _ = write!(out, r#"{{"pid":{},"label":{label},"#, i + 1);
         push_timers(&mut out, "timers_ns", &p.timers);
         let (captured, dropped) = (p.spans.events.len(), p.spans.dropped);
-        let _ = write!(out, r#""spans_captured":{captured},"spans_dropped":{dropped},"#);
+        let _ = write!(
+            out,
+            r#""spans_captured":{captured},"spans_dropped":{dropped},"#
+        );
         push_timers(&mut out, "dropped_ns", &p.spans.dropped_time);
         let (faults, fault_drops) = (p.faults.len(), p.fault_drops);
-        let _ = write!(out, r#""fault_events":{faults},"fault_events_dropped":{fault_drops}}},"#);
+        let _ = write!(
+            out,
+            r#""fault_events":{faults},"fault_events_dropped":{fault_drops}}},"#
+        );
     }
     close(&mut out, "]}}");
     out
@@ -488,7 +512,13 @@ mod tests {
         charge(&mut r, SpanKind::FetchSort, Category::Preprocess, 0, 10);
         r.begin(SpanKind::VablockService, SpanCat::Vablock, t(10), 3, 0);
         charge(&mut r, SpanKind::PmaAlloc, Category::ServicePma, 10, 5);
-        charge(&mut r, SpanKind::MigrateH2d, Category::ServiceMigrate, 15, 20);
+        charge(
+            &mut r,
+            SpanKind::MigrateH2d,
+            Category::ServiceMigrate,
+            15,
+            20,
+        );
         charge(&mut r, SpanKind::MapPages, Category::ServiceMap, 35, 5);
         r.end(SpanKind::VablockService, SpanCat::Vablock, t(40), 3, 0);
         charge(&mut r, SpanKind::ReplayIssue, Category::ReplayPolicy, 40, 2);
@@ -568,7 +598,11 @@ mod tests {
         let leaf = format!(
             r#"{{"name":"a","cat":"preprocess","ph":"X","ts":0.0,"dur":0.005,"pid":1,"tid":1,"args":{{"ns":0,"dns":{max}}}}},"#
         );
-        let json = json.replacen(r#"{"name":"fetch_sort""#, &format!("{leaf}{leaf}{{\"name\":\"fetch_sort\""), 1);
+        let json = json.replacen(
+            r#"{"name":"fetch_sort""#,
+            &format!("{leaf}{leaf}{{\"name\":\"fetch_sort\""),
+            1,
+        );
         let err = validate(&json).unwrap_err();
         assert!(err.contains(&format!("sum to {max}ns")), "{err}");
     }
@@ -576,7 +610,8 @@ mod tests {
     #[test]
     fn validate_catches_timer_mismatch() {
         let mut p = sample_point();
-        p.timers.charge(Category::Eviction, SimDuration::from_nanos(999));
+        p.timers
+            .charge(Category::Eviction, SimDuration::from_nanos(999));
         let json = render(&[p]);
         let err = validate(&json).unwrap_err();
         assert!(err.contains("eviction"), "{err}");
@@ -616,8 +651,18 @@ mod tests {
     #[test]
     fn flame_text_mentions_drops() {
         let mut r = SpanRecorder::bounded(1);
-        r.leaf(SpanKind::MapPages, Category::ServiceMap, t(0), SimDuration::from_nanos(5));
-        r.leaf(SpanKind::MapPages, Category::ServiceMap, t(5), SimDuration::from_nanos(5));
+        r.leaf(
+            SpanKind::MapPages,
+            Category::ServiceMap,
+            t(0),
+            SimDuration::from_nanos(5),
+        );
+        r.leaf(
+            SpanKind::MapPages,
+            Category::ServiceMap,
+            t(5),
+            SimDuration::from_nanos(5),
+        );
         let text = flame_text(&r.to_trace());
         assert!(text.contains("map_pages"));
         assert!(text.contains("dropped"));

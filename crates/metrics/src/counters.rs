@@ -169,8 +169,10 @@ pub const COUNTER_REGISTRY: &[CounterMetric] = &[
         "Pages zeroed on first-touch allocation.",
         |c| c.pages_zeroed
     ),
-    counter_metric!("uvm_batches_total", "Fault batches processed.", |c| c.batches),
-    counter_metric!("uvm_replays_total", "Replay notifications issued.", |c| c.replays),
+    counter_metric!("uvm_batches_total", "Fault batches processed.", |c| c
+        .batches),
+    counter_metric!("uvm_replays_total", "Replay notifications issued.", |c| c
+        .replays),
     counter_metric!(
         "uvm_buffer_flushes_total",
         "Fault-buffer flushes performed by the replay policy.",
@@ -181,7 +183,8 @@ pub const COUNTER_REGISTRY: &[CounterMetric] = &[
         "Polling iterations on not-yet-ready fault entries.",
         |c| c.polls
     ),
-    counter_metric!("uvm_evictions_total", "VABlock evictions performed.", |c| c.evictions),
+    counter_metric!("uvm_evictions_total", "VABlock evictions performed.", |c| c
+        .evictions),
     counter_metric!(
         "uvm_pages_evicted_migrated_total",
         "Pages written back to the host during evictions.",
@@ -317,7 +320,11 @@ mod tests {
                 m.def.name
             );
             assert!(m.def.name.starts_with("uvm_"), "unprefixed {}", m.def.name);
-            assert!(m.def.name.ends_with("_total"), "counter without _total: {}", m.def.name);
+            assert!(
+                m.def.name.ends_with("_total"),
+                "counter without _total: {}",
+                m.def.name
+            );
             assert_eq!(m.def.kind, MetricKind::Counter);
             assert!(!m.def.help.is_empty());
             assert!(!seen.contains(&m.def.name), "duplicate {}", m.def.name);

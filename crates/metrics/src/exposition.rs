@@ -124,7 +124,11 @@ impl Exposition {
     /// illegal metric/label name or a negative counter value — those are
     /// programming errors in the registry, not data.
     pub fn push(&mut self, def: &MetricDef, labels: &[(&str, &str)], value: f64) {
-        assert!(valid_metric_name(def.name), "illegal metric name {}", def.name);
+        assert!(
+            valid_metric_name(def.name),
+            "illegal metric name {}",
+            def.name
+        );
         assert!(
             def.kind != MetricKind::Counter || value >= 0.0,
             "negative counter {}",
@@ -278,7 +282,10 @@ pub fn validate(text: &str) -> Result<ExpositionStats, String> {
             if !valid_metric_name(name) {
                 return Err(format!("TYPE for illegal metric name `{name}`"));
             }
-            if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+            if !matches!(
+                kind,
+                "counter" | "gauge" | "histogram" | "summary" | "untyped"
+            ) {
                 return Err(format!("unknown TYPE `{kind}` for `{name}`"));
             }
             match families.iter_mut().find(|(n, ..)| n == name) {
@@ -369,15 +376,17 @@ mod tests {
     #[test]
     fn render_declares_each_family_once() {
         let mut e = Exposition::new();
-        e.push(&FAULTS, &[("workload", "regular"), ("ratio", "0.50")], 100.0);
+        e.push(
+            &FAULTS,
+            &[("workload", "regular"), ("ratio", "0.50")],
+            100.0,
+        );
         e.push(&FAULTS, &[("workload", "random"), ("ratio", "1.25")], 250.0);
         e.push(&RESIDENT, &[("workload", "regular")], 4096.0);
         let text = e.render();
         assert_eq!(text.matches("# TYPE uvm_faults_fetched_total").count(), 1);
         assert_eq!(text.matches("# HELP uvm_faults_fetched_total").count(), 1);
-        assert!(text.contains(
-            "uvm_faults_fetched_total{workload=\"regular\",ratio=\"0.50\"} 100"
-        ));
+        assert!(text.contains("uvm_faults_fetched_total{workload=\"regular\",ratio=\"0.50\"} 100"));
         assert!(text.contains("uvm_resident_pages{workload=\"regular\"} 4096"));
         let stats = validate(&text).expect("self-rendered exposition validates");
         assert_eq!(stats.families, 2);

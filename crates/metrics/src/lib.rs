@@ -72,8 +72,8 @@ pub use counters::{CounterMetric, Counters, COUNTER_REGISTRY};
 pub use exposition::{Exposition, ExpositionStats, MetricDef, MetricKind};
 pub use histogram::Histogram;
 pub use lineage::{
-    FlightDump, FlightTrigger, KindTotal, LineageEvent, LineageEventKind,
-    LineageLog, LineageRecorder, NO_BLOCK,
+    FlightDump, FlightTrigger, KindTotal, LineageEvent, LineageEventKind, LineageLog,
+    LineageRecorder, NO_BLOCK,
 };
 pub use oversub::{
     Cliff, OversubCell, OversubStats, CLIFF_THRESHOLD_BP, OVERSUB_CLIFF_JUMP_BP,
@@ -81,14 +81,16 @@ pub use oversub::{
 };
 pub use phase::ServicePhaseWall;
 pub use sched::SweepSchedStats;
-pub use serve::{ServeEvent, ServeEventKind, ServeEventLog, ServeMetric, ServeStats, SERVE_REGISTRY};
-pub use timeseries::{
-    Sample, Timeseries, TimeseriesConfig, TimeseriesSampler, DEFAULT_SAMPLE_CAPACITY,
-    DEFAULT_SAMPLE_INTERVAL_NS,
+pub use serve::{
+    ServeEvent, ServeEventKind, ServeEventLog, ServeMetric, ServeStats, SERVE_REGISTRY,
 };
 pub use span::{
     flame_summary, FlameRow, SpanCat, SpanEvent, SpanKind, SpanPhase, SpanRecorder, SpanTrace,
     DEFAULT_SPAN_CAPACITY,
 };
 pub use timers::{Category, Timers};
+pub use timeseries::{
+    Sample, Timeseries, TimeseriesConfig, TimeseriesSampler, DEFAULT_SAMPLE_CAPACITY,
+    DEFAULT_SAMPLE_INTERVAL_NS,
+};
 pub use trace::{EventKind, TraceEvent, TraceRecorder, DEFAULT_TRACE_CAPACITY};

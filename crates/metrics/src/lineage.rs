@@ -289,7 +289,11 @@ impl LineageLog {
                 pages(K::Migration),
                 v(last.pages_faulted_in) + v(last.pages_prefetched),
             ),
-            ("eviction pages == pages_evicted", pages(K::Eviction), v(last.pages_evicted)),
+            (
+                "eviction pages == pages_evicted",
+                pages(K::Eviction),
+                v(last.pages_evicted),
+            ),
             (
                 "eviction aux == attr_prefetch_evicted_pages",
                 aux(K::Eviction),
@@ -305,7 +309,11 @@ impl LineageLog {
                 pages(K::HostWriteback),
                 v(last.pages_migrated_to_host),
             ),
-            ("replay rounds == replays", pages(K::Replay), v(last.replays)),
+            (
+                "replay rounds == replays",
+                pages(K::Replay),
+                v(last.replays),
+            ),
             (
                 "(migration + hint_prefetch) bytes == migrated_bytes_h2d",
                 (pages(K::Migration) + pages(K::HintPrefetch)) * page,
@@ -321,12 +329,22 @@ impl LineageLog {
                 self.totals.iter().map(|t| t.events as u128).sum(),
                 v(last.lineage_events),
             ),
-            ("dropped events == lineage_dropped column", v(self.dropped), v(last.lineage_dropped)),
-            ("flight dumps == flight_dumps column", self.dumps.len() as u128, v(last.flight_dumps)),
+            (
+                "dropped events == lineage_dropped column",
+                v(self.dropped),
+                v(last.lineage_dropped),
+            ),
+            (
+                "flight dumps == flight_dumps column",
+                self.dumps.len() as u128,
+                v(last.flight_dumps),
+            ),
         ];
         for (eq, lhs, rhs) in checks {
             if lhs != rhs {
-                return Err(format!("lineage does not reconcile: {eq} violated ({lhs} != {rhs})"));
+                return Err(format!(
+                    "lineage does not reconcile: {eq} violated ({lhs} != {rhs})"
+                ));
             }
         }
         Ok(())
@@ -342,7 +360,14 @@ impl LineageLog {
         let _ = writeln!(out, "{ARTEFACT_HEAD}{}", self.dropped);
         for kind in LineageEventKind::ALL {
             let t = self.total(kind);
-            let _ = writeln!(out, "total,{},{},{},{}", kind.name(), t.events, t.pages, t.aux);
+            let _ = writeln!(
+                out,
+                "total,{},{},{},{}",
+                kind.name(),
+                t.events,
+                t.pages,
+                t.aux
+            );
         }
         out.push_str(ARTEFACT_COLUMNS);
         out.push('\n');
@@ -382,10 +407,7 @@ impl LineageLog {
                 .ok_or_else(|| format!("missing total line for {}", kind.name()))?;
             let cells: Vec<&str> = line.split(',').collect();
             if cells.len() != 5 || cells[0] != "total" || cells[1] != kind.name() {
-                return Err(format!(
-                    "expected `total,{},…`, got `{line}`",
-                    kind.name()
-                ));
+                return Err(format!("expected `total,{},…`, got `{line}`", kind.name()));
             }
             let num = |s: &str| {
                 s.parse::<u64>()
@@ -398,7 +420,11 @@ impl LineageLog {
                 aux: num(cells[4])?,
             });
         }
-        if totals.iter().try_fold(0u64, |n, t| n.checked_add(t.events)).is_none() {
+        if totals
+            .iter()
+            .try_fold(0u64, |n, t| n.checked_add(t.events))
+            .is_none()
+        {
             return Err("lineage event totals overflow u64".into());
         }
         let columns = lines.next().ok_or("missing lineage column header")?;
@@ -616,8 +642,10 @@ impl LineageRecorder {
         }
         let n_events = self.ring.len();
         if self.ring.len() == self.ring_capacity && self.ring_next > 0 {
-            self.dump_events.extend_from_slice(&self.ring[self.ring_next..]);
-            self.dump_events.extend_from_slice(&self.ring[..self.ring_next]);
+            self.dump_events
+                .extend_from_slice(&self.ring[self.ring_next..]);
+            self.dump_events
+                .extend_from_slice(&self.ring[..self.ring_next]);
         } else {
             self.dump_events.extend_from_slice(&self.ring);
         }
@@ -763,7 +791,15 @@ pub fn analyze(events: &[LineageEvent]) -> LineageAnalysis {
 mod tests {
     use super::*;
 
-    fn ev(rec: &mut LineageRecorder, kind: LineageEventKind, t: u64, pass: u64, block: u64, pages: u64, aux: u64) {
+    fn ev(
+        rec: &mut LineageRecorder,
+        kind: LineageEventKind,
+        t: u64,
+        pass: u64,
+        block: u64,
+        pages: u64,
+        aux: u64,
+    ) {
         rec.record(kind, t, pass, block, pages, aux);
     }
 
@@ -848,7 +884,10 @@ mod tests {
         ev(&mut r, LineageEventKind::FirstTouch, 10, 1, 0, 8, 0);
         let good = r.take().to_artefact();
         // Row/total mismatch: inflate the event's page count.
-        let bad = good.replace("event,10,1,0,first_touch,8,0", "event,10,1,0,first_touch,9,0");
+        let bad = good.replace(
+            "event,10,1,0,first_touch,8,0",
+            "event,10,1,0,first_touch,9,0",
+        );
         assert!(LineageLog::from_artefact(&bad)
             .expect_err("tampered rows must fail")
             .contains("disagree"));
@@ -863,13 +902,34 @@ mod tests {
     fn artefact_rejects_time_regression() {
         let mut log = LineageLog::default();
         for kind in LineageEventKind::ALL {
-            log.totals.push(KindTotal { kind, ..KindTotal::default() });
+            log.totals.push(KindTotal {
+                kind,
+                ..KindTotal::default()
+            });
         }
-        log.totals[LineageEventKind::FirstTouch.index()] =
-            KindTotal { kind: LineageEventKind::FirstTouch, events: 2, pages: 2, aux: 0 };
+        log.totals[LineageEventKind::FirstTouch.index()] = KindTotal {
+            kind: LineageEventKind::FirstTouch,
+            events: 2,
+            pages: 2,
+            aux: 0,
+        };
         log.events = vec![
-            LineageEvent { t_ns: 20, pass: 1, block: 0, kind: LineageEventKind::FirstTouch, pages: 1, aux: 0 },
-            LineageEvent { t_ns: 10, pass: 2, block: 0, kind: LineageEventKind::FirstTouch, pages: 1, aux: 0 },
+            LineageEvent {
+                t_ns: 20,
+                pass: 1,
+                block: 0,
+                kind: LineageEventKind::FirstTouch,
+                pages: 1,
+                aux: 0,
+            },
+            LineageEvent {
+                t_ns: 10,
+                pass: 2,
+                block: 0,
+                kind: LineageEventKind::FirstTouch,
+                pages: 1,
+                aux: 0,
+            },
         ];
         let err = LineageLog::from_artefact(&log.to_artefact()).expect_err("regressing t");
         assert!(err.contains("regress"), "{err}");
@@ -890,7 +950,10 @@ mod tests {
         assert!(err.contains("overflow"), "{err}");
         // Per-kind event totals that cannot be summed are refused too.
         let bad = good
-            .replace("total,first_touch,1,", &format!("total,first_touch,{},", u64::MAX))
+            .replace(
+                "total,first_touch,1,",
+                &format!("total,first_touch,{},", u64::MAX),
+            )
             .replace("total,refault,0,", "total,refault,1,");
         let err = LineageLog::from_artefact(&bad).expect_err("unsummable totals");
         assert!(err.contains("overflow"), "{err}");
@@ -932,7 +995,10 @@ mod tests {
             ..last
         };
         let err = log.reconcile(&bad).expect_err("mismatch");
-        assert!(err.contains("prefetch_in") && err.contains("(5 != 4)"), "{err}");
+        assert!(
+            err.contains("prefetch_in") && err.contains("(5 != 4)"),
+            "{err}"
+        );
         // Device-to-host pages relabelled between eviction write-back and
         // host migration keep the byte closure but not the page split.
         let relabelled = Sample {
@@ -941,13 +1007,21 @@ mod tests {
             ..last
         };
         let err = log.reconcile(&relabelled).expect_err("relabel");
-        assert!(err.contains("writeback pages == pages_evicted_migrated"), "{err}");
+        assert!(
+            err.contains("writeback pages == pages_evicted_migrated"),
+            "{err}"
+        );
     }
 
     #[test]
     fn analyze_computes_distances_and_chains() {
         let mk = |t, pass, block, kind, pages, aux| LineageEvent {
-            t_ns: t, pass, block, kind, pages, aux,
+            t_ns: t,
+            pass,
+            block,
+            kind,
+            pages,
+            aux,
         };
         use LineageEventKind as K;
         let events = vec![

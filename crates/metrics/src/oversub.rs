@@ -304,7 +304,12 @@ pub fn parse_table(text: &str) -> Result<(Vec<OversubCell>, Vec<Cliff>), String>
     let mut lines = text.lines().enumerate();
     match lines.next() {
         Some((_, h)) if h == OVERSUB_HEADER => {}
-        other => return Err(format!("oversub.tsv: bad header: {:?}", other.map(|(_, h)| h))),
+        other => {
+            return Err(format!(
+                "oversub.tsv: bad header: {:?}",
+                other.map(|(_, h)| h)
+            ))
+        }
     }
     let mut cells = Vec::new();
     let mut cliffs = Vec::new();
@@ -317,7 +322,9 @@ pub fn parse_table(text: &str) -> Result<(Vec<OversubCell>, Vec<Cliff>), String>
         }
         if line == CLIFFS_MARKER {
             if in_cliffs {
-                return Err(format!("oversub.tsv line {line_no}: duplicate {CLIFFS_MARKER}"));
+                return Err(format!(
+                    "oversub.tsv line {line_no}: duplicate {CLIFFS_MARKER}"
+                ));
             }
             in_cliffs = true;
             continue;
@@ -325,14 +332,18 @@ pub fn parse_table(text: &str) -> Result<(Vec<OversubCell>, Vec<Cliff>), String>
         let cols: Vec<&str> = line.split('\t').collect();
         if in_cliffs && !saw_cliff_header {
             if line != CLIFFS_HEADER {
-                return Err(format!("oversub.tsv line {line_no}: bad cliff header: {line:?}"));
+                return Err(format!(
+                    "oversub.tsv line {line_no}: bad cliff header: {line:?}"
+                ));
             }
             saw_cliff_header = true;
             continue;
         }
         if in_cliffs {
             if cols.len() != 4 {
-                return Err(format!("oversub.tsv line {line_no}: expected 4 cliff columns"));
+                return Err(format!(
+                    "oversub.tsv line {line_no}: expected 4 cliff columns"
+                ));
             }
             cliffs.push(Cliff {
                 workload: cols[0].to_string(),
@@ -361,7 +372,11 @@ pub fn parse_table(text: &str) -> Result<(Vec<OversubCell>, Vec<Cliff>), String>
             footprint_bytes: parse_u64(cols[9], line_no, "footprint_bytes")?,
         };
         let derived = [
-            ("evictions_per_fault_milli", 10, cell.evictions_per_fault_milli()),
+            (
+                "evictions_per_fault_milli",
+                10,
+                cell.evictions_per_fault_milli(),
+            ),
             ("refault_rate_bp", 11, cell.refault_rate_bp()),
             ("evict_before_use_bp", 12, cell.evict_before_use_bp()),
         ];
@@ -453,11 +468,7 @@ pub fn push_cells(
         let mut labels: Vec<(&str, &str)> = extra.to_vec();
         labels.push(("workload", &cl.workload));
         labels.push(("policy", &cl.policy));
-        exp.push(
-            &OVERSUB_CLIFF_RATIO,
-            &labels,
-            cl.ratio_centi as f64 / 100.0,
-        );
+        exp.push(&OVERSUB_CLIFF_RATIO, &labels, cl.ratio_centi as f64 / 100.0);
         exp.push(&OVERSUB_CLIFF_JUMP_BP, &labels, cl.jump_bp as f64);
     }
 }
@@ -486,10 +497,20 @@ mod tests {
         // One curve with a sharp knee at 1.25×, one flat curve.
         let mut cells = Vec::new();
         for (r, t) in [(50u32, 100u64), (100, 210), (125, 2000), (150, 2600)] {
-            cells.push(cell("regular", "fault_lru", r, t * (r as u64) * (1 << 20) / 1000));
+            cells.push(cell(
+                "regular",
+                "fault_lru",
+                r,
+                t * (r as u64) * (1 << 20) / 1000,
+            ));
         }
         for (r, t) in [(50u32, 100u64), (100, 101), (125, 102), (150, 103)] {
-            cells.push(cell("stream", "random", r, t * (r as u64) * (1 << 20) / 1000));
+            cells.push(cell(
+                "stream",
+                "random",
+                r,
+                t * (r as u64) * (1 << 20) / 1000,
+            ));
         }
         let cliffs = detect_cliffs(&cells);
         (cells, cliffs)
@@ -540,7 +561,10 @@ mod tests {
         }
         // Tamper with a recorded cliff position (cliffs section only).
         let (head, tail) = text.split_once(CLIFFS_MARKER).unwrap();
-        let tampered = format!("{head}{CLIFFS_MARKER}{}", tail.replace("\t125\t", "\t150\t"));
+        let tampered = format!(
+            "{head}{CLIFFS_MARKER}{}",
+            tail.replace("\t125\t", "\t150\t")
+        );
         assert_ne!(tampered, text);
         assert!(check_table(&tampered).is_err());
         // Drop the cliffs section entirely.

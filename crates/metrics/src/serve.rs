@@ -369,7 +369,11 @@ mod tests {
         let mut seen = Vec::new();
         for m in SERVE_REGISTRY {
             assert!(valid_metric_name(m.def.name), "illegal name {}", m.def.name);
-            assert!(m.def.name.starts_with("uvm_serve_"), "unprefixed {}", m.def.name);
+            assert!(
+                m.def.name.starts_with("uvm_serve_"),
+                "unprefixed {}",
+                m.def.name
+            );
             match m.def.kind {
                 MetricKind::Counter => assert!(
                     m.def.name.ends_with("_total"),

@@ -419,7 +419,15 @@ impl SpanBuf {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn push_leaf(&mut self, kind: SpanKind, cat: Category, ts: SimTime, dur: SimDuration, a: u64, b: u64) {
+    fn push_leaf(
+        &mut self,
+        kind: SpanKind,
+        cat: Category,
+        ts: SimTime,
+        dur: SimDuration,
+        a: u64,
+        b: u64,
+    ) {
         if self.events.len() >= self.cap {
             self.dropped += 1;
             self.dropped_time.charge(cat, dur);
@@ -558,7 +566,12 @@ mod tests {
     #[test]
     fn disabled_recorder_is_empty() {
         let mut r = SpanRecorder::disabled();
-        r.leaf(SpanKind::MapPages, Category::ServiceMap, t(0), SimDuration::from_nanos(5));
+        r.leaf(
+            SpanKind::MapPages,
+            Category::ServiceMap,
+            t(0),
+            SimDuration::from_nanos(5),
+        );
         r.begin(SpanKind::Pass, SpanCat::Batch, t(0), 0, 0);
         r.instant(SpanKind::Replay, t(1), 1, 0);
         assert!(!r.is_enabled());
@@ -605,12 +618,25 @@ mod tests {
         let mut r = SpanRecorder::bounded(3);
         // First pass fits; second pass's begin is dropped.
         r.begin(SpanKind::Pass, SpanCat::Batch, t(0), 0, 0);
-        r.leaf(SpanKind::FetchSort, Category::Preprocess, t(1), SimDuration::from_nanos(1));
+        r.leaf(
+            SpanKind::FetchSort,
+            Category::Preprocess,
+            t(1),
+            SimDuration::from_nanos(1),
+        );
         r.end(SpanKind::Pass, SpanCat::Batch, t(2), 0, 0);
         r.begin(SpanKind::Pass, SpanCat::Batch, t(3), 1, 0);
         r.end(SpanKind::Pass, SpanCat::Batch, t(4), 1, 0);
-        let begins = r.events().iter().filter(|e| e.phase == SpanPhase::Begin).count();
-        let ends = r.events().iter().filter(|e| e.phase == SpanPhase::End).count();
+        let begins = r
+            .events()
+            .iter()
+            .filter(|e| e.phase == SpanPhase::Begin)
+            .count();
+        let ends = r
+            .events()
+            .iter()
+            .filter(|e| e.phase == SpanPhase::End)
+            .count();
         assert_eq!(begins, ends, "B/E must stay balanced under drops");
         assert_eq!(r.dropped(), 2, "dropped begin and its end");
     }
@@ -619,21 +645,49 @@ mod tests {
     fn end_past_capacity_closes_emitted_begin() {
         let mut r = SpanRecorder::bounded(2);
         r.begin(SpanKind::Pass, SpanCat::Batch, t(0), 0, 0);
-        r.leaf(SpanKind::FetchSort, Category::Preprocess, t(1), SimDuration::from_nanos(1));
+        r.leaf(
+            SpanKind::FetchSort,
+            Category::Preprocess,
+            t(1),
+            SimDuration::from_nanos(1),
+        );
         // Buffer is now full, but the pass's end must still be emitted.
         r.end(SpanKind::Pass, SpanCat::Batch, t(2), 0, 0);
         assert_eq!(r.len(), 3, "end overshoots capacity to stay balanced");
-        let begins = r.events().iter().filter(|e| e.phase == SpanPhase::Begin).count();
-        let ends = r.events().iter().filter(|e| e.phase == SpanPhase::End).count();
+        let begins = r
+            .events()
+            .iter()
+            .filter(|e| e.phase == SpanPhase::Begin)
+            .count();
+        let ends = r
+            .events()
+            .iter()
+            .filter(|e| e.phase == SpanPhase::End)
+            .count();
         assert_eq!(begins, ends);
     }
 
     #[test]
     fn flame_summary_orders_by_total_time() {
         let mut r = SpanRecorder::bounded(16);
-        r.leaf(SpanKind::MigrateH2d, Category::ServiceMigrate, t(0), SimDuration::from_nanos(100));
-        r.leaf(SpanKind::MapPages, Category::ServiceMap, t(1), SimDuration::from_nanos(10));
-        r.leaf(SpanKind::MapPages, Category::ServiceMap, t(2), SimDuration::from_nanos(10));
+        r.leaf(
+            SpanKind::MigrateH2d,
+            Category::ServiceMigrate,
+            t(0),
+            SimDuration::from_nanos(100),
+        );
+        r.leaf(
+            SpanKind::MapPages,
+            Category::ServiceMap,
+            t(1),
+            SimDuration::from_nanos(10),
+        );
+        r.leaf(
+            SpanKind::MapPages,
+            Category::ServiceMap,
+            t(2),
+            SimDuration::from_nanos(10),
+        );
         r.instant(SpanKind::Replay, t(3), 1, 0);
         let rows = flame_summary(r.events());
         assert_eq!(rows[0].label, "migrate_h2d");

@@ -345,9 +345,9 @@ pub fn parse_csv(text: &str) -> Result<Vec<Sample>, String> {
         }
         let mut s = Sample::default();
         for (cell, col) in cells.iter().zip(SAMPLE_COLUMNS) {
-            let v = cell.parse().map_err(|_| {
-                format!("row {row}: column {} = `{cell}` is not a u64", col.name)
-            })?;
+            let v = cell
+                .parse()
+                .map_err(|_| format!("row {row}: column {} = `{cell}` is not a u64", col.name))?;
             (col.set)(&mut s, v);
         }
         if let Some(p) = samples.last() {
@@ -561,7 +561,10 @@ mod tests {
     fn compaction_halves_and_doubles() {
         let mut s = TimeseriesSampler::new(&cfg(10, 8));
         for i in 1..=8u64 {
-            s.record(SimTime::ZERO + SimDuration::from_nanos(i * 10), at(i * 10, i));
+            s.record(
+                SimTime::ZERO + SimDuration::from_nanos(i * 10),
+                at(i * 10, i),
+            );
         }
         assert_eq!(s.samples().len(), 8);
         assert_eq!(s.compactions(), 0);
@@ -620,7 +623,10 @@ mod tests {
         let header = Timeseries::csv_header();
         let row = |t: u64, f: u64| {
             let mut cells = vec![t.to_string(), f.to_string()];
-            cells.extend(std::iter::repeat_n("0".to_string(), SAMPLE_COLUMNS.len() - 2));
+            cells.extend(std::iter::repeat_n(
+                "0".to_string(),
+                SAMPLE_COLUMNS.len() - 2,
+            ));
             cells.join(",")
         };
         // Wrong header.
@@ -664,13 +670,19 @@ mod tests {
             ..s
         };
         let err = moved.reconciled_attribution().unwrap_err();
-        assert!(err.contains("does not reconcile: H2D bytes by cause"), "{err}");
+        assert!(
+            err.contains("does not reconcile: H2D bytes by cause"),
+            "{err}"
+        );
         let inverted = Sample {
             pages_evicted_migrated: 3,
             ..s
         };
         let err = inverted.reconciled_attribution().unwrap_err();
-        assert!(err.contains("pages_evicted_migrated exceeds pages_evicted"), "{err}");
+        assert!(
+            err.contains("pages_evicted_migrated exceeds pages_evicted"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -184,7 +184,10 @@ mod reference {
                 tree.saturate(level, idx);
             }
         }
-        marked.intersect(valid).difference(resident).difference(faulted)
+        marked
+            .intersect(valid)
+            .difference(resident)
+            .difference(faulted)
     }
 }
 

@@ -39,8 +39,8 @@ pub mod simulator;
 
 pub use config::SimConfig;
 pub use simulator::{
-    prepare, run, run_prepared, run_repeated, run_sweep, run_sweep_cached_with,
-    LaunchStats, PreparedWorkload, SimReport, SweepCache, SweepCacheStats,
+    prepare, run, run_prepared, run_repeated, run_sweep, run_sweep_cached_with, LaunchStats,
+    PreparedWorkload, SimReport, SweepCache, SweepCacheStats,
 };
 
 // Re-export the workspace's public surface for downstream users.

@@ -21,13 +21,12 @@
 use crate::config::SimConfig;
 use gpu_model::dma::TransferLog;
 use gpu_model::engine::EngineCounters;
+use gpu_model::WorkloadTrace;
 use gpu_model::{FaultBuffer, GpuEngine};
 use metrics::{
-    Attribution, Counters, Histogram, Offender, SpanKind, SpanTrace, Timers, Timeseries,
-    TraceEvent,
+    Attribution, Counters, Histogram, Offender, SpanKind, SpanTrace, Timers, Timeseries, TraceEvent,
 };
 use serde::{Deserialize, Serialize};
-use gpu_model::WorkloadTrace;
 use sim_engine::units::PAGE_SIZE;
 use sim_engine::{CostModel, SimDuration, SimRng, SimTime};
 use std::sync::Arc;
@@ -160,7 +159,11 @@ pub fn run_prepared(config: &SimConfig, prepared: &PreparedWorkload) -> SimRepor
     let subscription_ratio = footprint_bytes as f64 / config.driver.gpu_memory_bytes as f64;
 
     let mut driver = UvmDriver::new(config.driver.clone(), cost.clone(), space, root.derive(2));
-    let mut engine = GpuEngine::launch(config.gpu.clone(), Arc::clone(&prepared.trace), root.derive(3));
+    let mut engine = GpuEngine::launch(
+        config.gpu.clone(),
+        Arc::clone(&prepared.trace),
+        root.derive(3),
+    );
     let mut buffer = FaultBuffer::new(config.fault_buffer.clone());
 
     let clock = run_kernel(
@@ -668,16 +671,8 @@ mod tests {
         let baseline = run(&cfg, &w);
 
         let cache = SweepCache::new(4);
-        let first = run_sweep_cached_with(
-            Some(&cache),
-            vec![(cfg.clone(), w.clone())],
-            |_, _| {},
-        );
-        let second = run_sweep_cached_with(
-            Some(&cache),
-            vec![(cfg.clone(), w.clone())],
-            |_, _| {},
-        );
+        let first = run_sweep_cached_with(Some(&cache), vec![(cfg.clone(), w.clone())], |_, _| {});
+        let second = run_sweep_cached_with(Some(&cache), vec![(cfg.clone(), w.clone())], |_, _| {});
         // A cached prepare is indistinguishable from a fresh one.
         for r in [&first[0], &second[0]] {
             assert_eq!(r.total_time, baseline.total_time);

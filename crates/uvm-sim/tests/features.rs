@@ -405,11 +405,20 @@ fn attribution_is_identical_across_sweep_thread_counts() {
         });
         vec![(a, w.clone()), (b, w)]
     };
-    rayon::ThreadPoolBuilder::new().num_threads(1).build_global().unwrap();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build_global()
+        .unwrap();
     let narrow = uvm_sim::run_sweep(points());
-    rayon::ThreadPoolBuilder::new().num_threads(4).build_global().unwrap();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(4)
+        .build_global()
+        .unwrap();
     let wide = uvm_sim::run_sweep(points());
-    rayon::ThreadPoolBuilder::new().num_threads(0).build_global().unwrap();
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(0)
+        .build_global()
+        .unwrap();
     for (a, b) in narrow.iter().zip(&wide) {
         assert_eq!(a.attribution, b.attribution);
         assert_eq!(a.top_offenders, b.top_offenders);

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use sim_engine::units::MIB;
-use uvm_sim::{run, EvictionPolicy, PrefetchPolicy, ReplayPolicy, SimConfig, Workload, WorkloadKind};
+use uvm_sim::{
+    run, EvictionPolicy, PrefetchPolicy, ReplayPolicy, SimConfig, Workload, WorkloadKind,
+};
 use workloads::RegularParams;
 
 fn small_config(mem_mib: u64) -> SimConfig {

@@ -54,8 +54,7 @@ fn metrics_out_reconciles_with_perf_report() {
     let serde::Value::Map(keys) = &root else {
         panic!("perf report is not an object")
     };
-    let Some((_, serde::Value::Seq(experiments))) =
-        keys.iter().find(|(k, _)| k == "experiments")
+    let Some((_, serde::Value::Seq(experiments))) = keys.iter().find(|(k, _)| k == "experiments")
     else {
         panic!("no experiments array")
     };
@@ -79,7 +78,17 @@ fn metrics_out_reconciles_with_perf_report() {
     assert!(samples.len() > 10, "fig1 sweeps many points");
     let mut csv_point_faults: Vec<u64> = samples
         .iter()
-        .map(|a| a.text.lines().last().unwrap().split(',').nth(1).unwrap().parse().unwrap())
+        .map(|a| {
+            a.text
+                .lines()
+                .last()
+                .unwrap()
+                .split(',')
+                .nth(1)
+                .unwrap()
+                .parse()
+                .unwrap()
+        })
         .collect();
     let csv_faults: u64 = csv_point_faults.iter().sum();
     assert_eq!(csv_faults, sim_faults, "sample CSVs vs perf report faults");
@@ -118,22 +127,34 @@ fn check_passes_clean_tree_and_fails_each_doctored_kind() {
     let clean = dir.join("clean");
     let arg = |p: &str| clean.join(p).to_str().unwrap().to_string();
     let (out, metrics, trace) = (arg("out"), arg("metrics"), arg("trace.json"));
-    let run = repro(&["fig1", "--scale", "128", "--no-progress", "--out", &out]
-        .into_iter()
-        .chain(["--metrics-out", &metrics, "--trace-out", &trace])
-        .collect::<Vec<_>>());
+    let run = repro(
+        &["fig1", "--scale", "128", "--no-progress", "--out", &out]
+            .into_iter()
+            .chain(["--metrics-out", &metrics, "--trace-out", &trace])
+            .collect::<Vec<_>>(),
+    );
     assert!(run.status.success(), "repro failed: {}", stderr(&run));
     let ok = repro(&["check", &arg("")]);
     let text = stdout(&ok);
     assert_eq!(ok.status.code(), Some(0), "clean tree: {}", stderr(&ok));
-    assert!(text.contains("trace.json: OK") && text.ends_with("\n0 failure(s)\n"), "{text}");
+    assert!(
+        text.contains("trace.json: OK") && text.ends_with("\n0 failure(s)\n"),
+        "{text}"
+    );
 
     // The first point is undersubscribed: no refaults, no evictions. One
     // more cold fault plus a u64::MAX refault count wraps a u64 fault
     // sum back to the true total, which a wrapping ledger would miss.
     let point = "metrics/fig1/00_regular_r0.01_disabled";
     let csv = std::fs::read_to_string(arg(&format!("{point}.csv"))).unwrap();
-    let col = |name: &str| csv.lines().next().unwrap().split(',').position(|c| c == name).unwrap();
+    let col = |name: &str| {
+        csv.lines()
+            .next()
+            .unwrap()
+            .split(',')
+            .position(|c| c == name)
+            .unwrap()
+    };
     let (cold, used) = (col("attr_cold_faults"), col("attr_refault_used_faults"));
     let last = csv.lines().last().unwrap();
     let row: Vec<u64> = last.split(',').map(|c| c.parse().unwrap()).collect();
@@ -150,17 +171,60 @@ fn check_passes_clean_tree_and_fails_each_doctored_kind() {
     moved[col("migrated_bytes_d2h")] += 4096;
     let lineage = format!("{point}.lineage");
     let prom = std::fs::read_to_string(arg("metrics/fig1/metrics.prom")).unwrap();
-    let faults = prom.lines().find(|l| l.starts_with("uvm_faults_fetched_total{")).unwrap();
+    let faults = prom
+        .lines()
+        .find(|l| l.starts_with("uvm_faults_fetched_total{"))
+        .unwrap();
     let negative = format!("{} -5", faults.rsplit_once(' ').unwrap().0);
     // (kind, copied artefact, doctored file, text, replacement, file
     // removed, message); an empty text stands for the whole file, an
     // empty removal for none.
     let cases = [
-        ("csv", "metrics", format!("{point}.csv"), last, render(&wrapped), "", "does not reconcile"),
-        ("bytes", "metrics", format!("{point}.csv"), last, render(&moved), &lineage, "does not reconcile"),
-        ("lineage", "metrics", lineage.clone(), "total,eviction,0,0,0", "total,eviction,0,1,0".into(), "", "lineage"),
-        ("trace", "trace.json", "trace.json".into(), "", r#"{"traceEvents":5}"#.into(), "", "missing traceEvents array"),
-        ("prom", "metrics", "metrics/fig1/metrics.prom".into(), faults, negative, "", "negative counter"),
+        (
+            "csv",
+            "metrics",
+            format!("{point}.csv"),
+            last,
+            render(&wrapped),
+            "",
+            "does not reconcile",
+        ),
+        (
+            "bytes",
+            "metrics",
+            format!("{point}.csv"),
+            last,
+            render(&moved),
+            &lineage,
+            "does not reconcile",
+        ),
+        (
+            "lineage",
+            "metrics",
+            lineage.clone(),
+            "total,eviction,0,0,0",
+            "total,eviction,0,1,0".into(),
+            "",
+            "lineage",
+        ),
+        (
+            "trace",
+            "trace.json",
+            "trace.json".into(),
+            "",
+            r#"{"traceEvents":5}"#.into(),
+            "",
+            "missing traceEvents array",
+        ),
+        (
+            "prom",
+            "metrics",
+            "metrics/fig1/metrics.prom".into(),
+            faults,
+            negative,
+            "",
+            "negative counter",
+        ),
     ];
     for (kind, src, file, from, to, removed, message) in cases {
         // Each case copies only what it doctors, so the large trace is
@@ -169,7 +233,11 @@ fn check_passes_clean_tree_and_fails_each_doctored_kind() {
         std::fs::create_dir_all(&copy).unwrap();
         copy_tree(&clean.join(src), &copy.join(src));
         let text = std::fs::read_to_string(&path).unwrap();
-        let doctored = if from.is_empty() { to } else { text.replacen(from, &to, 1) };
+        let doctored = if from.is_empty() {
+            to
+        } else {
+            text.replacen(from, &to, 1)
+        };
         assert_ne!(doctored, text, "{kind}: fixture must actually tamper");
         std::fs::write(&path, doctored).unwrap();
         if !removed.is_empty() {
@@ -179,7 +247,10 @@ fn check_passes_clean_tree_and_fails_each_doctored_kind() {
         let err = stderr(&bad);
         assert_eq!(bad.status.code(), Some(1), "{kind}: {err}");
         let fail = format!("FAIL {}: ", path.display());
-        assert!(err.contains(&fail) && err.contains(message), "{kind}: {err}");
+        assert!(
+            err.contains(&fail) && err.contains(message),
+            "{kind}: {err}"
+        );
         assert!(!err.contains("panicked"), "{kind}: {err}");
     }
 
@@ -236,7 +307,11 @@ fn regress_gate_passes_then_fails_on_doctored_baseline() {
     ]);
     assert!(import.status.success());
     let ok = repro(&["regress", trend.to_str().unwrap()]);
-    assert!(ok.status.success(), "steady trend must pass: {}", stderr(&ok));
+    assert!(
+        ok.status.success(),
+        "steady trend must pass: {}",
+        stderr(&ok)
+    );
     assert!(stdout(&ok).contains("regress: OK"));
 
     // Doctor the baseline: the newest run's wall time +60%, throughput
@@ -254,9 +329,15 @@ fn regress_gate_passes_then_fails_on_doctored_baseline() {
     assert!(!bad.status.success(), "doctored trend must fail the gate");
     assert_eq!(bad.status.code(), Some(1));
     let diff = stdout(&bad);
-    assert!(diff.contains("REGRESSED"), "diff table flags the regression");
+    assert!(
+        diff.contains("REGRESSED"),
+        "diff table flags the regression"
+    );
     let err = stderr(&bad);
-    assert!(err.contains("fig1.wall_seconds"), "stderr names the series: {err}");
+    assert!(
+        err.contains("fig1.wall_seconds"),
+        "stderr names the series: {err}"
+    );
     assert!(err.contains("fig1.faults_per_sec"));
 
     // A tolerant threshold lets the same history pass.

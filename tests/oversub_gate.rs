@@ -23,7 +23,11 @@ fn run_small(out: &Path, extra: &[&str]) {
     ];
     args.extend_from_slice(extra);
     let run = repro(&args);
-    assert!(run.status.success(), "repro oversub failed: {}", stderr(&run));
+    assert!(
+        run.status.success(),
+        "repro oversub failed: {}",
+        stderr(&run)
+    );
 }
 
 #[test]
@@ -34,11 +38,17 @@ fn oversub_artefacts_are_bit_identical_across_threads() {
     let tsv = std::fs::read_to_string(base.join("oversub.tsv")).unwrap();
     let prom = std::fs::read_to_string(base.join("oversub.prom")).unwrap();
     assert!(tsv.starts_with("workload\tpolicy\tratio_centi\t"), "{tsv}");
-    assert!(tsv.contains("\nrandom\t") || tsv.contains("\trandom\t"), "all policies swept");
+    assert!(
+        tsv.contains("\nrandom\t") || tsv.contains("\trandom\t"),
+        "all policies swept"
+    );
     assert!(tsv.contains("access_frequency"), "all policies swept");
     assert!(tsv.contains("#cliffs"), "cliff rows recorded");
     assert!(prom.contains("uvm_oversub_faults{"), "cell gauges exported");
-    assert!(prom.contains("uvm_oversub_cliff_ratio{"), "cliff gauges exported");
+    assert!(
+        prom.contains("uvm_oversub_cliff_ratio{"),
+        "cliff gauges exported"
+    );
 
     let other = dir.join("threads4");
     run_small(&other, &["--threads", "4"]);
@@ -56,8 +66,16 @@ fn oversub_artefacts_are_bit_identical_across_threads() {
     // The artefacts re-verify from disk alone.
     let check = repro(&["check", base.to_str().unwrap()]);
     assert!(check.status.success(), "check: {}", stderr(&check));
-    assert!(stdout(&check).contains("cliff(s) reproduced"), "{}", stdout(&check));
-    assert!(stdout(&check).contains("match the tsv"), "{}", stdout(&check));
+    assert!(
+        stdout(&check).contains("cliff(s) reproduced"),
+        "{}",
+        stdout(&check)
+    );
+    assert!(
+        stdout(&check).contains("match the tsv"),
+        "{}",
+        stdout(&check)
+    );
 }
 
 #[test]
@@ -69,12 +87,20 @@ fn oversub_check_fails_on_doctored_artefacts() {
 
     // Breaking a derived column breaks the parse-time recomputation.
     let (head, tail) = clean.split_once("#cliffs").expect("cliff section");
-    let doctored = format!("{}#cliffs{}", head.replacen("\t8750\n", "\t8751\n", 1), tail);
+    let doctored = format!(
+        "{}#cliffs{}",
+        head.replacen("\t8750\n", "\t8751\n", 1),
+        tail
+    );
     assert_ne!(doctored, clean, "fixture must actually tamper a row");
     std::fs::write(&tsv_path, &doctored).unwrap();
     let check = repro(&["check", dir.to_str().unwrap()]);
     assert!(!check.status.success(), "doctored tsv must fail check");
-    assert!(stderr(&check).contains("derived column"), "{}", stderr(&check));
+    assert!(
+        stderr(&check).contains("derived column"),
+        "{}",
+        stderr(&check)
+    );
 
     // Moving a recorded cliff row contradicts the knee detector.
     let doctored = format!("{head}#cliffs{}", tail.replacen("\t150\t", "\t175\t", 1));
@@ -82,7 +108,11 @@ fn oversub_check_fails_on_doctored_artefacts() {
     std::fs::write(&tsv_path, &doctored).unwrap();
     let check = repro(&["check", dir.to_str().unwrap()]);
     assert!(!check.status.success(), "moved cliff must fail check");
-    assert!(stderr(&check).contains("knee detector"), "{}", stderr(&check));
+    assert!(
+        stderr(&check).contains("knee detector"),
+        "{}",
+        stderr(&check)
+    );
 
     // A prom value that drifts from the tsv fails the reconciliation.
     std::fs::write(&tsv_path, &clean).unwrap();
@@ -95,14 +125,21 @@ fn oversub_check_fails_on_doctored_artefacts() {
     std::fs::write(&prom_path, prom.replacen(line, &format!("{line}0"), 1)).unwrap();
     let check = repro(&["check", dir.to_str().unwrap()]);
     assert!(!check.status.success(), "drifted prom must fail check");
-    assert!(stderr(&check).contains("drifts from oversub.tsv"), "{}", stderr(&check));
+    assert!(
+        stderr(&check).contains("drifts from oversub.tsv"),
+        "{}",
+        stderr(&check)
+    );
 }
 
 #[test]
 fn oversub_report_renders_cliff_map_and_bracket_diffs() {
     let dir = scratch("oversub_report");
     let metrics = dir.join("metrics");
-    run_small(&dir.join("out"), &["--metrics-out", metrics.to_str().unwrap()]);
+    run_small(
+        &dir.join("out"),
+        &["--metrics-out", metrics.to_str().unwrap()],
+    );
 
     // The heatmap lands beside the per-point CSVs, and the generic
     // metrics validators still pass over the mixed tree.
@@ -124,7 +161,10 @@ fn oversub_report_renders_cliff_map_and_bracket_diffs() {
     // an offender table.
     let explain = repro(&["explain", metrics.to_str().unwrap()]);
     assert!(explain.status.success(), "explain: {}", stderr(&explain));
-    assert!(!stdout(&explain).contains("ratio_centi"), "oversub.tsv leaked into explain");
+    assert!(
+        !stdout(&explain).contains("ratio_centi"),
+        "oversub.tsv leaked into explain"
+    );
 
     // Relabel one eviction write-back as a host migration and move the
     // totals to match: the stream still parses and the device-to-host
@@ -139,7 +179,10 @@ fn oversub_report_renders_cliff_map_and_bracket_diffs() {
     let totals = |text: &str, kind: &str| -> (u64, u64) {
         let prefix = format!("total,{kind},");
         let line = text.lines().find(|l| l.starts_with(&prefix)).unwrap();
-        let cells: Vec<u64> = line[prefix.len()..].split(',').map(|c| c.parse().unwrap()).collect();
+        let cells: Vec<u64> = line[prefix.len()..]
+            .split(',')
+            .map(|c| c.parse().unwrap())
+            .collect();
         (cells[0], cells[1])
     };
     let (path, text) = lineages
@@ -163,13 +206,21 @@ fn oversub_report_renders_cliff_map_and_bracket_diffs() {
         )
         .replacen(
             &format!("total,host_writeback,{host_events},{host_pages},"),
-            &format!("total,host_writeback,{},{},", host_events + 1, host_pages + pages),
+            &format!(
+                "total,host_writeback,{},{},",
+                host_events + 1,
+                host_pages + pages
+            ),
             1,
         );
     std::fs::write(path, doctored).unwrap();
     let check = repro(&["check", metrics.to_str().unwrap()]);
     let err = stderr(&check);
-    assert_eq!(check.status.code(), Some(1), "relabelled write-back must fail check: {err}");
+    assert_eq!(
+        check.status.code(),
+        Some(1),
+        "relabelled write-back must fail check: {err}"
+    );
     assert!(err.contains("lineage does not reconcile"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
 }
@@ -178,7 +229,10 @@ fn oversub_report_renders_cliff_map_and_bracket_diffs() {
 fn explain_diff_json_emits_delta_rows() {
     let dir = scratch("explain_diff_json");
     let metrics = dir.join("metrics");
-    run_small(&dir.join("out"), &["--metrics-out", metrics.to_str().unwrap()]);
+    run_small(
+        &dir.join("out"),
+        &["--metrics-out", metrics.to_str().unwrap()],
+    );
     let a = metrics.join("oversub");
     let diff = repro(&[
         "explain",
@@ -187,7 +241,11 @@ fn explain_diff_json_emits_delta_rows() {
         a.to_str().unwrap(),
         "--json",
     ]);
-    assert!(diff.status.success(), "explain --diff --json: {}", stderr(&diff));
+    assert!(
+        diff.status.success(),
+        "explain --diff --json: {}",
+        stderr(&diff)
+    );
     let root: serde::Value = serde_json::from_str(&stdout(&diff)).expect("valid JSON");
     let serde::Value::Map(keys) = &root else {
         panic!("diff JSON is not an object")
@@ -199,13 +257,17 @@ fn explain_diff_json_emits_delta_rows() {
     // all-zero deltas.
     assert_eq!(rows.len(), 11);
     for row in rows {
-        let serde::Value::Map(fields) = row else { panic!("row is not an object") };
+        let serde::Value::Map(fields) = row else {
+            panic!("row is not an object")
+        };
         for key in ["metric", "a", "b", "delta"] {
             assert!(fields.iter().any(|(k, _)| k == key), "row missing `{key}`");
         }
         assert!(
-            fields.iter().any(|(k, v)| k == "delta"
-                && matches!(v, serde::Value::I64(0) | serde::Value::U64(0))),
+            fields
+                .iter()
+                .any(|(k, v)| k == "delta"
+                    && matches!(v, serde::Value::I64(0) | serde::Value::U64(0))),
             "self-diff delta must be zero"
         );
     }

@@ -138,7 +138,11 @@ fn protocol_golden_behaviour_and_hostile_lines() {
     // ping → pong with a build identity.
     let frames = daemon.roundtrip(r#"{"op":"ping"}"#, "pong");
     assert_eq!(frames.len(), 1, "{frames:?}");
-    assert!(frames[0].starts_with(r#"{"frame":"pong","build":""#), "{}", frames[0]);
+    assert!(
+        frames[0].starts_with(r#"{"frame":"pong","build":""#),
+        "{}",
+        frames[0]
+    );
 
     // Malformed JSON → error frame, daemon survives.
     let frames = daemon.roundtrip("this is not json", "error");
@@ -154,7 +158,11 @@ fn protocol_golden_behaviour_and_hostile_lines() {
     // CLI's `--scale` rule applies, so it is refused before `accepted`.
     let frames = daemon.roundtrip(r#"{"op":"run","experiment":"fig1","scale":0.5}"#, "error");
     assert_eq!(frames.len(), 1, "{frames:?}");
-    assert!(frames[0].contains("finite denominator >= 1"), "{}", frames[0]);
+    assert!(
+        frames[0].contains("finite denominator >= 1"),
+        "{}",
+        frames[0]
+    );
 
     // Still alive: ping answers, and the stats ledger counted the abuse.
     let frames = daemon.roundtrip(r#"{"op":"ping"}"#, "pong");
@@ -198,7 +206,11 @@ fn concurrent_clients_get_bit_identical_batch_output() {
     // Ground truth: the batch path's stdout for the same experiment at
     // the same scale. It contains the rendered table verbatim.
     let batch = repro(&["fig1", "--scale", "128", "--no-progress"]);
-    assert!(batch.status.success(), "batch run failed: {}", stderr(&batch));
+    assert!(
+        batch.status.success(),
+        "batch run failed: {}",
+        stderr(&batch)
+    );
     let batch_stdout = stdout(&batch);
 
     let daemon = DaemonGuard::start(&dir);
@@ -218,7 +230,11 @@ fn concurrent_clients_get_bit_identical_batch_output() {
     let frames_b = b.join().expect("client b");
 
     for frames in [&frames_a, &frames_b] {
-        assert_eq!(frame_str(&frames[0], "frame"), Some("accepted"), "{frames:?}");
+        assert_eq!(
+            frame_str(&frames[0], "frame"),
+            Some("accepted"),
+            "{frames:?}"
+        );
         assert!(frames.len() >= 2, "expected progress frames: {frames:?}");
         let done = frames.last().unwrap();
         assert_eq!(frame_str(done, "frame"), Some("done"));
@@ -227,7 +243,10 @@ fn concurrent_clients_get_bit_identical_batch_output() {
         let tag = "\"table\":\"";
         let start = done.find(tag).expect("table field") + tag.len();
         let raw = &done[start..done.rfind('"').unwrap()];
-        let table = raw.replace("\\n", "\n").replace("\\\"", "\"").replace("\\\\", "\\");
+        let table = raw
+            .replace("\\n", "\n")
+            .replace("\\\"", "\"")
+            .replace("\\\\", "\\");
         assert!(
             batch_stdout.contains(&table),
             "served table is not byte-identical to batch stdout"
@@ -248,7 +267,10 @@ fn concurrent_clients_get_bit_identical_batch_output() {
         .and_then(|s| s.split(|c: char| !c.is_ascii_digit()).next())
         .and_then(|s| s.parse::<u64>().ok())
         .expect("cache_hits in stats");
-    assert!(hits >= 1, "expected cross-request cache hits, got {hits}: {stats}");
+    assert!(
+        hits >= 1,
+        "expected cross-request cache hits, got {hits}: {stats}"
+    );
 }
 
 #[test]
@@ -262,7 +284,13 @@ fn submit_check_scrape_and_signal_shutdown() {
     let batch_stdout = stdout(&batch);
 
     // repro submit drives the daemon; its stdout is the table.
-    let sub = repro(&["submit", daemon.socket.to_str().unwrap(), "fig1", "--scale", "128"]);
+    let sub = repro(&[
+        "submit",
+        daemon.socket.to_str().unwrap(),
+        "fig1",
+        "--scale",
+        "128",
+    ]);
     assert!(sub.status.success(), "submit failed: {}", stderr(&sub));
     let table = stdout(&sub);
     assert!(!table.is_empty(), "submit printed no table");
@@ -276,7 +304,10 @@ fn submit_check_scrape_and_signal_shutdown() {
     let addr = std::fs::read_to_string(daemon.out.join("serve.http")).expect("serve.http");
     let addr = addr.trim();
     let scrape = http_get(addr, "/metrics");
-    assert!(scrape.contains("uvm_serve_requests_completed_total 1"), "{scrape}");
+    assert!(
+        scrape.contains("uvm_serve_requests_completed_total 1"),
+        "{scrape}"
+    );
     assert!(
         scrape.contains(r#"uvm_serve_request_faults{request="1",experiment="fig1"}"#),
         "per-request series missing from scrape"
@@ -296,7 +327,11 @@ fn submit_check_scrape_and_signal_shutdown() {
         stdout(&check),
         stderr(&check)
     );
-    assert!(stdout(&check).contains("serve check ok"), "{}", stdout(&check));
+    assert!(
+        stdout(&check).contains("serve check ok"),
+        "{}",
+        stdout(&check)
+    );
 
     // A second scrape: the scrapes counter is monotone across scrapes.
     let scrape2 = http_get(addr, "/metrics");
@@ -315,20 +350,34 @@ fn submit_check_scrape_and_signal_shutdown() {
     let code = daemon.terminate_and_wait();
     assert_eq!(code, 0, "daemon must exit 0 on SIGTERM");
     for artefact in ["serve-events.tsv", "serve.prom"] {
-        assert!(out.join(artefact).exists(), "{artefact} not flushed on shutdown");
+        assert!(
+            out.join(artefact).exists(),
+            "{artefact} not flushed on shutdown"
+        );
     }
     assert!(out.join("req0001-fig1/table.txt").exists());
     assert!(out.join("req0001-fig1/fig1/metrics.prom").exists());
     let events = std::fs::read_to_string(out.join("serve-events.tsv")).unwrap();
-    for kind in ["accepted", "planned", "point_done", "artefacts_written", "completed"] {
-        assert!(events.contains(kind), "event log missing `{kind}`:\n{events}");
+    for kind in [
+        "accepted",
+        "planned",
+        "point_done",
+        "artefacts_written",
+        "completed",
+    ] {
+        assert!(
+            events.contains(kind),
+            "event log missing `{kind}`:\n{events}"
+        );
     }
     assert!(events.contains("# dropped\t0"), "{events}");
     // The final exposition snapshot validates and still carries the
     // completed request's series.
     let prom = std::fs::read_to_string(out.join("serve.prom")).unwrap();
     metrics::exposition::validate(&prom).expect("flushed exposition validates");
-    assert!(prom.contains(r#"uvm_serve_request_state{request="1",experiment="fig1",state="done"} 1"#));
+    assert!(
+        prom.contains(r#"uvm_serve_request_state{request="1",experiment="fig1",state="done"} 1"#)
+    );
 }
 
 /// Minimal HTTP GET over a raw TcpStream (no client dependencies).

@@ -57,7 +57,10 @@ fn sample_streams_identical_across_thread_counts() {
             "every sampled point produced lineage events"
         );
         for r in &reports {
-            let last = r.timeseries.last().expect("sampled point has a final sample");
+            let last = r
+                .timeseries
+                .last()
+                .expect("sampled point has a final sample");
             r.lineage
                 .reconcile(last)
                 .unwrap_or_else(|e| panic!("{}: {e}", r.workload));
@@ -145,7 +148,9 @@ fn final_sample_and_csv_reconcile_at_default_scale() {
         let ledger = parsed.last().expect("CSV has rows").attribution();
         assert_eq!(ledger, r.attribution, "{}", r.workload);
         let (h2d, d2h) = (r.transfers.h2d_bytes, r.transfers.d2h_bytes);
-        ledger.reconcile(&r.counters, h2d, d2h).expect("final row reconciles");
+        ledger
+            .reconcile(&r.counters, h2d, d2h)
+            .expect("final row reconciles");
     }
 }
 

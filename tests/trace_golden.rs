@@ -59,8 +59,10 @@ fn span_streams_identical_across_thread_counts() {
             reports.iter().all(|r| !r.span_trace.events.is_empty()),
             "every traced point recorded spans"
         );
-        let streams: Vec<Vec<SpanEvent>> =
-            reports.iter().map(|r| sim_time_view(&r.span_trace)).collect();
+        let streams: Vec<Vec<SpanEvent>> = reports
+            .iter()
+            .map(|r| sim_time_view(&r.span_trace))
+            .collect();
         let drops: Vec<u64> = reports.iter().map(|r| r.span_trace.dropped).collect();
         match (&golden, &golden_drops) {
             (None, _) => {

@@ -77,7 +77,10 @@ fn span_categories_sum_to_driver_timers() {
 fn bounded_capture_drops_events_but_never_time() {
     let r = traced_report(256);
     assert!(r.span_trace.dropped > 0, "tiny buffer must overflow");
-    assert!(r.span_trace.events.len() <= 256 + 64, "capacity bounds capture");
+    assert!(
+        r.span_trace.events.len() <= 256 + 64,
+        "capacity bounds capture"
+    );
     // Dropped leaves carry their sim-time into `dropped_time`, so the
     // reconciliation invariant survives the bound…
     assert_eq!(r.span_trace.reconciled_totals(), r.timers);
@@ -127,10 +130,28 @@ fn synthetic_point(label: &str, base_ns: u64, with_faults: bool) -> ChromePoint 
     };
     r.begin(SpanKind::Pass, SpanCat::Batch, t(base_ns), 7, 3);
     charge(&mut r, SpanKind::FetchSort, Category::Preprocess, 0, 1);
-    r.begin(SpanKind::VablockService, SpanCat::Vablock, t(base_ns + 1), 2, 0);
+    r.begin(
+        SpanKind::VablockService,
+        SpanCat::Vablock,
+        t(base_ns + 1),
+        2,
+        0,
+    );
     charge(&mut r, SpanKind::MigrateH2d, Category::ServiceMigrate, 1, 1);
-    charge(&mut r, SpanKind::MapPages, Category::ServiceMap, 2, 1_234_000);
-    r.end(SpanKind::VablockService, SpanCat::Vablock, t(base_ns + 1_234_002), 2, 0);
+    charge(
+        &mut r,
+        SpanKind::MapPages,
+        Category::ServiceMap,
+        2,
+        1_234_000,
+    );
+    r.end(
+        SpanKind::VablockService,
+        SpanCat::Vablock,
+        t(base_ns + 1_234_002),
+        2,
+        0,
+    );
     r.instant(SpanKind::Replay, t(base_ns + 1_234_002), 1, 0);
     r.end(SpanKind::Pass, SpanCat::Batch, t(base_ns + 1_234_002), 7, 3);
     let faults = if with_faults {
@@ -171,7 +192,10 @@ fn render_is_the_serializers_canonical_form() {
     // Whole microseconds keep the float form; the round trip below
     // cannot see this, since the parser reads `5` back as an integer.
     assert!(json.contains(r#""ts":5.0,"#), "5000 ns renders as 5.0 µs");
-    assert!(json.contains(r#""dur":1234.0,"#), "1234000 ns renders as 1234.0 µs");
+    assert!(
+        json.contains(r#""dur":1234.0,"#),
+        "1234000 ns renders as 1234.0 µs"
+    );
     assert!(json.contains(r#"quote \" backslash \\ bell \u0007 tab \t"#));
     let tree: serde::Value = serde_json::from_str(&json).expect("export parses as JSON");
     assert_eq!(serde_json::to_string(&tree).expect("re-serialize"), json);
@@ -190,15 +214,43 @@ fn trace_out_under_a_regular_file_exits_cleanly() {
     let dir = scratch("trace_out_unwritable");
     let blocker = dir.join("not-a-dir");
     std::fs::write(&blocker, "").expect("create regular file");
-    let (out_dir, sub, trace) = (dir.join("out"), blocker.join("sub"), blocker.join("sub/t.json"));
-    let (out_dir, sub, trace) = (out_dir.to_str().unwrap(), sub.to_str().unwrap(), trace.to_str().unwrap());
+    let (out_dir, sub, trace) = (
+        dir.join("out"),
+        blocker.join("sub"),
+        blocker.join("sub/t.json"),
+    );
+    let (out_dir, sub, trace) = (
+        out_dir.to_str().unwrap(),
+        sub.to_str().unwrap(),
+        trace.to_str().unwrap(),
+    );
     let cases = [
         // An unwritable `--trace-out`, then an unwritable `--out` itself.
-        (vec!["table1", "--scale", "128", "--out", out_dir, "--trace-out", trace], 1, "error: write trace"),
-        (vec!["table1", "--scale", "128", "--json", "--out", sub], 1, "error:"),
+        (
+            vec![
+                "table1",
+                "--scale",
+                "128",
+                "--out",
+                out_dir,
+                "--trace-out",
+                trace,
+            ],
+            1,
+            "error: write trace",
+        ),
+        (
+            vec!["table1", "--scale", "128", "--json", "--out", sub],
+            1,
+            "error:",
+        ),
         // A non-finite `--scale` is a usage error; a huge finite one runs
         // on the 8 MiB device floor instead of sizing workloads to zero.
-        (vec!["fig1", "--scale", "inf", "--out", out_dir], 2, "error: --scale"),
+        (
+            vec!["fig1", "--scale", "inf", "--out", out_dir],
+            2,
+            "error: --scale",
+        ),
         (vec!["fig1", "--scale", "1e9", "--out", out_dir], 0, ""),
     ];
     for (mut args, code, message) in cases {
