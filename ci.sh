@@ -2,7 +2,8 @@
 # CI gates.
 #
 #   ./ci.sh            per-push gate: build, full test suite, a
-#                      compile check of the benches, clippy and rustdoc
+#                      compile check of the benches, a rustfmt check,
+#                      clippy and rustdoc
 #                      with warnings denied, the perfbench
 #                      self-tests and pinned scale-16 digests,
 #                      quick-scale end-to-end
@@ -41,6 +42,10 @@ push)
     # `cargo test` never compiles the [[bench]] targets, so an API change
     # that breaks `cargo bench` would otherwise pass this gate.
     cargo check --workspace --benches --offline
+
+    echo "== cargo fmt --check =="
+    # Workspace members only: `--all` would also reformat vendor/.
+    cargo fmt -- --check
 
     echo "== cargo clippy (warnings are errors) =="
     # Every target, tests and benches included: a lint slipped into any

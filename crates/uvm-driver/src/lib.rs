@@ -49,7 +49,6 @@ pub mod lru;
 pub mod pma;
 pub mod policy;
 pub mod prefetch;
-pub(crate) mod service;
 pub mod thrash;
 
 pub use address_space::{ManagedSpace, VaRange};

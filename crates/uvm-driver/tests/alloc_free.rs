@@ -123,9 +123,9 @@ fn steady_state_batch_preprocessing_does_not_allocate() {
     );
 }
 
-/// The same claim for the whole service path: once the arena and the
-/// planning scratch tree are sized, a full pass — gather, then the
-/// ordered plan-and-commit walk with evictions — must not touch the heap.
+/// The same claim for the whole service path: once the arena is sized, a
+/// full pass — gather, then the ordered service walk with evictions —
+/// must not touch the heap.
 #[test]
 fn steady_state_service_does_not_allocate() {
     use sim_engine::units::VABLOCK_SIZE;
@@ -169,8 +169,9 @@ fn steady_state_service_does_not_allocate() {
         let before = allocs();
         for round in 0..40u64 {
             fill(&mut buffer, 16 + attempt * 40 + round);
-            let r = driver.process_pass(&mut buffer, clock);
-            assert!(r.fetched > 0);
+            let fetched = driver.counters().faults_fetched;
+            driver.process_pass(&mut buffer, clock);
+            assert!(driver.counters().faults_fetched > fetched);
         }
         let after = allocs();
         cleanest = cleanest.min(after - before);
@@ -199,6 +200,64 @@ fn steady_state_service_does_not_allocate() {
         driver.transfer_log().d2h_bytes,
     )
     .expect("attribution reconciles after the allocation-free window");
+}
+
+/// The hint path shares the fault path's backing, migration and mapping,
+/// so it is allocation-free too: two 8-block regions ping-pong through an
+/// 8-block GPU, and every `prefetch_range` evicts the other region's
+/// blocks to back its own.
+#[test]
+fn steady_state_prefetch_hints_do_not_allocate() {
+    use sim_engine::units::VABLOCK_SIZE;
+    use sim_engine::{CostModel, SimRng};
+    use uvm_driver::{DriverConfig, PrefetchPolicy, UvmDriver, VaRange};
+
+    let cfg = DriverConfig {
+        prefetch: PrefetchPolicy::Disabled,
+        gpu_memory_bytes: 8 * VABLOCK_SIZE,
+        ..DriverConfig::default()
+    };
+    let mut space = ManagedSpace::new();
+    let range = space.alloc(16 * VABLOCK_SIZE, "hints");
+    let half = range.num_pages / 2;
+    let a = VaRange {
+        name: "a".into(),
+        start_page: range.start_page,
+        num_pages: half,
+    };
+    let b = VaRange {
+        name: "b".into(),
+        start_page: range.start_page + half,
+        num_pages: half,
+    };
+    let mut driver = UvmDriver::new(cfg, CostModel::default(), space, SimRng::from_seed(3));
+    let mut clock = SimTime::ZERO + SimDuration::from_millis(1);
+
+    for _ in 0..4 {
+        clock += driver.prefetch_range(&a, clock);
+        clock += driver.prefetch_range(&b, clock);
+    }
+
+    let mut cleanest = u64::MAX;
+    for _ in 0..10u64 {
+        let before = allocs();
+        for _ in 0..40 {
+            clock += driver.prefetch_range(&a, clock);
+            clock += driver.prefetch_range(&b, clock);
+        }
+        let after = allocs();
+        cleanest = cleanest.min(after - before);
+        if cleanest == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        cleanest, 0,
+        "steady-state prefetch hints allocated {cleanest} times in every window"
+    );
+    let c = driver.counters();
+    assert!(c.evictions > 0, "the ping-pong must evict");
+    assert!(c.pages_hint_prefetched > 2 * range.num_pages);
 }
 
 /// Steady-state telemetry sampling is allocation-free: the sample buffer
@@ -256,9 +315,9 @@ fn steady_state_sampling_does_not_allocate() {
         let before = allocs();
         for round in 0..40u64 {
             fill(&mut buffer, 40 + attempt * 40 + round);
-            let r = driver.process_pass(&mut buffer, clock);
-            clock += r.time;
-            assert!(r.fetched > 0);
+            let fetched = driver.counters().faults_fetched;
+            clock += driver.process_pass(&mut buffer, clock).time;
+            assert!(driver.counters().faults_fetched > fetched);
         }
         let after = allocs();
         cleanest = cleanest.min(after - before);
@@ -331,9 +390,9 @@ fn steady_state_lineage_recording_does_not_allocate() {
         let before = allocs();
         for round in 0..40u64 {
             fill(&mut buffer, 16 + attempt * 40 + round);
-            let r = driver.process_pass(&mut buffer, clock);
-            clock += r.time;
-            assert!(r.fetched > 0);
+            let fetched = driver.counters().faults_fetched;
+            clock += driver.process_pass(&mut buffer, clock).time;
+            assert!(driver.counters().faults_fetched > fetched);
         }
         let after = allocs();
         cleanest = cleanest.min(after - before);

@@ -1,7 +1,8 @@
 //! Shared helpers for workload trace generation: device rate constants,
-//! step-cost computation, and block/warp chunking.
+//! step-cost computation, tile page lists, and block/warp chunking.
 
 use gpu_model::{BlockTrace, GlobalPage};
+use sim_engine::units::PAGE_SIZE;
 use sim_engine::SimDuration;
 
 /// Aggregate FP32 rate of the modelled GPU (Titan V ≈ 14 TFLOP/s).
@@ -24,6 +25,27 @@ pub fn cost_of_flops(flops: f64) -> SimDuration {
 pub fn cost_of_bytes(bytes: f64) -> SimDuration {
     debug_assert!(bytes >= 0.0);
     SimDuration::from_nanos((bytes / GPU_MEM_BW * 1e9).round() as u64)
+}
+
+/// Distinct pages, sorted, covered by the `t × t` tile at (`r0`, `c0`) of
+/// a row-major n×n matrix of `elem_bytes`-byte elements, as page offsets
+/// into the matrix's allocation.
+///
+/// Each row segment starts and ends at a page no lower than the previous
+/// row's, so skipping the pages already emitted keeps the list sorted and
+/// unique without a set — rows narrower than a page share theirs.
+pub fn tile_pages(n: usize, elem_bytes: usize, r0: usize, c0: usize, t: usize) -> Vec<u64> {
+    let mut pages: Vec<u64> = Vec::new();
+    for r in r0..r0 + t {
+        let b0 = ((r * n + c0) * elem_bytes) as u64;
+        let b1 = b0 + (t * elem_bytes) as u64 - 1;
+        let first = match pages.last() {
+            Some(&last) => (b0 / PAGE_SIZE).max(last + 1),
+            None => b0 / PAGE_SIZE,
+        };
+        pages.extend(first..=b1 / PAGE_SIZE);
+    }
+    pages
 }
 
 /// Chunk a flat page list into thread blocks of warp-granularity steps:
@@ -87,6 +109,63 @@ mod tests {
     #[test]
     fn byte_cost_scales() {
         assert_eq!(cost_of_bytes(GPU_MEM_BW), SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn tile_pages_are_strided_rows() {
+        // Tile (0,0) of a 2048-wide f32 matrix: row r starts at r*8192
+        // bytes = page 2r, and its 1024 elements fill exactly that page,
+        // so the row stride is 2 pages.
+        let pages = tile_pages(2048, 4, 0, 0, 1024);
+        assert_eq!(pages.len(), 1024);
+        assert_eq!(pages[0], 0);
+        assert_eq!(pages[1], 2, "column tiling strides over pages");
+        // The second column-tile covers the odd pages.
+        let pages = tile_pages(2048, 4, 0, 1024, 1024);
+        assert_eq!(pages[0], 1);
+        assert_eq!(pages[1], 3);
+    }
+
+    #[test]
+    fn tile_pages_match_sorted_deduplicated_row_pages() {
+        // Every page of every row, then sorted and deduplicated: the set
+        // the routine must produce.
+        let reference = |n: usize, e: usize, r0: usize, c0: usize, t: usize| {
+            let mut all: Vec<u64> = Vec::new();
+            for r in r0..r0 + t {
+                let b0 = ((r * n + c0) * e) as u64;
+                let b1 = b0 + (t * e) as u64 - 1;
+                all.extend(b0 / PAGE_SIZE..=b1 / PAGE_SIZE);
+            }
+            all.sort_unstable();
+            all.dedup();
+            all
+        };
+        // (n, elem_bytes, t): rows wider than, equal to, and narrower than
+        // a page (n=64 f32 rows are 256 bytes: 16 rows share each page),
+        // plus unaligned f64 tiles that straddle page edges.
+        for (n, e, t) in [
+            (2048, 4, 1024),
+            (1024, 4, 256),
+            (64, 4, 16),
+            (64, 8, 16),
+            (96, 8, 32),
+            (1000, 8, 100),
+            (24, 4, 8),
+        ] {
+            for r0 in (0..n).step_by(t) {
+                for c0 in (0..n).step_by(t) {
+                    assert_eq!(
+                        tile_pages(n, e, r0, c0, t),
+                        reference(n, e, r0, c0, t),
+                        "n={n} e={e} t={t} at ({r0},{c0})"
+                    );
+                }
+            }
+        }
+        // Narrow rows really do share pages: a 16×16 f32 tile of a
+        // 64-wide matrix spans 16 rows × 256 bytes = one page.
+        assert_eq!(tile_pages(64, 4, 0, 0, 16), vec![0]);
     }
 
     #[test]

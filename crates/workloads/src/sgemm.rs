@@ -8,11 +8,10 @@
 //! presenting to the UVM driver, including the heavy cross-block reuse of
 //! A and B pages that generates duplicate faults from distinct µTLBs.
 
-use crate::common::{warp_interleave, GPU_FLOPS, WARP_SIZE};
+use crate::common::{tile_pages, warp_interleave, GPU_FLOPS, WARP_SIZE};
 use gpu_model::{BlockTrace, GlobalPage, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 use sim_engine::units::PAGE_SIZE;
-use std::collections::BTreeSet;
 use uvm_driver::{ManagedSpace, VaRange};
 
 /// Parameters of the SGEMM kernel.
@@ -50,18 +49,13 @@ impl SgemmParams {
     }
 }
 
-/// Distinct pages covered by the `t × t` tile at (`r0`, `c0`) of an n×n
-/// f32 matrix living in `range`.
-fn tile_pages(range: &VaRange, n: usize, r0: usize, c0: usize, t: usize) -> Vec<GlobalPage> {
-    let mut set = BTreeSet::new();
-    for r in r0..r0 + t {
-        let b0 = ((r * n + c0) * 4) as u64;
-        let b1 = b0 + (t * 4) as u64 - 1;
-        for p in b0 / PAGE_SIZE..=b1 / PAGE_SIZE {
-            set.insert(range.page(p));
-        }
-    }
-    set.into_iter().collect()
+/// Pages of the `t × t` tile at (`r0`, `c0`) of an n×n f32 matrix living
+/// in `range`, sorted.
+fn tile(range: &VaRange, n: usize, r0: usize, c0: usize, t: usize) -> Vec<GlobalPage> {
+    tile_pages(n, 4, r0, c0, t)
+        .into_iter()
+        .map(|p| range.page(p))
+        .collect()
 }
 
 fn push_warp_steps(bt: &mut BlockTrace, pages: &mut [GlobalPage], write: bool) {
@@ -88,12 +82,12 @@ pub fn generate(params: &SgemmParams, space: &mut ManagedSpace) -> WorkloadTrace
         for bj in 0..nt {
             let mut bt = BlockTrace::new(sim_engine::SimDuration::ZERO);
             for k in 0..nt {
-                let mut a_pages = tile_pages(&a, n, bi * t, k * t, t);
-                let mut b_pages = tile_pages(&b, n, k * t, bj * t, t);
+                let mut a_pages = tile(&a, n, bi * t, k * t, t);
+                let mut b_pages = tile(&b, n, k * t, bj * t, t);
                 push_warp_steps(&mut bt, &mut a_pages, false);
                 push_warp_steps(&mut bt, &mut b_pages, false);
             }
-            let mut c_pages = tile_pages(&c, n, bi * t, bj * t, t);
+            let mut c_pages = tile(&c, n, bi * t, bj * t, t);
             push_warp_steps(&mut bt, &mut c_pages, true);
             // Smear the block's arithmetic evenly over its steps.
             let block_flops = 2.0 * (t as f64) * (t as f64) * (n as f64);
@@ -130,23 +124,6 @@ mod tests {
         assert_eq!(t.blocks.len(), 4, "(n/tile)^2 blocks");
         assert_eq!(t.footprint_pages, 3 * 4 * 2048 * 2048 / 4096);
         assert_eq!(space.ranges().len(), 3);
-    }
-
-    #[test]
-    fn tile_pages_are_strided_rows() {
-        let mut space = ManagedSpace::new();
-        let range = space.alloc(4 * 2048 * 2048, "A");
-        // Tile (0,0) of a 2048-wide matrix: row r segment starts at
-        // r*8192 bytes = page 2r; 1024 elements = 4096 bytes = exactly one
-        // page... starting mid... row stride is 2 pages.
-        let pages = tile_pages(&range, 2048, 0, 0, 1024);
-        assert_eq!(pages.len(), 1024);
-        assert_eq!(pages[0].0, 0);
-        assert_eq!(pages[1].0, 2, "column tiling strides over pages");
-        // The second column-tile covers the odd pages.
-        let pages = tile_pages(&range, 2048, 0, 1024, 1024);
-        assert_eq!(pages[0].0, 1);
-        assert_eq!(pages[1].0, 3);
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! multi-allocation, strided pattern that gives TeaLeaf the lowest
 //! prefetch fault-coverage in the paper's Table I.
 
-use crate::common::{cost_of_bytes, WARP_SIZE};
+use crate::common::{cost_of_bytes, tile_pages, WARP_SIZE};
 use gpu_model::{BlockTrace, GlobalPage, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 use sim_engine::units::PAGE_SIZE;
-use std::collections::BTreeSet;
 use uvm_driver::ManagedSpace;
 
 /// Parameters of the TeaLeaf workload.
@@ -62,15 +61,7 @@ pub fn generate(params: &TealeafParams, space: &mut ManagedSpace) -> WorkloadTra
             for bj in 0..nt {
                 // Pages of this block's t×t tile in one array: rows stride
                 // by 8n bytes.
-                let mut tile_pages = BTreeSet::new();
-                for r in bi * t..(bi + 1) * t {
-                    let b0 = ((r * n + bj * t) * 8) as u64;
-                    let b1 = b0 + (t * 8) as u64 - 1;
-                    for p in b0 / PAGE_SIZE..=b1 / PAGE_SIZE {
-                        tile_pages.insert(p);
-                    }
-                }
-                let tile_pages: Vec<u64> = tile_pages.into_iter().collect();
+                let tile_pages = tile_pages(n, 8, bi * t, bj * t, t);
                 let step_cost =
                     cost_of_bytes((tile_pages.len() * params.arrays) as f64 * PAGE_SIZE as f64)
                         / tile_pages.len().div_ceil(WARP_SIZE) as u64;
