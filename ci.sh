@@ -5,7 +5,8 @@
 #                      compile check of the benches, a rustfmt check,
 #                      clippy and rustdoc
 #                      with warnings denied, the perfbench
-#                      self-tests and pinned scale-16 digests,
+#                      self-tests and pinned scale-16 digests, an
+#                      apps_s16 peak-memory budget,
 #                      quick-scale end-to-end
 #                      repro (~1 min on one core), a traced
 #                      + telemetry-sampled fig1, the small-grid
@@ -66,9 +67,21 @@ push)
     # digest against its pinned value and exits 1 on a mismatch or a
     # failed point, so a change that moves scale-16 simulated output
     # fails here.
+    mkdir -p ci-out
     for w in fig1_s16 apps_s16 thrash_rec_s16; do
-        python3 perfbench/run.py --workload "$w" --seconds 0
+        python3 perfbench/run.py --workload "$w" --seconds 0 | tee "ci-out/perfbench-$w.json"
     done
+
+    echo "== apps_s16 memory budget (peak_rss_mb <= 130 MB) =="
+    # The packed trace (4 bytes per access, no per-block vectors) holds
+    # apps_s16 near 90 MB, where the per-block layout it replaced sat at
+    # ~181 MB: slack or per-block headers coming back fail here.
+    python3 -c '
+import json, sys
+rss = json.load(open(sys.argv[1]))["metrics"]["peak_rss_mb"]["value"]
+print(f"apps_s16 peak_rss_mb {rss:.1f} MB (budget 130 MB)")
+sys.exit(rss > 130)
+' ci-out/perfbench-apps_s16.json
 
     echo "== repro all --scale 128 (quick-scale end-to-end) =="
     ./target/release/repro all --scale 128 --json --out ci-out

@@ -15,8 +15,8 @@
 use bench::experiments::Scale;
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_model::{
-    AccessType, BlockTrace, FaultBuffer, FaultBufferConfig, FaultEntry, GlobalPage, GpuConfig,
-    GpuEngine, PageMask, RetryMode, VaBlockIdx, WorkloadTrace,
+    AccessType, FaultBuffer, FaultBufferConfig, FaultEntry, GlobalPage, GpuConfig, GpuEngine,
+    PageMask, RetryMode, VaBlockIdx, WorkloadTrace,
 };
 use sim_engine::units::VABLOCK_SIZE;
 use sim_engine::{CostModel, SimDuration, SimRng, SimTime};
@@ -70,26 +70,26 @@ fn bench_batch_preprocess(c: &mut Criterion) {
 /// block, none resident — the replay-retry shape that dominates
 /// oversubscribed runs. `lo` keeps the random pages out of residency
 /// word 0 so the waiter bench can use that word as its private change
-/// target.
-fn retry_grid(lo: u64, blocks: usize) -> (ManagedSpace, WorkloadTrace) {
+/// target. `first`, when given, replaces block 0's pages.
+fn retry_grid(
+    lo: u64,
+    blocks: usize,
+    first: Option<std::ops::Range<u64>>,
+) -> (ManagedSpace, WorkloadTrace) {
     let mut space = ManagedSpace::new();
     space.alloc(1 << 30, "bench"); // 256 Ki pages, none resident
     let mut rng = SimRng::from_seed(7);
-    let blocks: Vec<BlockTrace> = (0..blocks)
-        .map(|_| {
-            let mut bt = BlockTrace::new(SimDuration::from_nanos(10));
-            bt.push_step(
-                (0..32).map(|_| GlobalPage(lo + rng.index((1 << 18) - lo as usize) as u64)),
-                false,
-            );
-            bt
-        })
-        .collect();
-    let trace = WorkloadTrace {
-        name: "retry".into(),
-        blocks,
-        footprint_pages: 1 << 18,
-    };
+    let mut trace = WorkloadTrace::new("retry", 1 << 18);
+    for b in 0..blocks {
+        let random: Vec<GlobalPage> = (0..32)
+            .map(|_| GlobalPage(lo + rng.index((1 << 18) - lo as usize) as u64))
+            .collect();
+        trace.begin_block(SimDuration::from_nanos(10));
+        match &first {
+            Some(pages) if b == 0 => trace.push_step(pages.clone().map(GlobalPage), false),
+            _ => trace.push_step(random, false),
+        }
+    }
     (space, trace)
 }
 
@@ -97,7 +97,7 @@ fn retry_grid(lo: u64, blocks: usize) -> (ManagedSpace, WorkloadTrace) {
 /// path so this series stays comparable across PRs — and is the honest
 /// baseline the `retry_skip` series is measured against).
 fn bench_replay_retry(c: &mut Criterion) {
-    let (space, trace) = retry_grid(0, 256);
+    let (space, trace) = retry_grid(0, 256, None);
     let cfg = GpuConfig {
         retry: RetryMode::Scan,
         ..GpuConfig::default()
@@ -121,7 +121,7 @@ fn bench_replay_retry(c: &mut Criterion) {
 /// can only throttle, so this series is dominated by full-set
 /// retries that only probe the filter and count.
 fn bench_retry_full_set(c: &mut Criterion) {
-    let (space, trace) = retry_grid(0, 1280);
+    let (space, trace) = retry_grid(0, 1280, None);
     let cfg = GpuConfig {
         retry: RetryMode::Scan,
         ..GpuConfig::default()
@@ -153,19 +153,12 @@ fn skip_grid() -> (GpuConfig, ManagedSpace, WorkloadTrace) {
     };
     let mut space = ManagedSpace::new();
     space.alloc(1 << 30, "bench");
-    let blocks: Vec<BlockTrace> = (0..256u64)
-        .map(|i| {
-            let mut bt = BlockTrace::new(SimDuration::from_nanos(10));
-            let class = (i % 4) * 16;
-            bt.push_step((0..16).map(|o| GlobalPage(i * 64 + class + o)), false);
-            bt
-        })
-        .collect();
-    let trace = WorkloadTrace {
-        name: "skip".into(),
-        blocks,
-        footprint_pages: 256 * 16,
-    };
+    let mut trace = WorkloadTrace::new("skip", 256 * 16);
+    for i in 0..256u64 {
+        trace.begin_block(SimDuration::from_nanos(10));
+        let class = (i % 4) * 16;
+        trace.push_step((0..16).map(|o| GlobalPage(i * 64 + class + o)), false);
+    }
     (cfg, space, trace)
 }
 
@@ -225,10 +218,7 @@ fn bench_retry_skip_scan_twin(c: &mut Criterion) {
 /// residency each iteration, so every replay pays one wakeup dispatch and
 /// one real 16-page rescan while the other 255 blocks skip.
 fn bench_waiter_wakeup(c: &mut Criterion) {
-    let (mut space, mut trace) = retry_grid(64, 256);
-    let mut bt = BlockTrace::new(SimDuration::from_nanos(10));
-    bt.push_step((0..16).map(GlobalPage), false);
-    trace.blocks[0] = bt;
+    let (mut space, trace) = retry_grid(64, 256, Some(0..16));
     let mut engine = GpuEngine::launch(GpuConfig::default(), trace, SimRng::from_seed(1));
     let mut buffer = FaultBuffer::new(FaultBufferConfig::default());
     engine.run(&space, &mut buffer, SimTime::ZERO); // initial stall + subscribe

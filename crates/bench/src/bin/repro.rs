@@ -39,8 +39,9 @@
 //! `--json` additionally writes each experiment's table as
 //! `<out>/<experiment>.json` for downstream tooling, plus a
 //! `<out>/BENCH_hotpaths.json` wall-time/throughput report (simulated
-//! faults/sec and warp-steps/sec per experiment). The report is rewritten
-//! after *every* experiment, so a partial `repro all` run still leaves the
+//! faults/sec and warp-steps/sec per experiment, and the process's peak
+//! resident memory as `peak_rss_mb`). The report is rewritten after
+//! *every* experiment, so a partial `repro all` run still leaves the
 //! completed experiments' telemetry on disk.
 //!
 //! `--metrics-out <dir>` samples every run's driver counters on a
@@ -869,6 +870,22 @@ struct PerfReport {
     threads: usize,
     experiments: Vec<ExperimentPerf>,
     total_wall_seconds: f64,
+    /// Peak resident memory of the process so far, MiB (`VmHWM`); 0
+    /// where `/proc` does not report it.
+    peak_rss_mb: f64,
+}
+
+/// Peak resident memory of this process, MiB (`VmHWM` in
+/// `/proc/self/status`); 0 where the kernel does not report it.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
 }
 
 fn main() {
@@ -1078,6 +1095,7 @@ fn write_perf_report(
         threads: rayon::current_num_threads(),
         experiments: perf.to_vec(),
         total_wall_seconds: total_wall.as_secs_f64(),
+        peak_rss_mb: peak_rss_mb(),
     }
     .serialize();
     // Graft command-specific keys onto the newest experiment record (the

@@ -18,6 +18,7 @@
 use crate::access_counters::{AccessCounterConfig, AccessCounters, AccessNotification};
 use crate::addr::{AccessType, GlobalPage};
 use crate::fault::{FaultBuffer, FaultEntry};
+use crate::trace::{page_of, WorkloadTrace, WRITE_BIT};
 use serde::{Deserialize, Serialize};
 use sim_engine::{SimDuration, SimRng, SimTime};
 use std::sync::Arc;
@@ -127,113 +128,6 @@ impl Default for GpuConfig {
     }
 }
 
-/// Access trace of one thread block.
-///
-/// `pages`/`writes` are flat arrays over all accesses; `step_ends[i]` is
-/// the exclusive end index of step `i`. All pages of a step are issued
-/// concurrently; the block can only advance past a step when every page of
-/// the step is resident.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct BlockTrace {
-    pages: Vec<GlobalPage>,
-    writes: Vec<bool>,
-    step_ends: Vec<u32>,
-    /// GPU wall-time contribution of one completed step assuming ideal
-    /// whole-GPU utilisation (workload generators compute this as
-    /// step FLOPs ÷ aggregate GPU FLOP rate, or bytes ÷ device memory
-    /// bandwidth for bandwidth-bound kernels). Drives the compute-rate
-    /// figures.
-    pub step_cost: SimDuration,
-}
-
-impl BlockTrace {
-    /// Create an empty trace with the given per-step compute cost.
-    pub fn new(step_cost: SimDuration) -> Self {
-        BlockTrace {
-            pages: Vec::new(),
-            writes: Vec::new(),
-            step_ends: Vec::new(),
-            step_cost,
-        }
-    }
-
-    /// Append a step touching `pages` (true in `write` marks dirtying
-    /// accesses; one flag applied to all pages of the step).
-    pub fn push_step(&mut self, pages: impl IntoIterator<Item = GlobalPage>, write: bool) {
-        let before = self.pages.len();
-        self.pages.extend(pages);
-        self.writes
-            .extend(std::iter::repeat_n(write, self.pages.len() - before));
-        assert!(
-            self.pages.len() > before,
-            "a step must touch at least one page"
-        );
-        assert!(self.pages.len() <= u32::MAX as usize, "trace too long");
-        self.step_ends.push(self.pages.len() as u32);
-    }
-
-    /// Append a step with per-page write flags.
-    pub fn push_step_mixed(&mut self, accesses: impl IntoIterator<Item = (GlobalPage, bool)>) {
-        let before = self.pages.len();
-        for (p, w) in accesses {
-            self.pages.push(p);
-            self.writes.push(w);
-        }
-        assert!(
-            self.pages.len() > before,
-            "a step must touch at least one page"
-        );
-        self.step_ends.push(self.pages.len() as u32);
-    }
-
-    /// Number of steps.
-    pub fn num_steps(&self) -> usize {
-        self.step_ends.len()
-    }
-
-    /// Total page accesses in the trace.
-    pub fn num_accesses(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// The accesses of step `i` as `(page, is_write)` pairs.
-    pub fn step(&self, i: usize) -> impl Iterator<Item = (GlobalPage, bool)> + '_ {
-        let start = if i == 0 {
-            0
-        } else {
-            self.step_ends[i - 1] as usize
-        };
-        let end = self.step_ends[i] as usize;
-        self.pages[start..end]
-            .iter()
-            .copied()
-            .zip(self.writes[start..end].iter().copied())
-    }
-}
-
-/// A full grid: the blocks of one kernel launch, plus metadata.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct WorkloadTrace {
-    /// Human-readable workload name (e.g. "sgemm").
-    pub name: String,
-    /// Per-block traces, in block-ID order.
-    pub blocks: Vec<BlockTrace>,
-    /// Total distinct pages the workload touches (its memory footprint).
-    pub footprint_pages: u64,
-}
-
-impl WorkloadTrace {
-    /// Total accesses across all blocks.
-    pub fn total_accesses(&self) -> u64 {
-        self.blocks.iter().map(|b| b.num_accesses() as u64).sum()
-    }
-
-    /// Total steps across all blocks.
-    pub fn total_steps(&self) -> u64 {
-        self.blocks.iter().map(|b| b.num_steps() as u64).sum()
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BlockStatus {
     /// Waiting for an SM slot.
@@ -318,10 +212,11 @@ pub struct GpuEngine {
     /// whole step. Non-empty exactly while the block is stalled mid-step;
     /// the vectors trade places with `miss_scratch` so their capacity is
     /// reused across the whole launch (no steady-state allocation).
-    /// Entries are page numbers with the write flag packed into the top
-    /// bit ([`WRITE_BIT`]) — the retry scan is bandwidth-bound, and all
-    /// live pending lists together must stay L2-resident.
-    pending: Vec<Vec<u64>>,
+    /// Entries are packed exactly as the trace stores them (page in the
+    /// low 31 bits, write flag in [`WRITE_BIT`]) — the retry scan is
+    /// bandwidth-bound, and all live pending lists together must stay
+    /// L2-resident.
+    pending: Vec<Vec<u32>>,
     active: Vec<u32>,
     next_pending: u32,
     /// Outstanding faulted pages per µTLB (dedup + flow-control domain).
@@ -335,7 +230,7 @@ pub struct GpuEngine {
     rng: SimRng,
     /// Reusable buffer for the current step's missing accesses (same
     /// packed encoding as `pending`).
-    miss_scratch: Vec<u64>,
+    miss_scratch: Vec<u32>,
     /// 64-bit fingerprint of each block's pending list (bit `page % 64`),
     /// computed when the block subscribes. Disjointness against the
     /// µTLB's [`Outstanding::filter`] proves no pending page can coalesce.
@@ -378,17 +273,12 @@ pub struct GpuEngine {
 /// Capacity cap applied to the retry scratch and per-block pending
 /// vectors at replay boundaries: one pathological step (a huge miss
 /// list) must not pin its peak allocation for the rest of the launch.
-/// 4096 packed entries = 32 KB, comfortably L2-resident.
+/// 4096 packed entries = 16 KB, comfortably L2-resident.
 const RETRY_SCRATCH_CAP: usize = 4096;
 
 /// Waiter lists longer than this are compacted (dead generations dropped)
 /// before the next push, bounding lazy-deletion garbage per word.
 const WAITER_COMPACT_LEN: usize = 64;
-
-/// Top bit of a packed pending entry: set when the access is a write.
-/// Page numbers occupy the low 63 bits (a 4 KB-page address space of
-/// 2^63 pages is unreachable by construction).
-const WRITE_BIT: u64 = 1 << 63;
 
 /// Word and bit of `page` in [`Outstanding::bits`]. The bit is
 /// `page & 63`, so a 64-page run shares one word. The word folds bits
@@ -498,20 +388,20 @@ impl Outstanding {
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn retry_pending(
-    pending: &[u64],
+    pending: &[u32],
     out: &mut Outstanding,
     counters: &mut EngineCounters,
     buffer: &mut FaultBuffer,
     max_out: usize,
     utlb: u32,
     now: SimTime,
-    misses: &mut Vec<u64>,
+    misses: &mut Vec<u32>,
     mut resident: impl FnMut(GlobalPage) -> bool,
     mut hit: impl FnMut(GlobalPage),
 ) -> bool {
     let mut had_hit = false;
     for (i, &packed) in pending.iter().enumerate() {
-        let page = GlobalPage(packed & !WRITE_BIT);
+        let page = page_of(packed);
         if resident(page) {
             counters.resident_accesses += 1;
             hit(page);
@@ -536,14 +426,9 @@ impl GpuEngine {
     pub fn launch(cfg: GpuConfig, trace: impl Into<Arc<WorkloadTrace>>, rng: SimRng) -> Self {
         let trace = trace.into();
         assert!(cfg.max_blocks_resident > 0 && cfg.num_utlbs > 0);
-        let n = trace.blocks.len();
+        let n = trace.num_blocks();
         let accessed = if cfg.track_page_use {
-            let max_page = trace
-                .blocks
-                .iter()
-                .flat_map(|b| (0..b.num_steps()).flat_map(|s| b.step(s).map(|(p, _)| p.0)))
-                .max()
-                .unwrap_or(0);
+            let max_page = trace.max_page().map_or(0, |p| p.0);
             vec![0u64; (max_page as usize + 64) / 64]
         } else {
             Vec::new()
@@ -589,7 +474,7 @@ impl GpuEngine {
         {
             let b = self.next_pending;
             self.next_pending += 1;
-            if self.trace.blocks[b as usize].num_steps() == 0 {
+            if self.trace.block(b as usize).num_steps() == 0 {
                 self.status[b as usize] = BlockStatus::Done;
                 continue;
             }
@@ -673,12 +558,14 @@ impl GpuEngine {
             if pending.is_empty() {
                 // Fresh attempt: walk the trace step.
                 let step = self.cursor[idx] as usize;
-                for (page, write) in self.trace.blocks[idx].step(step) {
+                for &packed in self.trace.block(idx).packed_step(step) {
+                    let page = page_of(packed);
                     if resident(page) {
                         counters.resident_accesses += 1;
                         hit(page);
                     } else {
-                        misses.push(page.0 | ((write as u64) * WRITE_BIT));
+                        misses.push(packed);
+                        let write = packed & WRITE_BIT != 0;
                         out.raise(counters, buffer, max_out, page, write, utlb, now);
                     }
                 }
@@ -819,10 +706,11 @@ impl GpuEngine {
                 self.subscribed[idx] = false;
                 self.stall_dirty[idx] = false;
             }
+            let block = self.trace.block(idx);
             self.counters.steps_completed += 1;
-            self.compute_work += self.trace.blocks[idx].step_cost;
+            self.compute_work += block.step_cost();
             self.cursor[idx] += 1;
-            if self.cursor[idx] as usize == self.trace.blocks[idx].num_steps() {
+            if self.cursor[idx] as usize == block.num_steps() {
                 self.status[idx] = BlockStatus::Done;
             }
             return true;
@@ -1022,7 +910,7 @@ impl GpuEngine {
         let mut fp = 0u64;
         let mut last_word = u64::MAX;
         for &packed in &pending {
-            let page = packed & !WRITE_BIT;
+            let page = page_of(packed).0;
             fp |= 1u64 << (page % 64);
             let word = page / 64;
             if word == last_word {
@@ -1125,15 +1013,12 @@ mod tests {
     }
 
     fn single_page_trace(pages: &[u64]) -> WorkloadTrace {
-        let mut bt = BlockTrace::new(SimDuration::from_nanos(100));
+        let mut t = WorkloadTrace::new("test", pages.len() as u64);
+        t.begin_block(SimDuration::from_nanos(100));
         for &p in pages {
-            bt.push_step([GlobalPage(p)], false);
+            t.push_step([GlobalPage(p)], false);
         }
-        WorkloadTrace {
-            name: "test".into(),
-            blocks: vec![bt],
-            footprint_pages: pages.len() as u64,
-        }
+        t
     }
 
     fn engine(trace: WorkloadTrace) -> (GpuEngine, FaultBuffer) {
@@ -1178,13 +1063,9 @@ mod tests {
     fn utlb_dedup_coalesces_same_page() {
         // Two steps in one block both missing the same page: second access
         // does not write a second entry while the first is outstanding.
-        let mut bt = BlockTrace::new(SimDuration::ZERO);
-        bt.push_step([GlobalPage(50), GlobalPage(50)], false);
-        let trace = WorkloadTrace {
-            name: "t".into(),
-            blocks: vec![bt],
-            footprint_pages: 1,
-        };
+        let mut trace = WorkloadTrace::new("t", 1);
+        trace.begin_block(SimDuration::ZERO);
+        trace.push_step([GlobalPage(50), GlobalPage(50)], false);
         let (mut eng, mut buf) = engine(trace);
         eng.run(&Below(10), &mut buf, SimTime::ZERO);
         assert_eq!(buf.len(), 1);
@@ -1196,15 +1077,11 @@ mod tests {
         // Two blocks (different µTLBs since num_utlbs > 1) fault the same
         // page: two entries appear — the cross-SM duplication the paper
         // describes.
-        let mut b0 = BlockTrace::new(SimDuration::ZERO);
-        b0.push_step([GlobalPage(50)], false);
-        let mut b1 = BlockTrace::new(SimDuration::ZERO);
-        b1.push_step([GlobalPage(50)], false);
-        let trace = WorkloadTrace {
-            name: "t".into(),
-            blocks: vec![b0, b1],
-            footprint_pages: 1,
-        };
+        let mut trace = WorkloadTrace::new("t", 1);
+        for _ in 0..2 {
+            trace.begin_block(SimDuration::ZERO);
+            trace.push_step([GlobalPage(50)], false);
+        }
         let (mut eng, mut buf) = engine(trace);
         eng.run(&Below(10), &mut buf, SimTime::ZERO);
         assert_eq!(buf.len(), 2);
@@ -1218,18 +1095,11 @@ mod tests {
         };
         // 4 blocks each stalling on a distinct non-resident page: only the
         // first 2 get SM slots, so only 2 faults are raised.
-        let blocks: Vec<BlockTrace> = (0..4)
-            .map(|i| {
-                let mut bt = BlockTrace::new(SimDuration::ZERO);
-                bt.push_step([GlobalPage(100 + i)], false);
-                bt
-            })
-            .collect();
-        let trace = WorkloadTrace {
-            name: "t".into(),
-            blocks,
-            footprint_pages: 4,
-        };
+        let mut trace = WorkloadTrace::new("t", 4);
+        for i in 0..4 {
+            trace.begin_block(SimDuration::ZERO);
+            trace.push_step([GlobalPage(100 + i)], false);
+        }
         let mut eng = GpuEngine::launch(cfg, trace, SimRng::from_seed(1));
         let mut buf = FaultBuffer::new(FaultBufferConfig::default());
         eng.run(&Below(10), &mut buf, SimTime::ZERO);
@@ -1245,13 +1115,9 @@ mod tests {
             ..GpuConfig::default()
         };
         // One block whose single step misses 10 pages through one µTLB.
-        let mut bt = BlockTrace::new(SimDuration::ZERO);
-        bt.push_step((100..110).map(GlobalPage), false);
-        let trace = WorkloadTrace {
-            name: "t".into(),
-            blocks: vec![bt],
-            footprint_pages: 10,
-        };
+        let mut trace = WorkloadTrace::new("t", 10);
+        trace.begin_block(SimDuration::ZERO);
+        trace.push_step((100..110).map(GlobalPage), false);
         let mut eng = GpuEngine::launch(cfg, trace, SimRng::from_seed(1));
         let mut buf = FaultBuffer::new(FaultBufferConfig::default());
         eng.run(&Below(10), &mut buf, SimTime::ZERO);
@@ -1263,13 +1129,9 @@ mod tests {
     fn step_gates_on_all_pages() {
         // A step touching pages 5 (resident) and 50 (not): block stalls,
         // then completes once 50 is resident; page 5 is not re-counted.
-        let mut bt = BlockTrace::new(SimDuration::ZERO);
-        bt.push_step([GlobalPage(5), GlobalPage(50)], false);
-        let trace = WorkloadTrace {
-            name: "t".into(),
-            blocks: vec![bt],
-            footprint_pages: 2,
-        };
+        let mut trace = WorkloadTrace::new("t", 2);
+        trace.begin_block(SimDuration::ZERO);
+        trace.push_step([GlobalPage(5), GlobalPage(50)], false);
         let (mut eng, mut buf) = engine(trace);
         assert_eq!(
             eng.run(&Below(10), &mut buf, SimTime::ZERO),
@@ -1283,25 +1145,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_step_iteration() {
-        let mut bt = BlockTrace::new(SimDuration::ZERO);
-        bt.push_step([GlobalPage(1), GlobalPage(2)], true);
-        bt.push_step([GlobalPage(3)], false);
-        assert_eq!(bt.num_steps(), 2);
-        assert_eq!(bt.num_accesses(), 3);
-        let s0: Vec<_> = bt.step(0).collect();
-        assert_eq!(s0, vec![(GlobalPage(1), true), (GlobalPage(2), true)]);
-        let s1: Vec<_> = bt.step(1).collect();
-        assert_eq!(s1, vec![(GlobalPage(3), false)]);
-    }
-
-    #[test]
     fn empty_grid_is_done_immediately() {
-        let trace = WorkloadTrace {
-            name: "empty".into(),
-            blocks: vec![],
-            footprint_pages: 0,
-        };
+        let trace = WorkloadTrace::new("empty", 0);
         let mut eng = GpuEngine::launch(GpuConfig::default(), trace, SimRng::from_seed(1));
         let mut buf = FaultBuffer::new(FaultBufferConfig::default());
         assert_eq!(
@@ -1313,11 +1158,8 @@ mod tests {
 
     #[test]
     fn zero_step_blocks_complete_without_running() {
-        let trace = WorkloadTrace {
-            name: "noop".into(),
-            blocks: vec![BlockTrace::new(SimDuration::ZERO)],
-            footprint_pages: 0,
-        };
+        let mut trace = WorkloadTrace::new("noop", 0);
+        trace.begin_block(SimDuration::ZERO);
         let mut eng = GpuEngine::launch(GpuConfig::default(), trace, SimRng::from_seed(1));
         let mut buf = FaultBuffer::new(FaultBufferConfig::default());
         assert_eq!(
@@ -1337,15 +1179,11 @@ mod tests {
             ..GpuConfig::default()
         };
         // One block re-reading the same resident page 8 times.
-        let mut bt = BlockTrace::new(SimDuration::ZERO);
+        let mut trace = WorkloadTrace::new("hot", 1);
+        trace.begin_block(SimDuration::ZERO);
         for _ in 0..8 {
-            bt.push_step([GlobalPage(3)], false);
+            trace.push_step([GlobalPage(3)], false);
         }
-        let trace = WorkloadTrace {
-            name: "hot".into(),
-            blocks: vec![bt],
-            footprint_pages: 1,
-        };
         let mut eng = GpuEngine::launch(cfg, trace, SimRng::from_seed(1));
         let mut buf = FaultBuffer::new(FaultBufferConfig::default());
         eng.run(&Below(100), &mut buf, SimTime::ZERO);
@@ -1360,13 +1198,9 @@ mod tests {
             track_page_use: true,
             ..GpuConfig::default()
         };
-        let mut bt = BlockTrace::new(SimDuration::ZERO);
-        bt.push_step([GlobalPage(7)], false);
-        let trace = WorkloadTrace {
-            name: "one".into(),
-            blocks: vec![bt],
-            footprint_pages: 1,
-        };
+        let mut trace = WorkloadTrace::new("one", 1);
+        trace.begin_block(SimDuration::ZERO);
+        trace.push_step([GlobalPage(7)], false);
         let mut eng = GpuEngine::launch(cfg, trace, SimRng::from_seed(1));
         let mut buf = FaultBuffer::new(FaultBufferConfig::default());
         eng.run(&Below(100), &mut buf, SimTime::ZERO);
@@ -1381,20 +1215,14 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let mk = || {
-            let blocks: Vec<BlockTrace> = (0..20)
-                .map(|i| {
-                    let mut bt = BlockTrace::new(SimDuration::ZERO);
-                    for s in 0..5 {
-                        bt.push_step([GlobalPage(100 + i * 5 + s)], false);
-                    }
-                    bt
-                })
-                .collect();
-            WorkloadTrace {
-                name: "t".into(),
-                blocks,
-                footprint_pages: 100,
+            let mut trace = WorkloadTrace::new("t", 100);
+            for i in 0..20 {
+                trace.begin_block(SimDuration::ZERO);
+                for s in 0..5 {
+                    trace.push_step([GlobalPage(100 + i * 5 + s)], false);
+                }
             }
+            trace
         };
         let run = |seed| {
             let mut eng = GpuEngine::launch(GpuConfig::default(), mk(), SimRng::from_seed(seed));
@@ -1460,19 +1288,13 @@ mod tests {
     }
 
     fn multi_block_trace(blocks_pages: &[&[u64]]) -> WorkloadTrace {
-        let blocks = blocks_pages
-            .iter()
-            .map(|pages| {
-                let mut bt = BlockTrace::new(SimDuration::from_nanos(100));
-                bt.push_step(pages.iter().map(|&p| GlobalPage(p)), false);
-                bt
-            })
-            .collect();
-        WorkloadTrace {
-            name: "test".into(),
-            blocks,
-            footprint_pages: blocks_pages.iter().map(|p| p.len() as u64).sum(),
+        let footprint = blocks_pages.iter().map(|p| p.len() as u64).sum();
+        let mut trace = WorkloadTrace::new("test", footprint);
+        for pages in blocks_pages {
+            trace.begin_block(SimDuration::from_nanos(100));
+            trace.push_step(pages.iter().map(|&p| GlobalPage(p)), false);
         }
+        trace
     }
 
     fn retry_cfg(retry: RetryMode) -> GpuConfig {
@@ -1741,9 +1563,9 @@ mod tests {
                 filter_slot(GlobalPage(aliased_page(6)))
             );
             let resident: Vec<u64> = resident.into_iter().map(aliased_page).collect();
-            let pending: Vec<u64> = pending
+            let pending: Vec<u32> = pending
                 .into_iter()
-                .map(|k| aliased_page(k / 2) | ((k % 2) * WRITE_BIT))
+                .map(|k| aliased_page(k / 2) as u32 | if k % 2 == 1 { WRITE_BIT } else { 0 })
                 .collect();
             let buffer_cfg = FaultBufferConfig {
                 capacity,
@@ -1770,7 +1592,7 @@ mod tests {
                 let mut want_hits = Vec::new();
                 let mut want_had_hit = false;
                 for (i, &packed) in pending.iter().enumerate() {
-                    let page = GlobalPage(packed & !WRITE_BIT);
+                    let page = page_of(packed);
                     if is_resident(page) {
                         want.resident_accesses += 1;
                         want_hits.push(page);

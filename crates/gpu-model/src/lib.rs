@@ -12,8 +12,10 @@
 //!   (entry drop) behaviour.
 //! * [`access_counters`] — Volta-style memory access counters with
 //!   threshold notifications (the paper's §VI-B3 hardware hook).
+//! * [`trace`] — a grid's page-access trace: every block's accesses in
+//!   one flat array at 4 bytes per access.
 //! * [`engine`] — a loosely-timed execution model of the GPU: thread
-//!   blocks with page-access traces, an SM-occupancy-limited block
+//!   blocks running their traces, an SM-occupancy-limited block
 //!   scheduler, per-µTLB fault deduplication, stall/replay semantics.
 //! * [`dma`] — transfer accounting for the copy engines plus the explicit
 //!   `cudaMemcpy`-style baseline used by Figure 1.
@@ -31,12 +33,11 @@ pub mod dma;
 pub mod engine;
 pub mod fault;
 pub mod mask;
+pub mod trace;
 
 pub use access_counters::{AccessCounterConfig, AccessCounters, AccessNotification};
 pub use addr::{AccessType, GlobalPage, VaBlockIdx};
-pub use engine::{
-    BlockTrace, EngineCounters, EngineStatus, GpuConfig, GpuEngine, Residency, RetryMode,
-    WorkloadTrace,
-};
+pub use engine::{EngineCounters, EngineStatus, GpuConfig, GpuEngine, Residency, RetryMode};
 pub use fault::{FaultBuffer, FaultBufferConfig, FaultEntry};
 pub use mask::PageMask;
+pub use trace::{BlockView, WorkloadTrace, PAGE_LIMIT};

@@ -3,8 +3,8 @@
 //! engine completion invariants.
 
 use gpu_model::{
-    AccessType, BlockTrace, FaultBuffer, FaultBufferConfig, FaultEntry, GlobalPage, GpuConfig,
-    GpuEngine, PageMask, Residency, WorkloadTrace,
+    AccessType, FaultBuffer, FaultBufferConfig, FaultEntry, GlobalPage, GpuConfig, GpuEngine,
+    PageMask, Residency, WorkloadTrace,
 };
 use proptest::prelude::*;
 use sim_engine::{SimDuration, SimRng, SimTime};
@@ -167,22 +167,100 @@ fn arb_trace() -> impl Strategy<Value = WorkloadTrace> {
         1..20,
     )
     .prop_map(|blocks| {
-        let bts: Vec<BlockTrace> = blocks
-            .into_iter()
+        let mut trace = WorkloadTrace::new("prop", 2048);
+        for steps in blocks {
+            trace.begin_block(SimDuration::from_nanos(10));
+            for step in steps {
+                trace.push_step(step.into_iter().map(GlobalPage), false);
+            }
+        }
+        trace
+    })
+}
+
+// ---------- packed WorkloadTrace vs nested Vecs ----------
+
+/// Decode a raw sample into one access: mostly small pages, with the
+/// highest packable page (2³¹ − 1) mixed in; bit 1 is the write flag.
+fn access_of(raw: u64) -> (u64, bool) {
+    let page = if raw.is_multiple_of(5) {
+        gpu_model::PAGE_LIMIT - 1
+    } else {
+        (raw >> 2) % 4096
+    };
+    (page, raw & 2 != 0)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn packed_trace_matches_nested_reference(
+        raw in proptest::collection::vec(
+            proptest::collection::vec(proptest::collection::vec(any::<u64>(), 1..9), 0..5),
+            0..12,
+        ),
+        costs in proptest::collection::vec(0u64..1000, 12),
+    ) {
+        // Steps whose first sample is even push one write flag for the
+        // whole step; the others push per-access flags.
+        let reference: Vec<Vec<Vec<(u64, bool)>>> = raw
+            .iter()
             .map(|steps| {
-                let mut bt = BlockTrace::new(SimDuration::from_nanos(10));
-                for step in steps {
-                    bt.push_step(step.into_iter().map(GlobalPage), false);
-                }
-                bt
+                steps
+                    .iter()
+                    .map(|step| {
+                        let uniform = step[0] % 2 == 0;
+                        let flag = access_of(step[0]).1;
+                        step.iter()
+                            .map(|&r| {
+                                let (page, write) = access_of(r);
+                                (page, if uniform { flag } else { write })
+                            })
+                            .collect()
+                    })
+                    .collect()
             })
             .collect();
-        WorkloadTrace {
-            name: "prop".into(),
-            blocks: bts,
-            footprint_pages: 2048,
+        let mut trace = WorkloadTrace::new("prop", 0);
+        for (b, steps) in reference.iter().enumerate() {
+            trace.begin_block(SimDuration::from_nanos(costs[b]));
+            for (raw_step, step) in raw[b].iter().zip(steps) {
+                if raw_step[0] % 2 == 0 {
+                    trace.push_step(step.iter().map(|&(p, _)| GlobalPage(p)), step[0].1);
+                } else {
+                    trace.push_step_mixed(step.iter().map(|&(p, w)| (GlobalPage(p), w)));
+                }
+            }
         }
-    })
+
+        prop_assert_eq!(trace.num_blocks(), reference.len());
+        let steps: usize = reference.iter().map(Vec::len).sum();
+        let accesses: usize = reference.iter().flatten().map(Vec::len).sum();
+        prop_assert_eq!(trace.total_steps(), steps as u64);
+        prop_assert_eq!(trace.total_accesses(), accesses as u64);
+        for (b, want) in reference.iter().enumerate() {
+            let block = trace.block(b);
+            prop_assert_eq!(block.num_steps(), want.len());
+            prop_assert_eq!(block.step_cost(), SimDuration::from_nanos(costs[b]));
+            let n: usize = want.iter().map(Vec::len).sum();
+            prop_assert_eq!(block.num_accesses(), n as u64);
+            for (s, want_step) in want.iter().enumerate() {
+                let got: Vec<(u64, bool)> = block.step(s).map(|(p, w)| (p.0, w)).collect();
+                prop_assert_eq!(&got, want_step);
+            }
+        }
+        let max = reference.iter().flatten().flatten().map(|&(p, _)| p).max();
+        prop_assert_eq!(trace.max_page().map(|p| p.0), max);
+    }
+}
+
+#[test]
+#[should_panic(expected = "2^31-page limit")]
+fn page_beyond_packed_limit_is_refused() {
+    let mut trace = WorkloadTrace::new("big", 0);
+    trace.begin_block(SimDuration::ZERO);
+    trace.push_step([GlobalPage(gpu_model::PAGE_LIMIT)], false);
 }
 
 proptest! {

@@ -430,7 +430,7 @@ fn steady_state_lineage_recording_does_not_allocate() {
 /// growth) nor exceed the engine's steady-state scratch cap.
 #[test]
 fn steady_state_event_replay_does_not_allocate() {
-    use gpu_model::{BlockTrace, GpuConfig, GpuEngine, WorkloadTrace};
+    use gpu_model::{GpuConfig, GpuEngine, WorkloadTrace};
     use sim_engine::units::VABLOCK_SIZE;
     use sim_engine::SimRng;
 
@@ -439,16 +439,11 @@ fn steady_state_event_replay_does_not_allocate() {
 
     // Two blocks, fingerprint-disjoint pending sets sized exactly to the
     // µTLB capacity: each round one refills the set, the other skips.
-    let mk_block = |pages: std::ops::Range<u64>| {
-        let mut bt = BlockTrace::new(SimDuration::from_nanos(100));
-        bt.push_step(pages.map(GlobalPage), false);
-        bt
-    };
-    let trace = WorkloadTrace {
-        name: "retry-steady".into(),
-        blocks: vec![mk_block(0..4), mk_block(68..72)],
-        footprint_pages: 8,
-    };
+    let mut trace = WorkloadTrace::new("retry-steady", 8);
+    for pages in [0..4, 68..72] {
+        trace.begin_block(SimDuration::from_nanos(100));
+        trace.push_step(pages.map(GlobalPage), false);
+    }
     let cfg = GpuConfig {
         num_utlbs: 1,
         max_outstanding_per_utlb: 4,

@@ -9,8 +9,8 @@
 //! skip/wakeup telemetry may differ.
 
 use gpu_model::{
-    BlockTrace, EngineCounters, FaultBuffer, FaultBufferConfig, GlobalPage, GpuConfig, GpuEngine,
-    PageMask, RetryMode, VaBlockIdx, WorkloadTrace,
+    EngineCounters, FaultBuffer, FaultBufferConfig, GlobalPage, GpuConfig, GpuEngine, PageMask,
+    RetryMode, VaBlockIdx, WorkloadTrace,
 };
 use proptest::prelude::*;
 use sim_engine::units::VABLOCK_SIZE;
@@ -31,22 +31,15 @@ fn arb_blocks() -> impl Strategy<Value = Vec<Vec<u64>>> {
 }
 
 fn build_trace(block_steps: &[Vec<u64>]) -> WorkloadTrace {
-    let blocks = block_steps
-        .iter()
-        .map(|seeds| {
-            let mut bt = BlockTrace::new(SimDuration::from_nanos(100));
-            // Up to 4 pages per step, several steps per block.
-            for chunk in seeds.chunks(4) {
-                bt.push_step(chunk.iter().map(|&s| GlobalPage(decode(s))), false);
-            }
-            bt
-        })
-        .collect();
-    WorkloadTrace {
-        name: "retry-equiv".into(),
-        blocks,
-        footprint_pages: PAGES,
+    let mut trace = WorkloadTrace::new("retry-equiv", PAGES);
+    for seeds in block_steps {
+        trace.begin_block(SimDuration::from_nanos(100));
+        // Up to 4 pages per step, several steps per block.
+        for chunk in seeds.chunks(4) {
+            trace.push_step(chunk.iter().map(|&s| GlobalPage(decode(s))), false);
+        }
     }
+    trace
 }
 
 type EngineOutput = (Vec<Vec<(u64, u32)>>, EngineCounters, Vec<Vec<u64>>);
@@ -133,14 +126,10 @@ fn eviction_invalidates_subscribed_word() {
 
         // Step 1 hits resident pages 0..4; step 2 stalls on page 10,
         // subscribing the block to residency word 0.
-        let mut bt = BlockTrace::new(SimDuration::from_nanos(100));
-        bt.push_step((0..4).map(GlobalPage), false);
-        bt.push_step([GlobalPage(10)], false);
-        let trace = WorkloadTrace {
-            name: "evict-wake".into(),
-            blocks: vec![bt],
-            footprint_pages: 5,
-        };
+        let mut trace = WorkloadTrace::new("evict-wake", 5);
+        trace.begin_block(SimDuration::from_nanos(100));
+        trace.push_step((0..4).map(GlobalPage), false);
+        trace.push_step([GlobalPage(10)], false);
         let cfg = GpuConfig {
             retry,
             ..GpuConfig::default()

@@ -65,15 +65,12 @@ fn hint_prefetch_eliminates_faults_entirely() {
     let trace = {
         // Reuse the regular generator's shape against our own range via a
         // fresh space is awkward; just touch every page directly.
-        let mut bt = gpu_model::BlockTrace::new(SimDuration::ZERO);
+        let mut trace = gpu_model::WorkloadTrace::new("touch", range.num_pages);
+        trace.begin_block(SimDuration::ZERO);
         for p in 0..range.num_pages {
-            bt.push_step([range.page(p)], false);
+            trace.push_step([range.page(p)], false);
         }
-        gpu_model::WorkloadTrace {
-            name: "touch".into(),
-            blocks: vec![bt],
-            footprint_pages: range.num_pages,
-        }
+        trace
     };
     let mut driver = UvmDriver::new(
         DriverConfig {
@@ -187,16 +184,12 @@ fn sparse_kernel_shows_nonzero_prefetch_waste() {
     // pages the kernel never uses (paper §VI-A's waste mechanism).
     let mut space = ManagedSpace::new();
     let range = space.alloc(8 * MIB, "sparse");
-    let mut bt = gpu_model::BlockTrace::new(SimDuration::ZERO);
+    let mut trace = gpu_model::WorkloadTrace::new("sparse", range.num_pages);
+    trace.begin_block(SimDuration::ZERO);
     let touched: Vec<u64> = (0..range.num_pages).step_by(16).collect();
     for &p in &touched {
-        bt.push_step([range.page(p)], false);
+        trace.push_step([range.page(p)], false);
     }
-    let trace = gpu_model::WorkloadTrace {
-        name: "sparse".into(),
-        blocks: vec![bt],
-        footprint_pages: range.num_pages,
-    };
     let mut driver = UvmDriver::new(
         DriverConfig {
             gpu_memory_bytes: 64 * MIB,
@@ -280,15 +273,12 @@ fn cpu_gpu_pipeline_round_trips() {
     let mut space = ManagedSpace::new();
     let range = space.alloc(4 * MIB, "buf");
     let make_trace = |range: &uvm_driver::VaRange| {
-        let mut bt = gpu_model::BlockTrace::new(SimDuration::ZERO);
+        let mut trace = gpu_model::WorkloadTrace::new("touch", range.num_pages);
+        trace.begin_block(SimDuration::ZERO);
         for p in 0..range.num_pages {
-            bt.push_step([range.page(p)], true);
+            trace.push_step([range.page(p)], true);
         }
-        gpu_model::WorkloadTrace {
-            name: "touch".into(),
-            blocks: vec![bt],
-            footprint_pages: range.num_pages,
-        }
+        trace
     };
     let mut driver = UvmDriver::new(
         DriverConfig {

@@ -1,7 +1,7 @@
 //! Shared helpers for workload trace generation: device rate constants,
 //! step-cost computation, tile page lists, and block/warp chunking.
 
-use gpu_model::{BlockTrace, GlobalPage};
+use gpu_model::{GlobalPage, WorkloadTrace};
 use sim_engine::units::PAGE_SIZE;
 use sim_engine::SimDuration;
 
@@ -48,26 +48,72 @@ pub fn tile_pages(n: usize, elem_bytes: usize, r0: usize, c0: usize, t: usize) -
     pages
 }
 
-/// Chunk a flat page list into thread blocks of warp-granularity steps:
-/// every [`WARP_SIZE`] consecutive pages form one step (a warp's
-/// concurrent accesses), and `warps_per_block` steps form one block.
+/// Append a flat page list to `trace` as thread blocks of
+/// warp-granularity steps: every [`WARP_SIZE`] consecutive pages form one
+/// step (a warp's concurrent accesses), and `warps_per_block` steps form
+/// one block.
 pub fn blocks_of_pages(
+    trace: &mut WorkloadTrace,
     pages: &[GlobalPage],
     warps_per_block: usize,
     step_cost: SimDuration,
     write: bool,
-) -> Vec<BlockTrace> {
+) {
     assert!(warps_per_block > 0);
     let pages_per_block = warps_per_block * WARP_SIZE;
-    let mut out = Vec::with_capacity(pages.len().div_ceil(pages_per_block));
+    trace.reserve(
+        pages.len().div_ceil(pages_per_block),
+        chunked_steps(pages.len() as u64, pages_per_block as u64) as usize,
+        pages.len(),
+    );
     for chunk in pages.chunks(pages_per_block) {
-        let mut bt = BlockTrace::new(step_cost);
-        for warp in chunk.chunks(WARP_SIZE) {
-            bt.push_step(warp.iter().copied(), write);
-        }
-        out.push(bt);
+        trace.begin_block(step_cost);
+        push_warps(trace, chunk, write);
     }
-    out
+}
+
+/// Append `pages` to `trace`'s newest block as [`WARP_SIZE`]-page steps,
+/// each page flagged `write`.
+pub fn push_warps(trace: &mut WorkloadTrace, pages: &[GlobalPage], write: bool) {
+    for warp in pages.chunks(WARP_SIZE) {
+        trace.push_step(warp.iter().copied(), write);
+    }
+}
+
+/// Append the pages `f(i)` for `i` in `run` to `trace`'s newest block
+/// as [`WARP_SIZE`]-page steps, each page flagged `write`.
+pub fn push_run(
+    trace: &mut WorkloadTrace,
+    run: std::ops::Range<u64>,
+    f: impl Fn(u64) -> GlobalPage,
+    write: bool,
+) {
+    for w0 in run.clone().step_by(WARP_SIZE) {
+        let w1 = (w0 + WARP_SIZE as u64).min(run.end);
+        trace.push_step((w0..w1).map(&f), write);
+    }
+}
+
+/// Warp steps of `pages` pages cut into blocks of `per_block` pages and
+/// each block into [`WARP_SIZE`]-page warps: the step count a generator
+/// reserves for such a run.
+pub fn chunked_steps(pages: u64, per_block: u64) -> u64 {
+    let warp = WARP_SIZE as u64;
+    pages / per_block * per_block.div_ceil(warp) + (pages % per_block).div_ceil(warp)
+}
+
+/// Pages in `run` (zero when it is empty or reversed).
+pub fn run_len(run: std::ops::Range<u64>) -> u64 {
+    run.end.saturating_sub(run.start)
+}
+
+/// Reserve room for `more` blocks the size of `trace`'s only block so
+/// far, for grids whose tiles all cover the same number of pages.
+pub fn reserve_like_first_block(trace: &mut WorkloadTrace, more: usize) {
+    debug_assert_eq!(trace.num_blocks(), 1);
+    let steps = trace.total_steps() as usize;
+    let accesses = trace.total_accesses() as usize;
+    trace.reserve(more, more * steps, more * accesses);
 }
 
 /// Reorder a block's pages into warp-concurrent issue order.
@@ -168,18 +214,45 @@ mod tests {
         assert_eq!(tile_pages(64, 4, 0, 0, 16), vec![0]);
     }
 
+    fn chunked(pages: u64, warps_per_block: usize, write: bool) -> WorkloadTrace {
+        let pages: Vec<GlobalPage> = (0..pages).map(GlobalPage).collect();
+        let mut trace = WorkloadTrace::new("t", pages.len() as u64);
+        blocks_of_pages(
+            &mut trace,
+            &pages,
+            warps_per_block,
+            SimDuration::ZERO,
+            write,
+        );
+        trace
+    }
+
     #[test]
     fn chunking_produces_warp_steps() {
-        let pages: Vec<GlobalPage> = (0..100).map(GlobalPage).collect();
-        let blocks = blocks_of_pages(&pages, 2, SimDuration::ZERO, false);
+        let trace = chunked(100, 2, false);
         // 100 pages, 64 per block -> 2 blocks (64 + 36).
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].num_steps(), 2);
-        assert_eq!(blocks[0].num_accesses(), 64);
-        assert_eq!(blocks[1].num_steps(), 2); // 32 + 4
-        assert_eq!(blocks[1].num_accesses(), 36);
-        let total: usize = blocks.iter().map(|b| b.num_accesses()).sum();
-        assert_eq!(total, 100);
+        assert_eq!(trace.num_blocks(), 2);
+        assert_eq!(trace.block(0).num_steps(), 2);
+        assert_eq!(trace.block(0).num_accesses(), 64);
+        assert_eq!(trace.block(1).num_steps(), 2); // 32 + 4
+        assert_eq!(trace.block(1).num_accesses(), 36);
+        assert_eq!(trace.total_accesses(), 100);
+        // The reservation was exact: nothing regrew.
+        assert_eq!(trace.heap_bytes(), 1 + 100 * 4 + 4 * 8 + 2 * 16);
+    }
+
+    #[test]
+    fn chunked_steps_counts_ragged_blocks_and_warps() {
+        assert_eq!(chunked_steps(100, 64), 4, "64 = 2 warps, 36 = 2 warps");
+        assert_eq!(chunked_steps(100, 256), 4);
+        assert_eq!(chunked_steps(70, 40), 3, "40 = 2 warps, 30 = 1 warp");
+        assert_eq!(chunked_steps(0, 64), 0);
+        let (pages, per_block) = (1000u64, 48u64);
+        let direct: u64 = (0..pages)
+            .step_by(per_block as usize)
+            .map(|s| (pages - s).min(per_block).div_ceil(WARP_SIZE as u64))
+            .sum();
+        assert_eq!(chunked_steps(pages, per_block), direct);
     }
 
     #[test]
@@ -214,9 +287,8 @@ mod tests {
 
     #[test]
     fn chunking_preserves_order() {
-        let pages: Vec<GlobalPage> = (0..64).map(GlobalPage).collect();
-        let blocks = blocks_of_pages(&pages, 1, SimDuration::ZERO, true);
-        let first_step: Vec<_> = blocks[0].step(0).collect();
+        let trace = chunked(64, 1, true);
+        let first_step: Vec<_> = trace.block(0).step(0).collect();
         assert_eq!(first_step[0], (GlobalPage(0), true));
         assert_eq!(first_step[31], (GlobalPage(31), true));
     }

@@ -7,8 +7,8 @@
 //! the two-allocation, sequential-plus-scattered pattern of Fig. 7's
 //! cuFFT panels.
 
-use crate::common::{cost_of_flops, warp_interleave, WARP_SIZE};
-use gpu_model::{BlockTrace, GlobalPage, WorkloadTrace};
+use crate::common::{chunked_steps, cost_of_flops, push_run, push_warps, warp_interleave};
+use gpu_model::{GlobalPage, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 use sim_engine::units::PAGE_SIZE;
 use uvm_driver::ManagedSpace;
@@ -51,40 +51,39 @@ pub fn generate(params: &CufftParams, space: &mut ManagedSpace) -> WorkloadTrace
     let pass_flops =
         5.0 * n_elems * n_elems.log2() / (pages as f64 / params.pages_per_block as f64);
 
-    let mut blocks = Vec::new();
-    let pass = |src: &uvm_driver::VaRange,
-                dst: &uvm_driver::VaRange,
-                blocks: &mut Vec<BlockTrace>| {
+    let per_block = params.pages_per_block as u64;
+    let passes = if params.inverse { 2 } else { 1 };
+    let mut trace = WorkloadTrace::new("cufft", 2 * pages);
+    trace.reserve(
+        passes * pages.div_ceil(per_block) as usize,
+        passes * 2 * chunked_steps(pages, per_block) as usize,
+        passes * 2 * pages as usize,
+    );
+    let mut src_pages: Vec<GlobalPage> = Vec::with_capacity(params.pages_per_block);
+    let mut pass = |src: &uvm_driver::VaRange, dst: &uvm_driver::VaRange| {
         for chunk_start in (0..pages).step_by(params.pages_per_block) {
-            let mut bt = BlockTrace::new(cost_of_flops(pass_flops));
-            let end = (chunk_start + params.pages_per_block as u64).min(pages);
+            trace.begin_block(cost_of_flops(pass_flops));
+            let end = (chunk_start + per_block).min(pages);
             // Sequential read of the source chunk in warp-concurrent
             // (transposed) issue order…
-            let mut src_pages: Vec<GlobalPage> = (chunk_start..end).map(|p| src.page(p)).collect();
+            src_pages.clear();
+            src_pages.extend((chunk_start..end).map(|p| src.page(p)));
             warp_interleave(&mut src_pages);
-            for warp in src_pages.chunks(WARP_SIZE) {
-                bt.push_step(warp.iter().copied(), false);
-            }
+            push_warps(&mut trace, &src_pages, false);
             // …then bit-reversed scattered writes of the destination.
-            let dst_pages: Vec<GlobalPage> = (chunk_start..end)
-                .map(|p| dst.page(bit_reverse(p, bits)))
-                .collect();
-            for warp in dst_pages.chunks(WARP_SIZE) {
-                bt.push_step(warp.iter().copied(), true);
-            }
-            blocks.push(bt);
+            push_run(
+                &mut trace,
+                chunk_start..end,
+                |p| dst.page(bit_reverse(p, bits)),
+                true,
+            );
         }
     };
-    pass(&input, &output, &mut blocks);
+    pass(&input, &output);
     if params.inverse {
-        pass(&output, &input, &mut blocks);
+        pass(&output, &input);
     }
-
-    WorkloadTrace {
-        name: "cufft".into(),
-        footprint_pages: 2 * pages,
-        blocks,
-    }
+    trace
 }
 
 #[cfg(test)]
@@ -114,7 +113,7 @@ mod tests {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
         // 1024 pages, 64 per block, 2 passes -> 32 blocks.
-        assert_eq!(t.blocks.len(), 32);
+        assert_eq!(t.num_blocks(), 32);
         assert_eq!(t.footprint_pages, 2048);
         // Forward-only halves the block count.
         let mut space = ManagedSpace::new();
@@ -125,14 +124,14 @@ mod tests {
             },
             &mut space,
         );
-        assert_eq!(fwd.blocks.len(), 16);
+        assert_eq!(fwd.num_blocks(), 16);
     }
 
     #[test]
     fn reads_sequential_writes_scattered() {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
-        let bt = &t.blocks[0];
+        let bt = t.block(0);
         let reads: Vec<u64> = (0..bt.num_steps())
             .flat_map(|s| {
                 bt.step(s)
@@ -165,7 +164,7 @@ mod tests {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
         let mut seen = vec![false; 2048];
-        for b in &t.blocks {
+        for b in t.blocks() {
             for s in 0..b.num_steps() {
                 for (p, _) in b.step(s) {
                     seen[p.0 as usize] = true;

@@ -7,11 +7,14 @@
 //! the (random-looking) column positions of the nonzeros — the
 //! random-like segments visible in Fig. 7's cusparse panel.
 
-use crate::common::{cost_of_bytes, warp_interleave, WARP_SIZE};
-use gpu_model::{BlockTrace, GlobalPage, WorkloadTrace};
+use crate::common::{
+    chunked_steps, cost_of_bytes, push_run, push_warps, run_len, warp_interleave, WARP_SIZE,
+};
+use gpu_model::{GlobalPage, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 use sim_engine::units::PAGE_SIZE;
 use sim_engine::SimRng;
+use std::ops::Range;
 use uvm_driver::ManagedSpace;
 
 /// Parameters of the cuSPARSE workload.
@@ -51,6 +54,27 @@ impl CusparseParams {
     }
 }
 
+/// The `csr_vals` pages a phase-1 block over dense pages
+/// `chunk_start..end` compacts into: the proportional run, at least one.
+fn csr_run(chunk_start: u64, end: u64, ratio: f64, vals_pages: u64) -> Range<u64> {
+    let v0 = (chunk_start as f64 / ratio) as u64;
+    let v1 = ((end as f64 / ratio).ceil() as u64)
+        .min(vals_pages)
+        .max(v0 + 1);
+    v0..v1.min(vals_pages)
+}
+
+/// The `C` pages a phase-2 block over CSR pages `chunk_start..end`
+/// writes: the proportional run, at least one.
+fn c_run(chunk_start: u64, end: u64, c_pages: u64, vals_pages: u64) -> Range<u64> {
+    let c0 = chunk_start * c_pages / vals_pages;
+    let c1 = (end * c_pages / vals_pages).max(c0 + 1).min(c_pages);
+    c0..c1
+}
+
+/// Random gathers into `B` per phase-2 block (column-index driven).
+const GATHERS_PER_BLOCK: usize = 16;
+
 /// Generate the cuSPARSE trace, allocating all buffers in `space`.
 pub fn generate(
     params: &CusparseParams,
@@ -67,76 +91,72 @@ pub fn generate(
     let b = space.alloc(dense_bytes, "B");
     let c = space.alloc(dense_bytes, "C");
 
+    let ppb = params.pages_per_block as u64;
+    let ratio = a.num_pages as f64 / vals.num_pages as f64;
+    let warps = |len: u64| len.div_ceil(WARP_SIZE as u64);
+    let chunks = |pages: u64| {
+        (0..pages)
+            .step_by(params.pages_per_block)
+            .map(move |s| (s, (s + ppb).min(pages)))
+    };
+
+    // Size the trace: phase 1 writes two CSR pages per compacted page
+    // plus one row-pointer page; phase 2 reads two CSR pages per page.
+    let mut steps = chunked_steps(a.num_pages, ppb);
+    let mut accesses = a.num_pages;
+    for (s, e) in chunks(a.num_pages) {
+        let out = 2 * run_len(csr_run(s, e, ratio, vals.num_pages)) + 1;
+        steps += warps(out);
+        accesses += out;
+    }
+    for (s, e) in chunks(vals.num_pages) {
+        let out = run_len(c_run(s, e, c.num_pages, vals.num_pages));
+        steps += warps(2 * (e - s)) + warps(GATHERS_PER_BLOCK as u64) + warps(out);
+        accesses += 2 * (e - s) + GATHERS_PER_BLOCK as u64 + out;
+    }
+    let blocks = a.num_pages.div_ceil(ppb) + vals.num_pages.div_ceil(ppb);
+    let footprint_pages = space.ranges().iter().map(|r| r.num_pages).sum();
+    let mut trace = WorkloadTrace::new("cusparse", footprint_pages);
+    trace.reserve(blocks as usize, steps as usize, accesses as usize);
+
     let step_cost = cost_of_bytes((WARP_SIZE as u64 * PAGE_SIZE) as f64);
-    let mut blocks = Vec::new();
+    let mut pages: Vec<GlobalPage> = Vec::new();
 
     // Phase 1: dense scan + CSR compaction. Each block scans a chunk of A
     // and writes the proportional chunk of vals/cols (and touches rows).
-    let ratio = a.num_pages as f64 / vals.num_pages as f64;
-    for chunk_start in (0..a.num_pages).step_by(params.pages_per_block) {
-        let end = (chunk_start + params.pages_per_block as u64).min(a.num_pages);
-        let mut bt = BlockTrace::new(step_cost);
-        let mut scan: Vec<GlobalPage> = (chunk_start..end).map(|p| a.page(p)).collect();
-        warp_interleave(&mut scan);
-        for warp in scan.chunks(WARP_SIZE) {
-            bt.push_step(warp.iter().copied(), false);
+    for (chunk_start, end) in chunks(a.num_pages) {
+        trace.begin_block(step_cost);
+        pages.clear();
+        pages.extend((chunk_start..end).map(|p| a.page(p)));
+        warp_interleave(&mut pages);
+        push_warps(&mut trace, &pages, false);
+        pages.clear();
+        for v in csr_run(chunk_start, end, ratio, vals.num_pages) {
+            pages.extend([vals.page(v), cols.page(v.min(cols.num_pages - 1))]);
         }
-        let v0 = (chunk_start as f64 / ratio) as u64;
-        let v1 = ((end as f64 / ratio).ceil() as u64)
-            .min(vals.num_pages)
-            .max(v0 + 1);
-        let mut out: Vec<(GlobalPage, bool)> = Vec::new();
-        for v in v0..v1.min(vals.num_pages) {
-            out.push((vals.page(v), true));
-            out.push((cols.page(v.min(cols.num_pages - 1)), true));
-        }
-        out.push((
-            rows.page((chunk_start * rows.num_pages / a.num_pages).min(rows.num_pages - 1)),
-            true,
-        ));
-        for warp in out.chunks(WARP_SIZE) {
-            bt.push_step_mixed(warp.iter().copied());
-        }
-        blocks.push(bt);
+        pages.push(rows.page((chunk_start * rows.num_pages / a.num_pages).min(rows.num_pages - 1)));
+        push_warps(&mut trace, &pages, true);
     }
 
     // Phase 2: SpMM — walk CSR sequentially, gather random rows of B,
     // write C sequentially.
-    let gathers_per_block = 16usize;
-    for chunk_start in (0..vals.num_pages).step_by(params.pages_per_block) {
-        let end = (chunk_start + params.pages_per_block as u64).min(vals.num_pages);
-        let mut bt = BlockTrace::new(step_cost);
-        let csr_scan: Vec<GlobalPage> = (chunk_start..end)
-            .flat_map(|p| [vals.page(p), cols.page(p.min(cols.num_pages - 1))])
-            .collect();
-        for warp in csr_scan.chunks(WARP_SIZE) {
-            bt.push_step(warp.iter().copied(), false);
-        }
+    for (chunk_start, end) in chunks(vals.num_pages) {
+        trace.begin_block(step_cost);
+        pages.clear();
+        pages.extend(
+            (chunk_start..end).flat_map(|p| [vals.page(p), cols.page(p.min(cols.num_pages - 1))]),
+        );
+        push_warps(&mut trace, &pages, false);
         // Random gathers into B driven by the column indices.
-        let gathers: Vec<GlobalPage> = (0..gathers_per_block)
-            .map(|_| b.page(rng.index(b.num_pages as usize) as u64))
-            .collect();
-        for warp in gathers.chunks(WARP_SIZE) {
-            bt.push_step(warp.iter().copied(), false);
-        }
+        pages.clear();
+        pages
+            .extend((0..GATHERS_PER_BLOCK).map(|_| b.page(rng.index(b.num_pages as usize) as u64)));
+        push_warps(&mut trace, &pages, false);
         // Proportional C output.
-        let c0 = chunk_start * c.num_pages / vals.num_pages;
-        let c1 = (end * c.num_pages / vals.num_pages)
-            .max(c0 + 1)
-            .min(c.num_pages);
-        let out: Vec<GlobalPage> = (c0..c1).map(|p| c.page(p)).collect();
-        for warp in out.chunks(WARP_SIZE) {
-            bt.push_step(warp.iter().copied(), true);
-        }
-        blocks.push(bt);
+        let out = c_run(chunk_start, end, c.num_pages, vals.num_pages);
+        push_run(&mut trace, out, |p| c.page(p), true);
     }
-
-    let footprint_pages = space.ranges().iter().map(|r| r.num_pages).sum();
-    WorkloadTrace {
-        name: "cusparse".into(),
-        footprint_pages,
-        blocks,
-    }
+    trace
 }
 
 #[cfg(test)]
@@ -179,7 +199,7 @@ mod tests {
         let mut rng = SimRng::from_seed(1);
         let t = generate(&small(), &mut space, &mut rng);
         let a = space.ranges()[0].clone();
-        let mut first: Vec<u64> = t.blocks[0].step(0).map(|(p, _)| p.0).collect();
+        let mut first: Vec<u64> = t.block(0).step(0).map(|(p, _)| p.0).collect();
         first.sort_unstable();
         assert!(first
             .iter()
@@ -193,7 +213,7 @@ mod tests {
         let t = generate(&small(), &mut space, &mut rng);
         let b = space.ranges()[4].clone();
         let mut b_reads = 0;
-        for blk in &t.blocks {
+        for blk in t.blocks() {
             for s in 0..blk.num_steps() {
                 for (p, w) in blk.step(s) {
                     if (b.start_page..b.end_page()).contains(&p.0) {
@@ -213,7 +233,7 @@ mod tests {
         let t = generate(&small(), &mut space, &mut rng);
         let c = space.ranges()[5].clone();
         let mut c_writes = vec![false; c.num_pages as usize];
-        for blk in &t.blocks {
+        for blk in t.blocks() {
             for s in 0..blk.num_steps() {
                 for (p, w) in blk.step(s) {
                     if (c.start_page..c.end_page()).contains(&p.0) {

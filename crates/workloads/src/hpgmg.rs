@@ -8,11 +8,12 @@
 //! random-looking bursts on the small coarse levels, and Table I shows the
 //! lowest fault coverage of the suite (64 %).
 
-use crate::common::{cost_of_bytes, WARP_SIZE};
-use gpu_model::{BlockTrace, GlobalPage, WorkloadTrace};
+use crate::common::{chunked_steps, cost_of_bytes, push_run, run_len, WARP_SIZE};
+use gpu_model::WorkloadTrace;
 use serde::{Deserialize, Serialize};
 use sim_engine::units::PAGE_SIZE;
 use sim_engine::SimRng;
+use std::ops::Range;
 use uvm_driver::{ManagedSpace, VaRange};
 
 /// Parameters of the multigrid workload.
@@ -58,17 +59,23 @@ impl HpgmgParams {
 }
 
 /// Sequential sweep over a level's pages (a smoother pass).
-fn sweep(range: &VaRange, pages_per_block: usize, write: bool, out: &mut Vec<BlockTrace>) {
+fn sweep(range: &VaRange, pages_per_block: usize, write: bool, trace: &mut WorkloadTrace) {
     let step_cost = cost_of_bytes((WARP_SIZE as u64 * PAGE_SIZE) as f64);
     for chunk_start in (0..range.num_pages).step_by(pages_per_block) {
         let end = (chunk_start + pages_per_block as u64).min(range.num_pages);
-        let mut bt = BlockTrace::new(step_cost);
-        let pages: Vec<GlobalPage> = (chunk_start..end).map(|p| range.page(p)).collect();
-        for warp in pages.chunks(WARP_SIZE) {
-            bt.push_step(warp.iter().copied(), write);
-        }
-        out.push(bt);
+        trace.begin_block(step_cost);
+        push_run(trace, chunk_start..end, |p| range.page(p), write);
     }
+}
+
+/// The coarse pages (indices into the shuffled `dst` order) a transfer
+/// block over `src` pages `chunk_start..end` writes: ~1 per `src/dst`
+/// page ratio, at least one.
+fn coarse_run(src: &VaRange, dst: &VaRange, chunk_start: u64, end: u64) -> Range<u64> {
+    let ratio = (src.num_pages as f64 / dst.num_pages as f64).max(1.0);
+    let d0 = (chunk_start as f64 / ratio) as u64;
+    let d1 = ((end as f64 / ratio) as u64).max(d0 + 1).min(dst.num_pages);
+    d0..d1
 }
 
 /// Inter-level transfer: read `src` sequentially, write a random-looking
@@ -79,27 +86,18 @@ fn transfer(
     dst: &VaRange,
     pages_per_block: usize,
     rng: &mut SimRng,
-    out: &mut Vec<BlockTrace>,
+    trace: &mut WorkloadTrace,
 ) {
     let step_cost = cost_of_bytes((WARP_SIZE as u64 * PAGE_SIZE) as f64);
     let mut dst_pages: Vec<u64> = (0..dst.num_pages).collect();
     rng.shuffle(&mut dst_pages);
-    let ratio = (src.num_pages as f64 / dst.num_pages as f64).max(1.0);
     for chunk_start in (0..src.num_pages).step_by(pages_per_block) {
         let end = (chunk_start + pages_per_block as u64).min(src.num_pages);
-        let mut bt = BlockTrace::new(step_cost);
-        let pages: Vec<GlobalPage> = (chunk_start..end).map(|p| src.page(p)).collect();
-        for warp in pages.chunks(WARP_SIZE) {
-            bt.push_step(warp.iter().copied(), false);
-        }
-        // The corresponding coarse pages (scattered), ~1 per `ratio`.
-        let d0 = (chunk_start as f64 / ratio) as u64;
-        let d1 = ((end as f64 / ratio) as u64).max(d0 + 1).min(dst.num_pages);
-        let coarse: Vec<GlobalPage> = (d0..d1).map(|i| dst.page(dst_pages[i as usize])).collect();
-        for warp in coarse.chunks(WARP_SIZE) {
-            bt.push_step(warp.iter().copied(), true);
-        }
-        out.push(bt);
+        trace.begin_block(step_cost);
+        push_run(trace, chunk_start..end, |p| src.page(p), false);
+        // The corresponding coarse pages (scattered).
+        let coarse = coarse_run(src, dst, chunk_start, end);
+        push_run(trace, coarse, |i| dst.page(dst_pages[i as usize]), true);
     }
 }
 
@@ -110,44 +108,55 @@ pub fn generate(params: &HpgmgParams, space: &mut ManagedSpace, rng: &mut SimRng
         .map(|l| space.alloc(params.level_bytes(l), format!("level{l}")))
         .collect();
 
-    let mut blocks = Vec::new();
+    // The kernels of all V-cycles in launch order: `(level, None)` is a
+    // smoother sweep, `(src, Some(dst))` an inter-level transfer.
+    let top = params.levels - 1;
+    let mut kernels: Vec<(usize, Option<usize>)> = Vec::new();
     for _cycle in 0..params.vcycles {
         // Down-stroke: smooth, then restrict to the next-coarser level.
-        for l in 0..params.levels - 1 {
-            sweep(&grids[l], params.pages_per_block, true, &mut blocks);
-            transfer(
-                &grids[l],
-                &grids[l + 1],
-                params.pages_per_block,
-                rng,
-                &mut blocks,
-            );
+        for l in 0..top {
+            kernels.extend([(l, None), (l, Some(l + 1))]);
         }
         // Coarsest solve.
-        sweep(
-            &grids[params.levels - 1],
-            params.pages_per_block,
-            true,
-            &mut blocks,
-        );
+        kernels.push((top, None));
         // Up-stroke: prolongate, then smooth.
-        for l in (0..params.levels - 1).rev() {
-            transfer(
-                &grids[l + 1],
-                &grids[l],
-                params.pages_per_block,
-                rng,
-                &mut blocks,
-            );
-            sweep(&grids[l], params.pages_per_block, true, &mut blocks);
+        for l in (0..top).rev() {
+            kernels.extend([(l + 1, Some(l)), (l, None)]);
         }
     }
 
-    WorkloadTrace {
-        name: "hpgmg".into(),
-        footprint_pages: grids.iter().map(|g| g.num_pages).sum(),
-        blocks,
+    let ppb = params.pages_per_block as u64;
+    let (mut blocks, mut steps, mut accesses) = (0u64, 0u64, 0u64);
+    for &(src, dst) in &kernels {
+        let src = &grids[src];
+        blocks += src.num_pages.div_ceil(ppb);
+        steps += chunked_steps(src.num_pages, ppb);
+        accesses += src.num_pages;
+        if let Some(dst) = dst {
+            for chunk_start in (0..src.num_pages).step_by(params.pages_per_block) {
+                let end = (chunk_start + ppb).min(src.num_pages);
+                let len = run_len(coarse_run(src, &grids[dst], chunk_start, end));
+                steps += len.div_ceil(WARP_SIZE as u64);
+                accesses += len;
+            }
+        }
     }
+    let footprint = grids.iter().map(|g| g.num_pages).sum();
+    let mut trace = WorkloadTrace::new("hpgmg", footprint);
+    trace.reserve(blocks as usize, steps as usize, accesses as usize);
+    for &(src, dst) in &kernels {
+        match dst {
+            None => sweep(&grids[src], params.pages_per_block, true, &mut trace),
+            Some(dst) => transfer(
+                &grids[src],
+                &grids[dst],
+                params.pages_per_block,
+                rng,
+                &mut trace,
+            ),
+        }
+    }
+    trace
 }
 
 #[cfg(test)]
@@ -180,7 +189,7 @@ mod tests {
         let mut rng = SimRng::from_seed(1);
         let t = generate(&small(), &mut space, &mut rng);
         let mut seen = vec![false; space.num_blocks() * 512];
-        for b in &t.blocks {
+        for b in t.blocks() {
             for s in 0..b.num_steps() {
                 for (p, _) in b.step(s) {
                     seen[p.0 as usize] = true;
@@ -200,9 +209,7 @@ mod tests {
         let mk = |vcycles| {
             let mut space = ManagedSpace::new();
             let mut rng = SimRng::from_seed(1);
-            generate(&HpgmgParams { vcycles, ..small() }, &mut space, &mut rng)
-                .blocks
-                .len()
+            generate(&HpgmgParams { vcycles, ..small() }, &mut space, &mut rng).num_blocks()
         };
         assert_eq!(mk(2), 2 * mk(1));
     }
@@ -215,7 +222,7 @@ mod tests {
         // Collect the write targets in level 1 from restrict blocks.
         let l1 = &space.ranges()[1];
         let mut writes: Vec<u64> = Vec::new();
-        for b in &t.blocks {
+        for b in t.blocks() {
             for s in 0..b.num_steps() {
                 for (p, w) in b.step(s) {
                     if w && (l1.start_page..l1.end_page()).contains(&p.0) {

@@ -283,9 +283,29 @@ mod tests {
             let mut space = ManagedSpace::new();
             let mut rng = SimRng::from_seed(5);
             let t = w.generate(&mut space, &mut rng);
-            assert!(!t.blocks.is_empty(), "{}", w.name());
+            assert!(t.num_blocks() > 0, "{}", w.name());
             assert!(t.total_accesses() > 0, "{}", w.name());
             assert_eq!(t.name, w.name());
+        }
+    }
+
+    #[test]
+    fn traces_hold_no_spare_capacity() {
+        // Table I's size at scale 128: 0.6 × (12 GiB / 128).
+        let bytes = 12 * GIB / 128 * 6 / 10;
+        for kind in WorkloadKind::ALL {
+            let w = Workload::with_footprint(kind, bytes);
+            let mut space = ManagedSpace::new();
+            let mut rng = SimRng::from_seed(5);
+            let t = w.generate(&mut space, &mut rng);
+            let packed = 4 * t.total_accesses() + 8 * t.total_steps() + 16 * t.num_blocks() as u64;
+            assert!(
+                t.heap_bytes() as u64 <= packed + 64,
+                "{}: {} heap bytes for {} bytes of trace",
+                w.name(),
+                t.heap_bytes(),
+                packed
+            );
         }
     }
 

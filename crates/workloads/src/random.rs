@@ -37,12 +37,9 @@ pub fn generate(
     let mut pages: Vec<GlobalPage> = (0..range.num_pages).map(|i| range.page(i)).collect();
     rng.shuffle(&mut pages);
     let step_cost = cost_of_bytes((WARP_SIZE as u64 * PAGE_SIZE) as f64);
-    let blocks = blocks_of_pages(&pages, params.warps_per_block, step_cost, false);
-    WorkloadTrace {
-        name: "random".into(),
-        footprint_pages: range.num_pages,
-        blocks,
-    }
+    let mut trace = WorkloadTrace::new("random", range.num_pages);
+    blocks_of_pages(&mut trace, &pages, params.warps_per_block, step_cost, false);
+    trace
 }
 
 #[cfg(test)]
@@ -63,11 +60,8 @@ mod tests {
             &mut rng,
         );
         let mut seen: Vec<u64> = t
-            .blocks
-            .iter()
-            .flat_map(|b| {
-                (0..b.num_steps()).flat_map(|s| b.step(s).map(|(p, _)| p.0).collect::<Vec<_>>())
-            })
+            .blocks()
+            .flat_map(|b| (0..b.num_steps()).flat_map(move |s| b.step(s).map(|(p, _)| p.0)))
             .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..1024).collect::<Vec<u64>>());
@@ -79,7 +73,7 @@ mod tests {
             let mut space = ManagedSpace::new();
             let mut rng = SimRng::from_seed(seed);
             let t = generate(&RandomParams::default(), &mut space, &mut rng);
-            t.blocks[0].step(0).map(|(p, _)| p.0).collect::<Vec<_>>()
+            t.block(0).step(0).map(|(p, _)| p.0).collect::<Vec<_>>()
         };
         assert_eq!(gen(1), gen(1));
         assert_ne!(gen(1), gen(2));

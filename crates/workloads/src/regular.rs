@@ -37,12 +37,9 @@ pub fn generate(params: &RegularParams, space: &mut ManagedSpace) -> WorkloadTra
         warp_interleave(chunk);
     }
     let step_cost = cost_of_bytes((WARP_SIZE as u64 * PAGE_SIZE) as f64);
-    let blocks = blocks_of_pages(&pages, params.warps_per_block, step_cost, false);
-    WorkloadTrace {
-        name: "regular".into(),
-        footprint_pages: range.num_pages,
-        blocks,
-    }
+    let mut trace = WorkloadTrace::new("regular", range.num_pages);
+    blocks_of_pages(&mut trace, &pages, params.warps_per_block, step_cost, false);
+    trace
 }
 
 #[cfg(test)]
@@ -62,9 +59,9 @@ mod tests {
         );
         assert_eq!(t.footprint_pages, 1024);
         assert_eq!(t.total_accesses(), 1024);
-        assert_eq!(t.blocks.len(), 4); // 1024 pages / 256 per block
+        assert_eq!(t.num_blocks(), 4); // 1024 pages / 256 per block
                                        // Warp-interleaved issue order: cycle 0 of all 8 warps first.
-        let first: Vec<_> = t.blocks[0].step(0).map(|(p, _)| p.0).collect();
+        let first: Vec<_> = t.block(0).step(0).map(|(p, _)| p.0).collect();
         assert_eq!(&first[..8], &[0, 32, 64, 96, 128, 160, 192, 224]);
     }
 
@@ -78,6 +75,6 @@ mod tests {
             },
             &mut space,
         );
-        assert!(t.blocks[0].step(0).all(|(_, w)| !w));
+        assert!(t.block(0).step(0).all(|(_, w)| !w));
     }
 }

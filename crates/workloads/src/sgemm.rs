@@ -8,10 +8,11 @@
 //! presenting to the UVM driver, including the heavy cross-block reuse of
 //! A and B pages that generates duplicate faults from distinct µTLBs.
 
-use crate::common::{tile_pages, warp_interleave, GPU_FLOPS, WARP_SIZE};
-use gpu_model::{BlockTrace, GlobalPage, WorkloadTrace};
+use crate::common::{push_warps, reserve_like_first_block, tile_pages, warp_interleave, GPU_FLOPS};
+use gpu_model::{GlobalPage, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 use sim_engine::units::PAGE_SIZE;
+use sim_engine::SimDuration;
 use uvm_driver::{ManagedSpace, VaRange};
 
 /// Parameters of the SGEMM kernel.
@@ -58,13 +59,11 @@ fn tile(range: &VaRange, n: usize, r0: usize, c0: usize, t: usize) -> Vec<Global
         .collect()
 }
 
-fn push_warp_steps(bt: &mut BlockTrace, pages: &mut [GlobalPage], write: bool) {
+fn push_warp_steps(trace: &mut WorkloadTrace, pages: &mut [GlobalPage], write: bool) {
     // Warps load the tile cooperatively and concurrently: transpose into
     // warp-interleaved issue order so faults scatter across the tile span.
     warp_interleave(pages);
-    for warp in pages.chunks(WARP_SIZE) {
-        bt.push_step(warp.iter().copied(), write);
-    }
+    push_warps(trace, pages, write);
 }
 
 /// Generate the SGEMM trace, allocating A, B, C in `space`.
@@ -77,37 +76,38 @@ pub fn generate(params: &SgemmParams, space: &mut ManagedSpace) -> WorkloadTrace
     let c = space.alloc(mat_bytes, "C");
 
     let nt = n / t;
-    let mut blocks = Vec::with_capacity(nt * nt);
+    let mut trace = WorkloadTrace::new("sgemm", 3 * mat_bytes / PAGE_SIZE);
+    let block_flops = 2.0 * (t as f64) * (t as f64) * (n as f64);
     for bi in 0..nt {
         for bj in 0..nt {
-            let mut bt = BlockTrace::new(sim_engine::SimDuration::ZERO);
+            trace.begin_block(SimDuration::ZERO);
+            let steps_before = trace.total_steps();
             for k in 0..nt {
                 let mut a_pages = tile(&a, n, bi * t, k * t, t);
                 let mut b_pages = tile(&b, n, k * t, bj * t, t);
-                push_warp_steps(&mut bt, &mut a_pages, false);
-                push_warp_steps(&mut bt, &mut b_pages, false);
+                push_warp_steps(&mut trace, &mut a_pages, false);
+                push_warp_steps(&mut trace, &mut b_pages, false);
             }
             let mut c_pages = tile(&c, n, bi * t, bj * t, t);
-            push_warp_steps(&mut bt, &mut c_pages, true);
+            push_warp_steps(&mut trace, &mut c_pages, true);
             // Smear the block's arithmetic evenly over its steps.
-            let block_flops = 2.0 * (t as f64) * (t as f64) * (n as f64);
-            bt.step_cost = sim_engine::SimDuration::from_nanos(
-                (block_flops / bt.num_steps() as f64 / params.gpu_flops * 1e9).round() as u64,
-            );
-            blocks.push(bt);
+            let steps = trace.total_steps() - steps_before;
+            trace.set_step_cost(SimDuration::from_nanos(
+                (block_flops / steps as f64 / params.gpu_flops * 1e9).round() as u64,
+            ));
+            if trace.num_blocks() == 1 {
+                // Every tile of a matrix covers the same number of pages.
+                reserve_like_first_block(&mut trace, nt * nt - 1);
+            }
         }
     }
-
-    WorkloadTrace {
-        name: "sgemm".into(),
-        footprint_pages: 3 * mat_bytes / PAGE_SIZE,
-        blocks,
-    }
+    trace
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_model::BlockView;
 
     fn small() -> SgemmParams {
         SgemmParams {
@@ -121,7 +121,7 @@ mod tests {
     fn grid_shape() {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
-        assert_eq!(t.blocks.len(), 4, "(n/tile)^2 blocks");
+        assert_eq!(t.num_blocks(), 4, "(n/tile)^2 blocks");
         assert_eq!(t.footprint_pages, 3 * 4 * 2048 * 2048 / 4096);
         assert_eq!(space.ranges().len(), 3);
     }
@@ -130,7 +130,7 @@ mod tests {
     fn c_written_a_b_read() {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
-        let bt = &t.blocks[0];
+        let bt = t.block(0);
         let c_start = space.ranges()[2].start_page;
         let mut saw_c_write = false;
         for s in 0..bt.num_steps() {
@@ -151,7 +151,7 @@ mod tests {
         // Blocks in the same block-row share A pages.
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
-        let pages_of = |b: &BlockTrace| {
+        let pages_of = |b: BlockView| {
             let mut v: Vec<u64> = (0..b.num_steps())
                 .flat_map(|s| b.step(s).map(|(p, _)| p.0).collect::<Vec<_>>())
                 .collect();
@@ -159,8 +159,8 @@ mod tests {
             v.dedup();
             v
         };
-        let p0 = pages_of(&t.blocks[0]); // (0,0)
-        let p1 = pages_of(&t.blocks[1]); // (0,1)
+        let p0 = pages_of(t.block(0)); // (0,0)
+        let p1 = pages_of(t.block(1)); // (0,1)
         let shared = p0.iter().filter(|p| p1.binary_search(p).is_ok()).count();
         assert!(shared > 0, "same block-row shares A tiles");
     }
@@ -170,9 +170,8 @@ mod tests {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
         let total: f64 = t
-            .blocks
-            .iter()
-            .map(|b| b.step_cost.as_micros_f64() * b.num_steps() as f64)
+            .blocks()
+            .map(|b| b.step_cost().as_micros_f64() * b.num_steps() as f64)
             .sum();
         let expect = crate::common::cost_of_flops(small().flops()).as_micros_f64();
         let err = (total - expect).abs() / expect;

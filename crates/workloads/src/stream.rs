@@ -7,7 +7,7 @@
 //! regular kernel (§IV-B).
 
 use crate::common::cost_of_bytes;
-use gpu_model::{BlockTrace, WorkloadTrace};
+use gpu_model::WorkloadTrace;
 use serde::{Deserialize, Serialize};
 use sim_engine::units::PAGE_SIZE;
 use uvm_driver::ManagedSpace;
@@ -42,19 +42,15 @@ pub fn generate(params: &StreamParams, space: &mut ManagedSpace) -> WorkloadTrac
     // BLOCKS_PER_PAGE consecutive blocks share page i: each reads page i
     // of `b` and `c` concurrently and writes page i of `a`.
     let step_cost = cost_of_bytes((3 * PAGE_SIZE) as f64) / BLOCKS_PER_PAGE;
-    let blocks = (0..pages * BLOCKS_PER_PAGE)
-        .map(|blk| {
-            let i = blk / BLOCKS_PER_PAGE;
-            let mut bt = BlockTrace::new(step_cost);
-            bt.push_step_mixed([(b.page(i), false), (c.page(i), false), (a.page(i), true)]);
-            bt
-        })
-        .collect();
-    WorkloadTrace {
-        name: "stream".into(),
-        footprint_pages: 3 * pages,
-        blocks,
+    let blocks = pages * BLOCKS_PER_PAGE;
+    let mut trace = WorkloadTrace::new("stream", 3 * pages);
+    trace.reserve(blocks as usize, blocks as usize, 3 * blocks as usize);
+    for blk in 0..blocks {
+        let i = blk / BLOCKS_PER_PAGE;
+        trace.begin_block(step_cost);
+        trace.push_step_mixed([(b.page(i), false), (c.page(i), false), (a.page(i), true)]);
     }
+    trace
 }
 
 #[cfg(test)]
@@ -72,9 +68,9 @@ mod tests {
             &mut space,
         );
         assert_eq!(t.footprint_pages, 3 * 512);
-        assert_eq!(t.blocks.len(), 512 * BLOCKS_PER_PAGE as usize);
+        assert_eq!(t.num_blocks(), 512 * BLOCKS_PER_PAGE as usize);
         // Blocks 4i..4i+4 touch page i of each vector; `a` written.
-        let step: Vec<_> = t.blocks[7 * BLOCKS_PER_PAGE as usize].step(0).collect();
+        let step: Vec<_> = t.block(7 * BLOCKS_PER_PAGE as usize).step(0).collect();
         assert_eq!(step.len(), 3);
         let (pages, writes): (Vec<u64>, Vec<bool>) = step.iter().map(|(p, w)| (p.0, *w)).unzip();
         assert_eq!(pages, vec![512 + 7, 1024 + 7, 7]);

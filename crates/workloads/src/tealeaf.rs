@@ -6,8 +6,8 @@
 //! multi-allocation, strided pattern that gives TeaLeaf the lowest
 //! prefetch fault-coverage in the paper's Table I.
 
-use crate::common::{cost_of_bytes, tile_pages, WARP_SIZE};
-use gpu_model::{BlockTrace, GlobalPage, WorkloadTrace};
+use crate::common::{cost_of_bytes, reserve_like_first_block, tile_pages, WARP_SIZE};
+use gpu_model::{GlobalPage, WorkloadTrace};
 use serde::{Deserialize, Serialize};
 use sim_engine::units::PAGE_SIZE;
 use uvm_driver::ManagedSpace;
@@ -55,7 +55,7 @@ pub fn generate(params: &TealeafParams, space: &mut ManagedSpace) -> WorkloadTra
         .collect();
 
     let nt = n / t;
-    let mut blocks = Vec::with_capacity(params.iterations * nt * nt);
+    let mut trace = WorkloadTrace::new("tealeaf", params.arrays as u64 * arr_bytes / PAGE_SIZE);
     for _iter in 0..params.iterations {
         for bi in 0..nt {
             for bj in 0..nt {
@@ -65,30 +65,32 @@ pub fn generate(params: &TealeafParams, space: &mut ManagedSpace) -> WorkloadTra
                 let step_cost =
                     cost_of_bytes((tile_pages.len() * params.arrays) as f64 * PAGE_SIZE as f64)
                         / tile_pages.len().div_ceil(WARP_SIZE) as u64;
-                let mut bt = BlockTrace::new(step_cost);
+                trace.begin_block(step_cost);
                 // The stencil update reads/writes all field arrays in
                 // lockstep: interleave one warp-chunk per array.
                 for chunk in tile_pages.chunks(WARP_SIZE) {
                     for (ai, arr) in arrays.iter().enumerate() {
                         let write = ai == 0; // u is updated, others read
-                        bt.push_step(chunk.iter().map(|&p| GlobalPage(arr.start_page + p)), write);
+                        trace.push_step(
+                            chunk.iter().map(|&p| GlobalPage(arr.start_page + p)),
+                            write,
+                        );
                     }
                 }
-                blocks.push(bt);
+                if trace.num_blocks() == 1 {
+                    // Every tile covers the same number of pages.
+                    reserve_like_first_block(&mut trace, params.iterations * nt * nt - 1);
+                }
             }
         }
     }
-
-    WorkloadTrace {
-        name: "tealeaf".into(),
-        footprint_pages: params.arrays as u64 * arr_bytes / PAGE_SIZE,
-        blocks,
-    }
+    trace
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_model::BlockView;
 
     fn small() -> TealeafParams {
         TealeafParams {
@@ -104,7 +106,7 @@ mod tests {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
         // 4x4 tiles x 2 iterations.
-        assert_eq!(t.blocks.len(), 32);
+        assert_eq!(t.num_blocks(), 32);
         assert_eq!(space.ranges().len(), 3);
         assert_eq!(t.footprint_pages, 3 * 8 * 1024 * 1024 / 4096);
     }
@@ -116,7 +118,7 @@ mod tests {
         // Block (0,1) of array 0: row r segment at (r*1024 + 256)*8 —
         // pages stride by 2 (8KB rows), tile cols cover a sub-page range
         // crossing one page boundary.
-        let bt = &t.blocks[1];
+        let bt = t.block(1);
         let first_warp: Vec<u64> = bt.step(0).map(|(p, _)| p.0).collect();
         assert!(first_warp.windows(2).all(|w| w[1] > w[0]));
         assert!(first_warp[1] - first_warp[0] <= 2);
@@ -126,7 +128,7 @@ mod tests {
     fn arrays_interleave_in_lockstep() {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
-        let bt = &t.blocks[0];
+        let bt = t.block(0);
         let arr_pages = 8 * 1024 * 1024 / 4096_u64;
         // Steps cycle through the arrays: consecutive steps land in
         // consecutive allocations.
@@ -142,7 +144,7 @@ mod tests {
     fn first_array_is_written() {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
-        let bt = &t.blocks[0];
+        let bt = t.block(0);
         let writes: Vec<bool> = (0..3).map(|s| bt.step(s).next().unwrap().1).collect();
         assert_eq!(writes, vec![true, false, false]);
     }
@@ -151,12 +153,12 @@ mod tests {
     fn iterations_revisit_the_same_pages() {
         let mut space = ManagedSpace::new();
         let t = generate(&small(), &mut space);
-        let half = t.blocks.len() / 2;
-        let pages = |b: &BlockTrace| -> Vec<u64> {
+        let half = t.num_blocks() / 2;
+        let pages = |b: BlockView| -> Vec<u64> {
             (0..b.num_steps())
                 .flat_map(|s| b.step(s).map(|(p, _)| p.0).collect::<Vec<_>>())
                 .collect()
         };
-        assert_eq!(pages(&t.blocks[0]), pages(&t.blocks[half]));
+        assert_eq!(pages(t.block(0)), pages(t.block(half)));
     }
 }

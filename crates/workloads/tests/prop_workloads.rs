@@ -15,7 +15,7 @@ fn kind_strategy() -> impl Strategy<Value = WorkloadKind> {
 }
 
 fn every_access(trace: &WorkloadTrace) -> impl Iterator<Item = (u64, bool)> + '_ {
-    trace.blocks.iter().flat_map(|b| {
+    trace.blocks().flat_map(|b| {
         (0..b.num_steps()).flat_map(move |s| b.step(s).map(|(p, w)| (p.0, w)).collect::<Vec<_>>())
     })
 }

@@ -3,8 +3,8 @@
 //! failure-injection scenarios that span module boundaries.
 
 use gpu_model::{
-    BlockTrace, FaultBuffer, FaultBufferConfig, GlobalPage, GpuConfig, GpuEngine, PageMask,
-    Residency, VaBlockIdx, WorkloadTrace,
+    FaultBuffer, FaultBufferConfig, GlobalPage, GpuConfig, GpuEngine, PageMask, Residency,
+    VaBlockIdx, WorkloadTrace,
 };
 use sim_engine::units::{MIB, VABLOCK_SIZE};
 use sim_engine::{CostModel, SimDuration, SimRng, SimTime};
@@ -54,15 +54,12 @@ fn manual_wiring_matches_residency_expectations() {
     let (driver, engine) = drive_to_completion(
         |space| {
             let range = space.alloc(4 * VABLOCK_SIZE, "buf");
-            let mut bt = BlockTrace::new(SimDuration::ZERO);
+            let mut trace = WorkloadTrace::new("manual", range.num_pages);
+            trace.begin_block(SimDuration::ZERO);
             for p in [0u64, 700, 1500, 2047] {
-                bt.push_step([range.page(p)], true);
+                trace.push_step([range.page(p)], true);
             }
-            WorkloadTrace {
-                name: "manual".into(),
-                blocks: vec![bt],
-                footprint_pages: range.num_pages,
-            }
+            trace
         },
         DriverConfig {
             prefetch: PrefetchPolicy::Disabled,
@@ -136,17 +133,12 @@ fn access_counter_eviction_protects_hot_blocks_end_to_end() {
     let build = |space: &mut ManagedSpace| {
         let hot = space.alloc(VABLOCK_SIZE, "hot");
         let cold = space.alloc(8 * VABLOCK_SIZE, "cold");
-        let mut blocks = Vec::new();
+        let mut trace = WorkloadTrace::new("hot-cold", hot.num_pages + cold.num_pages);
         for i in 0..cold.num_pages {
-            let mut bt = BlockTrace::new(SimDuration::ZERO);
-            bt.push_step_mixed([(hot.page(i % 512), false), (cold.page(i), false)]);
-            blocks.push(bt);
+            trace.begin_block(SimDuration::ZERO);
+            trace.push_step_mixed([(hot.page(i % 512), false), (cold.page(i), false)]);
         }
-        WorkloadTrace {
-            name: "hot-cold".into(),
-            blocks,
-            footprint_pages: hot.num_pages + cold.num_pages,
-        }
+        trace
     };
     let run_with = |eviction: EvictionPolicy| {
         let mut space = ManagedSpace::new();
@@ -211,17 +203,12 @@ fn thrash_pinning_protects_faultless_hot_data() {
     let build = |space: &mut ManagedSpace| {
         let hot = space.alloc(VABLOCK_SIZE, "hot");
         let cold = space.alloc(16 * VABLOCK_SIZE, "cold");
-        let mut blocks = Vec::new();
+        let mut trace = WorkloadTrace::new("hot-cold", hot.num_pages + cold.num_pages);
         for i in 0..cold.num_pages {
-            let mut bt = BlockTrace::new(SimDuration::ZERO);
-            bt.push_step_mixed([(hot.page(i % 512), false), (cold.page(i), false)]);
-            blocks.push(bt);
+            trace.begin_block(SimDuration::ZERO);
+            trace.push_step_mixed([(hot.page(i % 512), false), (cold.page(i), false)]);
         }
-        WorkloadTrace {
-            name: "hot-cold".into(),
-            blocks,
-            footprint_pages: hot.num_pages + cold.num_pages,
-        }
+        trace
     };
     let run_with = |thrash: uvm_driver::ThrashConfig| {
         let mut space = ManagedSpace::new();
