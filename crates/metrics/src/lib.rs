@@ -44,6 +44,8 @@
 //!   each curve's thrash cliff.
 //! * [`report`] — plain-text table and CSV rendering for the `repro`
 //!   binary that regenerates the paper's tables and figures.
+//! * [`rows`] — the one row codec of the tabular artefacts: each row
+//!   layout is a column table that both its writer and its reader use.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -57,6 +59,7 @@ pub mod lineage;
 pub mod oversub;
 pub mod phase;
 pub mod report;
+pub mod rows;
 pub mod sched;
 pub mod serve;
 pub mod span;
@@ -77,7 +80,7 @@ pub use lineage::{
 };
 pub use oversub::{
     Cliff, OversubCell, OversubStats, CLIFF_THRESHOLD_BP, OVERSUB_CLIFF_JUMP_BP,
-    OVERSUB_CLIFF_RATIO, OVERSUB_HEADER, OVERSUB_REGISTRY,
+    OVERSUB_CLIFF_RATIO, OVERSUB_REGISTRY,
 };
 pub use phase::ServicePhaseWall;
 pub use sched::SweepSchedStats;
