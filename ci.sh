@@ -143,11 +143,17 @@ sys.exit(rss > 130)
 
     echo "== repro check (every artefact above, re-derived from disk) =="
     # Trace invariants, sample-CSV schema + attribution ledger, lineage
-    # vs sample CSVs, every exposition, and the oversub heatmaps vs the
-    # knee detector and their expositions. The paths are explicit
-    # because ci-out/ persists between runs.
+    # vs sample CSVs, offender tables vs their derived badness, every
+    # exposition, the oversub heatmaps vs the knee detector and their
+    # expositions, and the serve event log vs its footer totals. The
+    # paths are explicit because ci-out/ persists between runs.
     ./target/release/repro check ci-out/trace.json ci-out/metrics ci-out/oversub \
-        ci-out/oversub-metrics ci-out/serve-out
+        ci-out/oversub-metrics ci-out/serve-out | tee ci-out/check.txt
+    # The serve event log must have been read back, not skipped.
+    grep -q "serve-events.tsv: OK" ci-out/check.txt || {
+        echo "repro check printed no OK line for serve-events.tsv" >&2
+        exit 1
+    }
     ;;
 nightly)
     echo "== repro all --scale 1 (full-scale end-to-end, telemetry-sampled) =="

@@ -384,3 +384,68 @@ fn bench_append_rejects_unusable_wall_times() {
     assert_eq!(bad.status.code(), Some(2), "{}", stdout(&bad));
     assert!(stderr(&bad).contains("wall_seconds"), "{}", stderr(&bad));
 }
+
+#[test]
+fn check_reads_back_offender_tables_and_serve_event_logs() {
+    let dir = scratch("check_tables");
+    let metrics = dir.join("metrics");
+    let run = repro(&[
+        "fig1",
+        "--scale",
+        "128",
+        "--no-progress",
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "repro failed: {}", stderr(&run));
+    let mut log = metrics::ServeEventLog::with_capacity(8);
+    log.record(3, 1, metrics::ServeEventKind::Accepted, 128, 0);
+    log.record(9, 1, metrics::ServeEventKind::Completed, 28, 4096);
+    let events = dir.join("serve/serve-events.tsv");
+    std::fs::create_dir_all(events.parent().unwrap()).unwrap();
+    std::fs::write(&events, log.to_tsv()).unwrap();
+    let check = || repro(&["check", dir.to_str().unwrap()]);
+    let ok = check();
+    assert_eq!(ok.status.code(), Some(0), "clean: {}", stderr(&ok));
+    assert!(
+        stdout(&ok).contains(&format!("{}: OK", events.display())),
+        "{}",
+        stdout(&ok)
+    );
+
+    // A badness that is not refaults + prefetched-evicted pages.
+    let offenders = metrics.join("fig1/offenders.tsv");
+    let clean = std::fs::read_to_string(&offenders).unwrap();
+    let row = clean
+        .lines()
+        .nth(1)
+        .expect("an oversubscribed fig1 has offenders");
+    let (head, badness) = row.rsplit_once('\t').unwrap();
+    let doctored = format!("{head}\t{}", badness.parse::<u64>().unwrap() + 1);
+    std::fs::write(&offenders, clean.replacen(row, &doctored, 1)).unwrap();
+    let bad = check();
+    assert_eq!(bad.status.code(), Some(1), "{}", stderr(&bad));
+    let err = stderr(&bad);
+    assert!(
+        err.contains(&format!("FAIL {}: ", offenders.display()))
+            && err.contains("derived column badness"),
+        "{err}"
+    );
+    std::fs::write(&offenders, clean).unwrap();
+
+    // A footer total that no longer counts the stored rows.
+    let tsv = log.to_tsv();
+    std::fs::write(
+        &events,
+        tsv.replace("# total\taccepted\t1", "# total\taccepted\t2"),
+    )
+    .unwrap();
+    let bad = check();
+    assert_eq!(bad.status.code(), Some(1), "{}", stderr(&bad));
+    let err = stderr(&bad);
+    assert!(
+        err.contains(&format!("FAIL {}: ", events.display())) && err.contains("accepted rows"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -371,6 +371,42 @@ fn submit_check_scrape_and_signal_shutdown() {
         );
     }
     assert!(events.contains("# dropped\t0"), "{events}");
+    // Each kind's payload follows the `ServeEventKind` schema.
+    let log = metrics::ServeEventLog::from_tsv(&events).expect("event log reconciles");
+    let of = |kind: metrics::ServeEventKind| -> Vec<(u64, u64, u64)> {
+        log.events()
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| (e.request, e.a, e.b))
+            .collect()
+    };
+    use metrics::ServeEventKind as K;
+    assert_eq!(of(K::Accepted), [(1, 128, 0)], "accepted: a = scale");
+    assert_eq!(of(K::Planned), [(1, 128, 0)], "planned: a = scale");
+    let done = of(K::PointDone);
+    let mut points: Vec<u64> = done.iter().map(|&(_, a, _)| a).collect();
+    points.sort_unstable();
+    let n = done.len() as u64;
+    assert_eq!(
+        points,
+        (1..=n).collect::<Vec<_>>(),
+        "point_done: a = points done"
+    );
+    let faults = done.iter().map(|&(_, _, b)| b).max().unwrap();
+    assert!(faults > 0, "point_done: b = faults so far");
+    assert_eq!(
+        of(K::Completed),
+        [(1, n, faults)],
+        "completed: (points, faults)"
+    );
+    let written = of(K::ArtefactsWritten);
+    let files = walk_files(&out.join("req0001-fig1"));
+    assert_eq!(written, [(1, files, 0)], "artefacts_written: a = files");
+    assert_eq!(
+        of(K::Shutdown),
+        [(0, 1, 0)],
+        "shutdown: (completed, failed)"
+    );
     // The final exposition snapshot validates and still carries the
     // completed request's series.
     let prom = std::fs::read_to_string(out.join("serve.prom")).unwrap();
@@ -378,6 +414,15 @@ fn submit_check_scrape_and_signal_shutdown() {
     assert!(
         prom.contains(r#"uvm_serve_request_state{request="1",experiment="fig1",state="done"} 1"#)
     );
+}
+
+/// Files under `dir`, recursively.
+fn walk_files(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| if p.is_dir() { walk_files(&p) } else { 1 })
+        .sum()
 }
 
 /// Minimal HTTP GET over a raw TcpStream (no client dependencies).
