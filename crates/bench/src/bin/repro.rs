@@ -843,18 +843,18 @@ impl ExperimentPerf {
         ExperimentPerf {
             name: name.to_string(),
             wall_seconds: wall,
-            sim_faults: totals.faults,
+            sim_faults: totals.counters.faults_fetched,
             sim_warp_steps: totals.warp_steps,
-            faults_per_sec: totals.faults as f64 / wall,
+            faults_per_sec: totals.counters.faults_fetched as f64 / wall,
             warp_steps_per_sec: totals.warp_steps as f64 / wall,
-            evictions_per_fault: totals.evictions_per_fault(),
+            evictions_per_fault: totals.counters.evictions_per_fault(),
             coverage_pct: totals.coverage_pct(),
             serial_front_ms: phase.serial_front_ns as f64 / 1e6,
             sweep_points: sched.points,
             max_straggler_ms: sched.max_point_wall_ns as f64 / 1e6,
-            retries_skipped: totals.retries_skipped,
-            retry_pages_skipped: totals.retry_pages_skipped,
-            wakeups: totals.wakeups,
+            retries_skipped: totals.counters.retries_skipped,
+            retry_pages_skipped: totals.counters.retry_pages_skipped,
+            wakeups: totals.counters.wakeups,
         }
     }
 }
