@@ -454,3 +454,32 @@ fn attribution_exposes_prefetch_eviction_antagonism() {
         "the antagonism is visible as a cross-run diff"
     );
 }
+
+/// Arming the lineage log decides only whether its events are stored,
+/// never what the ledger and the offender table hold: for every
+/// eviction policy, with prefetching on and off, an oversubscribed
+/// random run gives the same `attribution` and `top_offenders` armed
+/// and unarmed.
+#[test]
+fn ledger_and_offenders_do_not_depend_on_arming_the_lineage_log() {
+    let w = Workload::Random(RandomParams {
+        bytes: 24 * MIB,
+        warps_per_block: 8,
+    });
+    for policy in EvictionPolicy::ALL {
+        for prefetch in [PrefetchPolicy::default(), PrefetchPolicy::Disabled] {
+            let mut unarmed = SimConfig::default().with_eviction(policy);
+            unarmed.driver.gpu_memory_bytes = 16 * MIB;
+            unarmed.driver.prefetch = prefetch;
+            let mut armed = unarmed.clone();
+            armed.driver.timeseries = Some(metrics::TimeseriesConfig::default());
+            let (off, on) = (run(&unarmed, &w), run(&armed, &w));
+            let case = format!("{policy:?}, prefetch {prefetch:?}");
+            assert!(off.lineage.is_empty(), "{case}: unarmed log stores nothing");
+            assert!(on.lineage.events_total() > 0, "{case}: armed log records");
+            assert!(off.counters.evictions > 0, "{case}: must be oversubscribed");
+            assert_eq!(off.attribution, on.attribution, "{case}");
+            assert_eq!(off.top_offenders, on.top_offenders, "{case}");
+        }
+    }
+}
