@@ -79,8 +79,8 @@ pub use lineage::{
     LineageRecorder, NO_BLOCK,
 };
 pub use oversub::{
-    Cliff, OversubCell, OversubStats, CLIFF_THRESHOLD_BP, OVERSUB_CLIFF_JUMP_BP,
-    OVERSUB_CLIFF_RATIO, OVERSUB_REGISTRY,
+    Cliff, OversubCell, CLIFF_THRESHOLD_BP, OVERSUB_CLIFF_JUMP_BP, OVERSUB_CLIFF_RATIO,
+    OVERSUB_REGISTRY,
 };
 pub use phase::ServicePhaseWall;
 pub use sched::SweepSchedStats;

@@ -273,21 +273,12 @@ pub fn parse_table(text: &str) -> Result<(Vec<OversubCell>, Vec<Cliff>), String>
     ))
 }
 
-/// Summary of a verified artefact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OversubStats {
-    /// Sweep cells present.
-    pub cells: usize,
-    /// (workload, policy) curves present.
-    pub curves: usize,
-    /// Curves with a detected cliff (`ratio_centi != 0`).
-    pub cliffs_found: usize,
-}
-
 /// Verify an `oversub.tsv` artefact from its text alone: parse (which
 /// re-derives every derived column), re-render byte-identically, and
-/// re-run the knee detector against the recorded `#cliffs` section.
-pub fn check_table(text: &str) -> Result<OversubStats, String> {
+/// re-run the knee detector against the recorded `#cliffs` section (one
+/// row per (workload, policy) curve; `ratio_centi` 0 where none was
+/// found). Returns the table it parsed.
+pub fn check_table(text: &str) -> Result<(Vec<OversubCell>, Vec<Cliff>), String> {
     let (cells, cliffs) = parse_table(text)?;
     if cells.is_empty() {
         return Err("oversub.tsv: no cells".into());
@@ -313,11 +304,7 @@ pub fn check_table(text: &str) -> Result<OversubStats, String> {
                 .unwrap_or_default()
         ));
     }
-    Ok(OversubStats {
-        cells: cells.len(),
-        curves: cliffs.len(),
-        cliffs_found: cliffs.iter().filter(|c| c.ratio_centi != 0).count(),
-    })
+    Ok((cells, cliffs))
 }
 
 /// Push every cell gauge and the per-curve cliff gauges into `exp`,
@@ -430,10 +417,9 @@ mod tests {
         assert_eq!(cells, cells2);
         assert_eq!(cliffs, cliffs2);
         assert_eq!(render_table(&cells2, &cliffs2), text);
-        let stats = check_table(&text).unwrap();
-        assert_eq!(stats.cells, 8);
-        assert_eq!(stats.curves, 2);
-        assert_eq!(stats.cliffs_found, 1);
+        let found = cliffs.iter().filter(|c| c.ratio_centi != 0).count();
+        assert_eq!((cells.len(), cliffs.len(), found), (8, 2, 1));
+        assert_eq!(check_table(&text), Ok((cells, cliffs)));
     }
 
     #[test]

@@ -449,3 +449,50 @@ fn check_reads_back_offender_tables_and_serve_event_logs() {
     );
     assert!(!err.contains("panicked"), "{err}");
 }
+
+#[test]
+fn check_reconciles_flight_dumps_with_their_lineage_log() {
+    let dir = scratch("check_flight");
+    let metrics = dir.join("metrics");
+    let run = repro(&[
+        "ablation_thrash",
+        "--scale",
+        "128",
+        "--no-progress",
+        "--out",
+        dir.join("out").to_str().unwrap(),
+        "--metrics-out",
+        metrics.to_str().unwrap(),
+    ]);
+    assert!(run.status.success(), "repro failed: {}", stderr(&run));
+    let check = || repro(&["check", metrics.to_str().unwrap()]);
+    let ok = check();
+    assert_eq!(ok.status.code(), Some(0), "clean: {}", stderr(&ok));
+    let flight = std::fs::read_dir(metrics.join("ablation_thrash"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_str().unwrap().ends_with(".flight.json"))
+        .expect("forced thrash writes a flight dump");
+    assert!(
+        stdout(&ok).contains(&format!("{}: OK", flight.display())),
+        "{}",
+        stdout(&ok)
+    );
+
+    // One dump event's page count set to 2^64 - 1: the dump is still
+    // well-formed JSON, but the event is no row of the lineage log.
+    let clean = std::fs::read_to_string(&flight).unwrap();
+    let at = clean.find("\"pages\": ").expect("dump events carry pages") + 9;
+    let digits = clean[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let doctored = format!("{}{}{}", &clean[..at], u64::MAX, &clean[at + digits..]);
+    std::fs::write(&flight, doctored).unwrap();
+    let bad = check();
+    assert_eq!(bad.status.code(), Some(1), "{}", stderr(&bad));
+    let err = stderr(&bad);
+    assert!(
+        err.contains(&format!("FAIL {}: ", flight.display()))
+            && err.contains("is not a row of the event table"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+}
