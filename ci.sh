@@ -10,7 +10,8 @@
 #                      quick-scale end-to-end
 #                      repro (~1 min on one core), a traced
 #                      + telemetry-sampled fig1, the small-grid
-#                      oversubscription observatory, the `repro serve`
+#                      oversubscription observatory, a forced-thrash
+#                      run that writes flight dumps, the `repro serve`
 #                      lifecycle gate (submit through a live daemon,
 #                      self-scrape reconciliation, clean SIGTERM), then
 #                      one `repro check` over every artefact written
@@ -117,6 +118,13 @@ sys.exit(rss > 130)
     ./target/release/repro explain --diff ci-out/metrics ci-out/oversub-metrics --json \
         > ci-out/explain-diff.json
 
+    echo "== repro ablation_thrash --scale 128 (forced thrash, flight dumps) =="
+    # The one push run whose thrash detector pins blocks, so the one that
+    # writes .flight.json dumps; `repro check` below reconciles each dump
+    # with its lineage log.
+    ./target/release/repro ablation_thrash --scale 128 --no-progress \
+        --out ci-out/thrash --metrics-out ci-out/thrash-metrics > ci-out/thrash.txt
+
     echo "== repro serve lifecycle gate (submit, scrape, --check, clean SIGTERM) =="
     # Daemon on a temp socket; `repro submit` drives a quick fig1 through
     # it; `serve --check` self-scrapes /metrics twice and reconciles the
@@ -143,17 +151,21 @@ sys.exit(rss > 130)
 
     echo "== repro check (every artefact above, re-derived from disk) =="
     # Trace invariants, sample-CSV schema + attribution ledger, lineage
-    # vs sample CSVs, offender tables vs their derived badness, every
-    # exposition, the oversub heatmaps vs the knee detector and their
-    # expositions, and the serve event log vs its footer totals. The
-    # paths are explicit because ci-out/ persists between runs.
+    # vs sample CSVs, flight dumps vs their lineage logs, offender
+    # tables vs their derived badness, every exposition, the oversub
+    # heatmaps vs the knee detector and their expositions, and the serve
+    # event log vs its footer totals. The paths are explicit because
+    # ci-out/ persists between runs.
     ./target/release/repro check ci-out/trace.json ci-out/metrics ci-out/oversub \
-        ci-out/oversub-metrics ci-out/serve-out | tee ci-out/check.txt
-    # The serve event log must have been read back, not skipped.
-    grep -q "serve-events.tsv: OK" ci-out/check.txt || {
-        echo "repro check printed no OK line for serve-events.tsv" >&2
-        exit 1
-    }
+        ci-out/oversub-metrics ci-out/thrash-metrics ci-out/serve-out | tee ci-out/check.txt
+    # The serve event log and the flight dumps must have been read back,
+    # not skipped.
+    for what in serve-events.tsv .flight.json; do
+        grep -q "$what: OK" ci-out/check.txt || {
+            echo "repro check printed no OK line for $what" >&2
+            exit 1
+        }
+    done
     ;;
 nightly)
     echo "== repro all --scale 1 (full-scale end-to-end, telemetry-sampled) =="

@@ -55,13 +55,6 @@ impl VaBlockIdx {
         GlobalPage(self.0 * PAGES_PER_VABLOCK as u64)
     }
 
-    /// Page at `offset` (0..512) within this VABlock.
-    #[inline]
-    pub fn page_at(self, offset: usize) -> GlobalPage {
-        debug_assert!(offset < PAGES_PER_VABLOCK);
-        GlobalPage(self.0 * PAGES_PER_VABLOCK as u64 + offset as u64)
-    }
-
     /// Raw VABlock number.
     #[inline]
     pub fn index(self) -> u64 {
@@ -98,11 +91,10 @@ mod tests {
     fn vablock_page_roundtrip() {
         let vb = VaBlockIdx(42);
         for off in [0usize, 1, 255, 511] {
-            let p = vb.page_at(off);
+            let p = GlobalPage(vb.first_page().0 + off as u64);
             assert_eq!(p.vablock(), vb);
             assert_eq!(p.offset_in_vablock(), off);
         }
-        assert_eq!(vb.first_page(), vb.page_at(0));
     }
 
     #[test]

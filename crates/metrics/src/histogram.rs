@@ -82,11 +82,6 @@ impl Histogram {
         self.max
     }
 
-    /// Count in the bucket containing `v`.
-    pub fn count_for(&self, v: u64) -> u64 {
-        self.counts[bucket_of(v)]
-    }
-
     /// The `q`-quantile (`0.0 < q <= 1.0`) as the inclusive upper bound
     /// of the bucket where the cumulative count first reaches
     /// `ceil(q * total)`. Exact for the width-1 buckets (0, 1, 2); an
@@ -192,9 +187,9 @@ mod tests {
         assert_eq!(h.total(), 5);
         assert_eq!(h.max(), 256);
         assert!((h.mean() - 52.4).abs() < 1e-9);
-        assert_eq!(h.count_for(1), 2);
-        assert_eq!(h.count_for(3), 1); // 4 in (2,4]
-        assert_eq!(h.count_for(200), 1); // 256 in (128,256]
+        assert_eq!(h.counts[bucket_of(1)], 2);
+        assert_eq!(h.counts[bucket_of(3)], 1); // 4 in (2,4]
+        assert_eq!(h.counts[bucket_of(200)], 1); // 256 in (128,256]
     }
 
     #[test]
@@ -206,7 +201,7 @@ mod tests {
         b.record(100);
         a.merge(&b);
         assert_eq!(a.total(), 3);
-        assert_eq!(a.count_for(4), 2);
+        assert_eq!(a.counts[bucket_of(4)], 2);
         assert_eq!(a.max(), 100);
     }
 

@@ -47,13 +47,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Time elapsed since `earlier`. Returns `SimDuration::ZERO` if
-    /// `earlier` is in the future (saturating).
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -259,14 +252,6 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(12)), "12.000us");
         assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.000ms");
         assert_eq!(format!("{}", SimDuration::from_secs(12)), "12.000s");
-    }
-
-    #[test]
-    fn saturating_since_clamps_to_zero() {
-        let a = SimTime::from_nanos(10);
-        let b = SimTime::from_nanos(20);
-        assert_eq!(a.saturating_since(b), SimDuration::ZERO);
-        assert_eq!(b.saturating_since(a), SimDuration::from_nanos(10));
     }
 
     #[test]

@@ -46,19 +46,6 @@ pub const fn vablocks_for_bytes(bytes: u64) -> u64 {
     bytes.div_ceil(VABLOCK_SIZE)
 }
 
-/// Render a byte count human-readably (e.g. `1.50GiB`).
-pub fn fmt_bytes(bytes: u64) -> String {
-    if bytes >= GIB {
-        format!("{:.2}GiB", bytes as f64 / GIB as f64)
-    } else if bytes >= MIB {
-        format!("{:.2}MiB", bytes as f64 / MIB as f64)
-    } else if bytes >= KIB {
-        format!("{:.2}KiB", bytes as f64 / KIB as f64)
-    } else {
-        format!("{bytes}B")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,13 +70,5 @@ mod tests {
         assert_eq!(pages_for_bytes(PAGE_SIZE + 1), 2);
         assert_eq!(vablocks_for_bytes(VABLOCK_SIZE + 1), 2);
         assert_eq!(vablocks_for_bytes(VABLOCK_SIZE), 1);
-    }
-
-    #[test]
-    fn byte_formatting() {
-        assert_eq!(fmt_bytes(512), "512B");
-        assert_eq!(fmt_bytes(2048), "2.00KiB");
-        assert_eq!(fmt_bytes(3 * MIB), "3.00MiB");
-        assert_eq!(fmt_bytes(GIB + GIB / 2), "1.50GiB");
     }
 }

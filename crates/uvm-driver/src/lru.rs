@@ -140,25 +140,6 @@ impl LruList {
         }
     }
 
-    /// Peek the least-recently-used block without removing it.
-    pub fn peek_lru(&self) -> Option<VaBlockIdx> {
-        (self.tail != NONE).then_some(VaBlockIdx(self.tail as u64))
-    }
-
-    /// Iterate from MRU to LRU (diagnostic).
-    pub fn iter_mru(&self) -> impl Iterator<Item = VaBlockIdx> + '_ {
-        let mut cur = self.head;
-        std::iter::from_fn(move || {
-            if cur == NONE {
-                None
-            } else {
-                let out = VaBlockIdx(cur as u64);
-                cur = self.next[cur as usize];
-                Some(out)
-            }
-        })
-    }
-
     /// Iterate from LRU to MRU: the victim-scan order for policies that
     /// rank candidates rather than popping the tail.
     pub fn iter_lru(&self) -> impl Iterator<Item = VaBlockIdx> + '_ {
@@ -183,6 +164,13 @@ mod tests {
         VaBlockIdx(i)
     }
 
+    /// The list from MRU to LRU.
+    fn mru_order(l: &LruList) -> Vec<u64> {
+        let mut order: Vec<u64> = l.iter_lru().map(|x| x.0).collect();
+        order.reverse();
+        order
+    }
+
     #[test]
     fn touch_inserts_and_orders() {
         let mut l = LruList::new(8);
@@ -190,9 +178,7 @@ mod tests {
         l.touch(b(1));
         l.touch(b(2));
         assert_eq!(l.len(), 3);
-        let order: Vec<u64> = l.iter_mru().map(|x| x.0).collect();
-        assert_eq!(order, vec![2, 1, 0]);
-        assert_eq!(l.peek_lru(), Some(b(0)));
+        assert_eq!(mru_order(&l), vec![2, 1, 0]);
     }
 
     #[test]
@@ -227,8 +213,7 @@ mod tests {
         }
         assert!(l.remove(b(1)));
         assert!(!l.remove(b(1)));
-        let order: Vec<u64> = l.iter_mru().map(|x| x.0).collect();
-        assert_eq!(order, vec![2, 0]);
+        assert_eq!(mru_order(&l), vec![2, 0]);
         assert!(!l.contains(b(1)));
     }
 
@@ -246,22 +231,23 @@ mod tests {
         assert!(skipped.is_empty(), "drained for reuse");
         // Reverse-order touches: the scan's first pop (0) is touched
         // last and lands at the MRU head, 3 (never popped) stays LRU.
-        let order: Vec<u64> = l.iter_mru().map(|x| x.0).collect();
-        assert_eq!(order, vec![0, 1, 3]);
+        assert_eq!(mru_order(&l), vec![0, 1, 3]);
     }
 
     #[test]
-    fn iter_lru_is_reverse_of_iter_mru() {
+    fn iter_lru_runs_from_lru_to_mru() {
         let mut l = LruList::new(8);
         for i in [3u64, 1, 4, 0] {
             l.touch(b(i));
         }
         l.touch(b(1));
-        let mut mru: Vec<u64> = l.iter_mru().map(|x| x.0).collect();
         let lru: Vec<u64> = l.iter_lru().map(|x| x.0).collect();
-        mru.reverse();
-        assert_eq!(mru, lru);
-        assert_eq!(lru.first().copied(), l.peek_lru().map(|x| x.0));
+        assert_eq!(lru, vec![3, 4, 0, 1]);
+        assert_eq!(
+            lru[0],
+            l.pop_lru().unwrap().0,
+            "the scan starts at the victim"
+        );
     }
 
     #[test]

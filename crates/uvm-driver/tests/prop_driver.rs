@@ -311,9 +311,9 @@ proptest! {
                 }
             }
             prop_assert_eq!(lru.len(), model.len());
-            let order: Vec<u64> = lru.iter_mru().map(|v| v.0).collect();
+            let mut order: Vec<u64> = lru.iter_lru().map(|v| v.0).collect();
+            order.reverse();
             prop_assert_eq!(&order, &model);
-            prop_assert_eq!(lru.peek_lru().map(|v| v.0), model.last().copied());
         }
     }
 }
@@ -373,10 +373,13 @@ proptest! {
                 utlb: (i % 4) as u32,
             });
         }
-        let b = batch::gather(&mut buf, batch_size, SimTime::ZERO, &mut space);
+        let mut arena = batch::BatchArena::default();
+        batch::gather_into(&mut buf, batch_size, SimTime::ZERO, &mut space, &mut arena);
+        let b = &arena.batch;
         // Conservation: every fetched entry is a new page or a duplicate.
         prop_assert_eq!(b.fetched, pages.len().min(batch_size) as u64);
-        prop_assert_eq!(b.new_fault_pages() + b.duplicates, b.fetched);
+        let new_pages: u64 = b.groups.iter().map(|g| g.fault_mask.count() as u64).sum();
+        prop_assert_eq!(new_pages + b.duplicates, b.fetched);
         // Groups sorted, masks disjoint across groups, writes ⊆ faults.
         let mut last = None;
         for g in &b.groups {

@@ -39,11 +39,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's platform: Titan V (80 SMs, 12 GB HBM2) over PCIe 3.0.
-    pub fn titan_v() -> Self {
-        SimConfig::default()
-    }
-
     /// A geometrically scaled-down platform: GPU memory multiplied by
     /// `fraction` (e.g. 1/16) so oversubscription experiments run at
     /// laptop scale while preserving the subscription *ratios* that
@@ -55,12 +50,6 @@ impl SimConfig {
         cfg.driver.gpu_memory_bytes =
             ((12.0 * GIB as f64 * fraction) as u64).max(4 * 2 * 1024 * 1024);
         cfg
-    }
-
-    /// Builder-style: set the driver configuration.
-    pub fn with_driver(mut self, driver: DriverConfig) -> Self {
-        self.driver = driver;
-        self
     }
 
     /// Builder-style: set the RNG seed.
@@ -89,7 +78,7 @@ mod tests {
 
     #[test]
     fn titan_v_matches_paper_platform() {
-        let c = SimConfig::titan_v();
+        let c = SimConfig::default();
         assert_eq!(c.gpu.max_blocks_resident, 1280);
         assert_eq!(c.driver.gpu_memory_bytes, 12 * GIB);
         assert_eq!(c.driver.batch_size, 256);
@@ -104,12 +93,11 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let c = SimConfig::default().with_seed(7).with_driver(DriverConfig {
-            batch_size: 128,
-            ..DriverConfig::default()
-        });
+        let c = SimConfig::default()
+            .with_seed(7)
+            .with_eviction(uvm_driver::EvictionPolicy::Random);
         assert_eq!(c.seed, 7);
-        assert_eq!(c.driver.batch_size, 128);
+        assert_eq!(c.driver.eviction, uvm_driver::EvictionPolicy::Random);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! use uvm_sim::{run, SimConfig, Workload, WorkloadKind};
 //!
 //! // A scaled-down platform (GPU memory = 12GB/64) so the doc test is
-//! // instant; `SimConfig::titan_v()` is the paper's platform.
+//! // instant; `SimConfig::default()` is the paper's platform.
 //! let config = SimConfig::scaled(1.0 / 64.0);
 //! let workload = Workload::with_footprint(WorkloadKind::Regular, 64 * 1024 * 1024);
 //! let report = run(&config, &workload);
