@@ -223,10 +223,7 @@ impl Shared {
     pub fn render_metrics(&self) -> String {
         let mut exp = Exposition::new();
         metricsio::push_build_info(&mut exp);
-        let snap = self.stats_snapshot();
-        for m in SERVE_REGISTRY {
-            exp.push(&m.def, &[], (m.read)(&snap) as f64);
-        }
+        exp.push_registry(SERVE_REGISTRY, &[], &self.stats_snapshot());
         for r in self.records.lock().unwrap().iter() {
             let id = r.id.to_string();
             let base = [

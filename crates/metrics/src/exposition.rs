@@ -51,6 +51,66 @@ pub struct MetricDef {
     pub help: &'static str,
 }
 
+/// One family of a metric struct's registry: its identity plus the
+/// extractor reading it off a snapshot of the struct.
+pub struct Metric<T> {
+    /// Metric name/kind/help for the exposition output.
+    pub def: MetricDef,
+    /// Field (or derived-total) extractor.
+    pub read: fn(&T) -> u64,
+}
+
+/// Declares a struct of `u64` metric fields and its exposition registry
+/// from one list. Each field entry is its doc, its name, then its
+/// family's kind, name and help; the registry lists the fields in
+/// order, then any derived families after `+`, each read off a method
+/// of the struct. The struct also gets a private field-wise
+/// `add_fields`, which its merge calls.
+macro_rules! metric_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[doc = $doc:literal])* $field:ident: $kind:ident $family:literal $help:literal,)*
+        }
+        $(#[$reg_meta:meta])*
+        pub const $registry:ident $(+ {
+            $($method:ident(): $dkind:ident $dfamily:literal $dhelp:literal,)*
+        })?;
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        $(#[$reg_meta])*
+        pub const $registry: &[$crate::exposition::Metric<$name>] = &[
+            $($crate::exposition::metric_struct!(@metric $kind $family $help, |s| s.$field),)*
+            $($($crate::exposition::metric_struct!(
+                @metric $dkind $dfamily $dhelp, |s| s.$method()
+            ),)*)?
+        ];
+
+        impl $name {
+            /// Combine each field of `o` into the same field of `self`.
+            #[allow(dead_code)]
+            fn add_fields(&mut self, o: &$name, mut add: impl FnMut(&mut u64, u64)) {
+                $(add(&mut self.$field, o.$field);)*
+            }
+        }
+    };
+    (@metric $kind:ident $family:literal $help:literal, $read:expr) => {
+        $crate::exposition::Metric {
+            def: $crate::exposition::MetricDef {
+                name: $family,
+                kind: $crate::exposition::MetricKind::$kind,
+                help: $help,
+            },
+            read: $read,
+        }
+    };
+}
+pub(crate) use metric_struct;
+
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` — the Prometheus metric-name charset.
 pub fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
@@ -155,6 +215,13 @@ impl Exposition {
                 def: *def,
                 samples: vec![(block, value)],
             }),
+        }
+    }
+
+    /// Append one sample of every family in `registry`, read off `value`.
+    pub fn push_registry<T>(&mut self, registry: &[Metric<T>], labels: &[(&str, &str)], value: &T) {
+        for m in registry {
+            self.push(&m.def, labels, (m.read)(value) as f64);
         }
     }
 

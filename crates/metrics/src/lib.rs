@@ -67,12 +67,10 @@ pub mod timers;
 pub mod timeseries;
 pub mod trace;
 
-pub use attribution::{
-    top_offenders, Attribution, AttributionMetric, BlockStats, Offender, ATTRIBUTION_REGISTRY,
-};
+pub use attribution::{top_offenders, Attribution, BlockStats, Offender, ATTRIBUTION_REGISTRY};
 pub use chrome::{ChromePoint, TraceStats};
-pub use counters::{CounterMetric, Counters, COUNTER_REGISTRY};
-pub use exposition::{Exposition, ExpositionStats, MetricDef, MetricKind};
+pub use counters::{Counters, COUNTER_REGISTRY};
+pub use exposition::{Exposition, ExpositionStats, Metric, MetricDef, MetricKind};
 pub use histogram::Histogram;
 pub use lineage::{
     FlightDump, FlightTrigger, KindTotal, LineageEvent, LineageEventKind, LineageLog,
@@ -84,9 +82,7 @@ pub use oversub::{
 };
 pub use phase::ServicePhaseWall;
 pub use sched::SweepSchedStats;
-pub use serve::{
-    ServeEvent, ServeEventKind, ServeEventLog, ServeMetric, ServeStats, SERVE_REGISTRY,
-};
+pub use serve::{ServeEvent, ServeEventKind, ServeEventLog, ServeStats, SERVE_REGISTRY};
 pub use span::{
     flame_summary, FlameRow, SpanCat, SpanEvent, SpanKind, SpanPhase, SpanRecorder, SpanTrace,
     DEFAULT_SPAN_CAPACITY,
