@@ -141,6 +141,10 @@ sys.exit(rss > 130)
     # Two checks = two scrapes: exercises both the reconciliation and the
     # monotone scrape counter.
     ./target/release/repro serve --check ci-out/serve.sock
+    # A line nested 100,000 deep must get an error frame, not overflow a
+    # stack: the second check and the clean SIGTERM exit prove the daemon
+    # survived it.
+    python3 -c 'import socket, sys; s = socket.socket(socket.AF_UNIX); s.connect(sys.argv[1]); s.sendall(b"[" * 100000 + b"]" * 100000 + b"\n"); sys.exit("malformed request" not in s.makefile().readline())' ci-out/serve.sock
     ./target/release/repro serve --check ci-out/serve.sock
     kill -TERM "$serve_pid"
     wait "$serve_pid"   # propagates the daemon's exit status: must be 0

@@ -356,6 +356,19 @@ fn regress_rejects_unusable_input() {
 }
 
 #[test]
+fn check_fails_cleanly_on_deeply_nested_json() {
+    // 200,000 nested arrays: past the JSON parser's depth cap, so a FAIL
+    // line and exit 1, not a stack overflow.
+    let dir = scratch("check_deep_json");
+    let path = dir.join("deep.json");
+    std::fs::write(&path, "[".repeat(200_000) + &"]".repeat(200_000)).unwrap();
+    let run = repro(&["check", path.to_str().unwrap()]);
+    let err = stderr(&run);
+    assert_eq!(run.status.code(), Some(1), "{err}");
+    assert!(err.contains(&format!("FAIL {}: ", path.display())), "{err}");
+}
+
+#[test]
 fn bench_append_rejects_unusable_wall_times() {
     let dir = scratch("bench_append_bad_wall");
     let path = dir.join("BENCH_hotpaths.json");

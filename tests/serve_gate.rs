@@ -148,6 +148,11 @@ fn protocol_golden_behaviour_and_hostile_lines() {
     let frames = daemon.roundtrip("this is not json", "error");
     assert_eq!(frame_str(&frames[0], "frame"), Some("error"));
     assert!(frames[0].contains("malformed request"), "{}", frames[0]);
+    // So is a line nested past the parser's depth cap: an error frame,
+    // not a stack overflow that takes the daemon down.
+    let deep = "[".repeat(100_000) + &"]".repeat(100_000);
+    let frames = daemon.roundtrip(&deep, "error");
+    assert!(frames[0].contains("malformed request"), "{}", frames[0]);
 
     // Unknown op and unknown experiment → error frames, daemon survives.
     let frames = daemon.roundtrip(r#"{"op":"fly"}"#, "error");
@@ -169,8 +174,8 @@ fn protocol_golden_behaviour_and_hostile_lines() {
     assert_eq!(frame_str(&frames[0], "frame"), Some("pong"));
     let frames = daemon.roundtrip(r#"{"op":"stats"}"#, "stats");
     assert!(
-        frames[0].contains(r#""protocol_errors":4"#),
-        "stats must count 4 protocol errors: {}",
+        frames[0].contains(r#""protocol_errors":5"#),
+        "stats must count 5 protocol errors: {}",
         frames[0]
     );
 
@@ -195,7 +200,7 @@ fn protocol_golden_behaviour_and_hostile_lines() {
     let events = std::fs::read_to_string(daemon.out.join("serve-events.tsv"))
         .expect("serve-events.tsv flushed");
     assert!(events.contains("client_error"), "{events}");
-    assert!(events.contains("# total\tclient_error\t4"), "{events}");
+    assert!(events.contains("# total\tclient_error\t5"), "{events}");
     std::mem::forget(daemon); // child already reaped
 }
 
