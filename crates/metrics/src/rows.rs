@@ -5,6 +5,7 @@
 //! header line, the cell-count check and the error wording; whatever
 //! else a format checks stays with the format.
 
+use std::any::Any;
 use std::fmt::{Display, Write};
 use std::str::FromStr;
 
@@ -111,9 +112,40 @@ impl<T> Rows<T> {
     }
 }
 
-/// Append a field's cell: its `Display` form.
-pub fn write_cell<V: Display>(v: &V, out: &mut String) {
-    let _ = write!(out, "{v}");
+/// Append a field's cell: its `Display` form, written directly for a
+/// `u64` (most cells), which skips the formatting machinery.
+pub fn write_cell<V: Display + 'static>(v: &V, out: &mut String) {
+    match (v as &dyn Any).downcast_ref::<u64>() {
+        Some(&n) => write_u64(n, out),
+        None => {
+            let _ = write!(out, "{v}");
+        }
+    }
+}
+
+/// Append `n` in decimal, two digits per division.
+fn write_u64(mut n: u64, out: &mut String) {
+    const PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+        2021222324252627282930313233343536373839\
+        4041424344454647484950515253545556575859\
+        6061626364656667686970717273747576777879\
+        8081828384858687888990919293949596979899";
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    while n >= 100 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&PAIRS[2 * n as usize..2 * n as usize + 2]);
+    } else {
+        i -= 1;
+        digits[i] = b'0' + n as u8;
+    }
+    out.extend(digits[i..].iter().map(|&d| d as char));
 }
 
 /// Parse a field's cell with `FromStr`; the error names the type.
@@ -246,5 +278,14 @@ mod tests {
             "row 7: column kind = `rho` is not `row`"
         );
         assert!(err("row\t21\tx\t43").starts_with("row 7: derived column twice = `43`"));
+    }
+
+    #[test]
+    fn u64_cells_match_display() {
+        for n in [0, 7, 10, 99, 100, 1_000, 4_096, 123_456_789, u64::MAX] {
+            let mut out = String::new();
+            write_cell(&n, &mut out);
+            assert_eq!(out, n.to_string());
+        }
     }
 }
