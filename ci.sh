@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # CI gates.
 #
-#   ./ci.sh            per-push gate: build, full test suite, a
+#   ./ci.sh            per-push gate: build, full test suite, the
+#                      vendored crates' own tests, a
 #                      compile check of the benches, a rustfmt check,
 #                      clippy and rustdoc
 #                      with warnings denied, the perfbench
 #                      self-tests and pinned scale-16 digests, an
 #                      apps_s16 peak-memory budget,
 #                      quick-scale end-to-end
-#                      repro (~1 min on one core), a traced
+#                      repro (~1 min on one core), retry
+#                      cross-checks on fig1 and table1, a traced
 #                      + telemetry-sampled fig1, the small-grid
 #                      oversubscription observatory, a forced-thrash
 #                      run that writes flight dumps, the `repro serve`
@@ -58,6 +60,15 @@ push)
     # A doc link left dangling by a deleted or renamed item fails here.
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
+    echo "== vendored crates' own tests =="
+    # vendor/ is outside the workspace, so `cargo test --workspace` never
+    # compiles these crates' unit tests (serde_json's nesting cap among
+    # them). Each run writes vendor/<crate>/Cargo.lock, which is ignored.
+    for crate in proptest rand rayon serde_json; do
+        CARGO_TARGET_DIR=target/vendor-tests \
+            cargo test -q --offline --manifest-path "vendor/$crate/Cargo.toml"
+    done
+
     echo "== perfbench self-tests (mirror parity) =="
     # The benchmark is its own cargo package; its self-tests check the
     # traced mirror against run_prepared on small point sets.
@@ -93,6 +104,14 @@ sys.exit(rss > 130)
     # diverge from the scan's exact counters/buffer writes.
     ./target/release/repro fig1 --scale 128 --no-progress --retry-crosscheck \
         --out ci-out/crosscheck > /dev/null
+
+    echo "== repro table1 --scale 16 --retry-crosscheck (hot waiter lists) =="
+    # fig1 at scale 128 keeps its waiter lists short; sgemm and stream
+    # at scale 16 re-subscribe crowds of blocks to the same residency
+    # words on every replay, so this run checks that compacting long
+    # waiter lists still wakes every block whose words changed.
+    ./target/release/repro table1 --scale 16 --no-progress --retry-crosscheck \
+        --out ci-out/crosscheck-table1 > /dev/null
 
     echo "== repro fig1 --scale 16 --trace-out --metrics-out (traced+sampled run) =="
     t0=$(date +%s.%N)

@@ -3,7 +3,8 @@
 //! reusable arena), the engine's post-replay retry scan (reference Scan
 //! mode, on a 256-block grid and on fig. 1's full-µTLB 1280-block
 //! shape), the event-driven retry skip and waiter-wakeup paths that
-//! replace it, word-at-a-time
+//! replace it, waiter-list upkeep when a crowd of blocks re-subscribes
+//! to one hot residency word on every replay, word-at-a-time
 //! `PageMask` operations (`set_span`, `andnot_with`/`intersect_count`),
 //! the batched LRU eviction scan, and one end-to-end oversubscribed point
 //! at `Scale::QUICK`.
@@ -243,6 +244,47 @@ fn bench_waiter_wakeup(c: &mut Criterion) {
     );
 }
 
+/// Sgemm's shared-page shape: 256 blocks stall on one step over page 1
+/// (residency word 0) and one page in each of words 1..=7. Every replay
+/// one of those seven pages turns resident, so each block wakes, finds a
+/// hit and re-subscribes to word 0 and the words still missing: 256
+/// pushes per replay onto lists that each hold all 256 live blocks.
+/// Page 1 turns resident last and the grid completes; one iteration is a
+/// whole launch, so every iteration starts from the same state.
+fn bench_waiter_subscribe_shared_word(c: &mut Criterion) {
+    let mut trace = WorkloadTrace::new("shared-word", 512);
+    for _ in 0..256 {
+        trace.begin_block(SimDuration::from_nanos(10));
+        trace.push_step((0..8).map(|w| GlobalPage(64 * w + 1)), false);
+    }
+    let trace = std::sync::Arc::new(trace);
+    let mut space = ManagedSpace::new();
+    space.alloc(VABLOCK_SIZE, "bench");
+    let mut buffer = FaultBuffer::new(FaultBufferConfig::default());
+    c.benchmark_group("hot_paths")
+        .bench_function("waiter_subscribe_shared_word", |b| {
+            b.iter(|| {
+                space.set_resident(VaBlockIdx(0), PageMask::EMPTY);
+                let mut engine = GpuEngine::launch(
+                    GpuConfig::default(),
+                    std::sync::Arc::clone(&trace),
+                    SimRng::from_seed(1),
+                );
+                let mut resident = PageMask::EMPTY;
+                for w in (1..8).chain([0]) {
+                    engine.run(&space, &mut buffer, SimTime::ZERO);
+                    resident.set(64 * w + 1);
+                    space.set_resident(VaBlockIdx(0), resident);
+                    buffer.flush();
+                    engine.replay();
+                }
+                engine.run(&space, &mut buffer, SimTime::ZERO);
+                assert!(engine.is_done());
+                black_box(engine.waiter_work())
+            })
+        });
+}
+
 fn bench_mask_word_ops(c: &mut Criterion) {
     let mut group = c.benchmark_group("hot_paths");
     group.bench_function("mask_set_span", |b| {
@@ -326,6 +368,7 @@ criterion_group!(
     bench_retry_skip,
     bench_retry_skip_scan_twin,
     bench_waiter_wakeup,
+    bench_waiter_subscribe_shared_word,
     bench_mask_word_ops,
     bench_eviction_scan,
     bench_quick_point,
